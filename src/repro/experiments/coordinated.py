@@ -5,14 +5,18 @@
 * Figure 12 — gains attributable *exclusively to migrations*: each
   migrating approach relative to the pure-placement Heap-IO-Slab-OD
   baseline, with the total pages migrated (millions).
+
+Both run through :func:`repro.sim.parallel.run_cached`, so their grid
+points share cache keys with Figures 9 and 10 (the baselines and
+HeteroOS-LRU are Figure 9 runs) and persist under
+``REPRO_SWEEP_CACHE_DIR``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.sim.runner import run_experiment
-from repro.sim.stats import RunResult, gain_percent
+from repro.experiments.placement import run_fig9
+from repro.sim.parallel import clear_memo, run_cached
+from repro.sim.stats import gain_percent
 from repro.workloads.registry import PLACEMENT_APPS
 
 FIG11_POLICIES: tuple[str, ...] = (
@@ -26,32 +30,15 @@ FIG11_RATIOS: tuple[float, ...] = (1 / 4, 1 / 8)
 FIG12_APPS: tuple[str, ...] = ("graphchi", "redis", "leveldb")
 
 
-@lru_cache(maxsize=None)
-def _cached_run(
-    app: str, policy: str, ratio: float, epochs: int | None
-) -> RunResult:
-    return run_experiment(app, policy, fast_ratio=ratio, epochs=epochs)
-
-
 def run_fig11(
     apps: tuple[str, ...] = PLACEMENT_APPS,
     ratios: tuple[float, ...] = FIG11_RATIOS,
     policies: tuple[str, ...] = FIG11_POLICIES,
     epochs: int | None = None,
 ) -> list[dict]:
-    """Gains (%) over SlowMem-only per (app, ratio, policy)."""
-    rows = []
-    for app in apps:
-        slow = _cached_run(app, "slowmem-only", 1 / 4, epochs)
-        fast = _cached_run(app, "fastmem-only", 1 / 4, epochs)
-        for ratio in ratios:
-            row: dict = {"app": app, "ratio": f"1/{round(1 / ratio)}"}
-            for policy in policies:
-                result = _cached_run(app, policy, ratio, epochs)
-                row[policy] = gain_percent(result, slow)
-            row["fastmem-only"] = gain_percent(fast, slow)
-            rows.append(row)
-    return rows
+    """Gains (%) over SlowMem-only per (app, ratio, policy): Figure 9's
+    rows with the migrating approaches as the series."""
+    return run_fig9(apps, ratios, policies, epochs)
 
 
 def run_fig12(
@@ -67,10 +54,12 @@ def run_fig12(
     """
     rows = []
     for app in apps:
-        placement = _cached_run(app, "heap-io-slab-od", ratio, epochs)
+        placement = run_cached(
+            app, "heap-io-slab-od", fast_ratio=ratio, epochs=epochs
+        )
         row: dict = {"app": app}
         for policy in ("vmm-exclusive", "hetero-lru", "hetero-coordinated"):
-            result = _cached_run(app, policy, ratio, epochs)
+            result = run_cached(app, policy, fast_ratio=ratio, epochs=epochs)
             moved = result.pages_migrated + result.pages_demoted
             row[f"{policy}_gain_pct"] = gain_percent(result, placement)
             row[f"{policy}_migrated_millions"] = moved / 1e6
@@ -79,5 +68,5 @@ def run_fig12(
 
 
 def clear_cache() -> None:
-    """Drop memoized runs."""
-    _cached_run.cache_clear()
+    """Drop memoized runs (the shared process-wide memo)."""
+    clear_memo()

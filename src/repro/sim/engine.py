@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
+from typing import Callable, NamedTuple
 
 from repro.config import SimConfig
 from repro.core.policy import PlacementPolicy, PolicyBinding
@@ -108,6 +109,35 @@ STEP_PHASES = {
 }
 
 
+class FastPathParts(NamedTuple):
+    """The structures :func:`fast_path_parts` picks (``None`` keeps the
+    reference implementation)."""
+
+    #: ``Hypervisor(node_builder=...)``: guest NUMA nodes and buddy zones.
+    node_builder: Callable | None
+    #: ``GuestKernel(lru_factory=...)``: per-node split LRUs.
+    lru_factory: type | None
+    #: ``SimulationEngine._memory_demands`` stand-in: demand accounting.
+    memory_demands: Callable | None
+
+
+def fast_path_parts(config: SimConfig) -> FastPathParts:
+    """Pick the array-backed (:mod:`repro.sim.fast`) or reference parts.
+
+    The one place ``SimConfig.resolved_fast_path()`` is consulted: every
+    guest, single-VM (:func:`build_custom_vm`) and multi-VM
+    (:class:`~repro.sim.multi_vm.MultiVmSimulation`), and every engine
+    take their structures from here, so ``REPRO_FAST`` covers them all.
+    """
+    if not config.resolved_fast_path():
+        return FastPathParts(None, None, None)
+    # Imported lazily so the reference path never pays (or warns
+    # about) the optional numpy dependency.
+    from repro.sim.fast import FastSplitLru, fast_build_node, fast_memory_demands
+
+    return FastPathParts(fast_build_node, FastSplitLru, fast_memory_demands)
+
+
 def build_single_vm(
     config: SimConfig,
 ) -> tuple[Hypervisor, Domain, GuestKernel]:
@@ -134,15 +164,7 @@ def build_custom_vm(
     config = config or SimConfig()
     from repro.units import pages_of_bytes
 
-    node_builder = None
-    lru_factory = None
-    if config.resolved_fast_path():
-        # Imported lazily so the reference path never pays (or warns
-        # about) the optional numpy dependency.
-        from repro.sim.fast import FastSplitLru, fast_build_node
-
-        node_builder = fast_build_node
-        lru_factory = FastSplitLru
+    parts = fast_path_parts(config)
     reservations: dict[NodeTier, TierReservation] = {
         tier: TierReservation(
             pages_of_bytes(device.capacity_bytes),
@@ -154,7 +176,7 @@ def build_custom_vm(
         devices,
         sharing_policy=MaxMinSharing(),
         hotness_config=config.hotness_config,  # type: ignore[arg-type]
-        node_builder=node_builder,
+        node_builder=parts.node_builder,
     )
     domain = hypervisor.create_domain("vm0", reservations)
     nodes = hypervisor.build_guest_nodes(domain)
@@ -162,7 +184,7 @@ def build_custom_vm(
         nodes,
         cpus=config.cpus,
         balloon=hypervisor.make_balloon_frontend(domain),
-        lru_factory=lru_factory,
+        lru_factory=parts.lru_factory,
     )
     hypervisor.attach_kernel(domain, kernel)
     return hypervisor, domain, kernel
@@ -198,11 +220,7 @@ class SimulationEngine:
         #: The two are pinned bit-identical by the differential oracle
         #: (tests/test_fast_equivalence.py), so this never feeds a
         #: cache key.
-        self._fast_demands = None
-        if config.resolved_fast_path():
-            from repro.sim.fast import fast_memory_demands
-
-            self._fast_demands = fast_memory_demands
+        self._fast_demands = fast_path_parts(config).memory_demands
         self.rng = random.Random(config.seed)
         self.record_timeseries = record_timeseries
         #: Frame-ownership shadow checker (SimConfig(sanitize=True)).

@@ -10,14 +10,17 @@ from repro.experiments import (
     run_fig7,
     run_fig9,
     run_fig11,
+    run_fig12,
     run_table1,
     run_table3,
     run_table4,
     run_table5,
     run_table6,
 )
+from repro.experiments import coordinated
 from repro.experiments.report import format_table
 from repro.hw.throttle import ThrottleConfig
+from repro.sim import parallel
 
 
 # ----------------------------------------------------------------------
@@ -105,3 +108,49 @@ def test_fig11_smoke():
         apps=("nginx",), ratios=(0.25,), policies=("hetero-lru",), epochs=5
     )
     assert "hetero-lru" in rows[0]
+
+
+@pytest.fixture
+def simulated(monkeypatch):
+    """(policy, fast_ratio) of every spec actually simulated, starting
+    from an empty in-process memo (dropped again afterwards)."""
+    calls = []
+    run_spec = parallel.run_spec
+
+    def counting_run_spec(spec, *args, **kwargs):
+        calls.append((spec.policy, spec.fast_ratio))
+        return run_spec(spec, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_spec", counting_run_spec)
+    parallel.clear_memo()
+    yield calls
+    parallel.clear_memo()
+
+
+def test_fig11_fig12_share_cached_runs_with_fig9(
+    simulated, tmp_path, monkeypatch
+):
+    monkeypatch.setenv(parallel.CACHE_DIR_ENV, str(tmp_path / "cache"))
+    apps = ("nginx", "leveldb")
+    run_fig9(apps=apps, epochs=5)
+    simulated.clear()
+    rows = run_fig11(apps=apps, epochs=5)
+    # Baselines and HeteroOS-LRU at 1/4 and 1/8 are Figure 9's runs.
+    assert sorted(simulated) == sorted(
+        (policy, ratio)
+        for _ in apps
+        for policy in ("vmm-exclusive", "hetero-coordinated")
+        for ratio in (1 / 4, 1 / 8)
+    )
+    simulated.clear()
+    run_fig12(apps=apps, epochs=5)
+    assert simulated == []
+    # A new process (empty memo) regenerates from the on-disk cache.
+    parallel.clear_memo()
+    assert run_fig11(apps=apps, epochs=5) == rows
+    assert simulated == []
+    # The Figure 11/12 benches clear the memo to start cold.
+    monkeypatch.delenv(parallel.CACHE_DIR_ENV)
+    coordinated.clear_cache()
+    run_fig12(apps=apps, epochs=5)
+    assert len(simulated) == 4 * len(apps)

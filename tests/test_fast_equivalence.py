@@ -24,10 +24,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_multi_vm import devices, late_grower_vms
+
+from repro.config import SimConfig
 from repro.core.policy import available_policies, make_policy
 from repro.faults import FaultPlan
 from repro.obs.bus import Telemetry
+from repro.sim.fast import FastBuddy, FastSplitLru
+from repro.sim.multi_vm import MultiVmSimulation
 from repro.sim.runner import build_config, run_experiment
+from repro.vmm.drf import WeightedDrf
+from repro.vmm.sharing import MaxMinSharing
 from repro.workloads.synthetic import make_synthetic
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -74,6 +81,29 @@ def test_modes_are_bit_identical(label, kwargs):
     reference = _run("redis", "hetero-lru", False, epochs=4, **kwargs)
     fast = _run("redis", "hetero-lru", True, epochs=4, **kwargs)
     assert fast == reference, label
+
+
+@pytest.mark.parametrize("sharing", [MaxMinSharing, WeightedDrf])
+def test_multi_vm_balloon_scenario_is_bit_identical(sharing):
+    """Lock-step multi-VM guests (Figure 13's path) balloon, arbitrate
+    and reclaim identically on both paths, and the fast path really
+    builds array-backed zones and LRUs in every guest."""
+    def run(fast):
+        sim = MultiVmSimulation(
+            devices(), late_grower_vms(), sharing_policy=sharing(),
+            config=SimConfig(fast_path=fast),
+        )
+        results = sim.run(6)
+        return sim, {name: dataclasses.asdict(r) for name, r in results.items()}
+
+    _, reference = run(False)
+    sim, fast = run(True)
+    assert fast == reference
+    for engine in sim.engines.values():
+        kernel = engine.kernel
+        for node in kernel.nodes.values():
+            assert all(isinstance(zone.buddy, FastBuddy) for zone in node.zones)
+        assert all(isinstance(lru, FastSplitLru) for lru in kernel.lru.values())
 
 
 def _plan_from(seed, drop_p, derate_p):

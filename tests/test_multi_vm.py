@@ -13,6 +13,7 @@ from repro.mem.extent import PageType
 from repro.sim.multi_vm import MultiVmSimulation, VmSpec
 from repro.units import MIB, pages_of_bytes
 from repro.vmm.drf import WeightedDrf
+from repro.vmm.hotness import HotnessConfig
 from repro.vmm.sharing import MaxMinSharing
 from repro.workloads.base import RegionSpec, StatisticalWorkload
 
@@ -98,18 +99,24 @@ def test_boot_reservations_respect_machine_capacity():
         )
 
 
-def test_late_grower_balloons_from_pool_under_drf():
-    """A VM whose demand grows later can still balloon free machine
-    memory under DRF."""
+def late_grower_vms():
+    """A VM whose demand arrives at epoch 2, beyond its SlowMem minimum,
+    next to a small neighbour (rebuilt per run: workloads carry RNG
+    state)."""
     slow_total = pages_of_bytes(128 * MIB)
     grower = vm(
         "grower",
         workload("grower", pages=6000, alloc_epoch=2),
         slow=(4096, slow_total),
     )
-    small = vm("small", workload("small", pages=512))
+    return [grower, vm("small", workload("small", pages=512))]
+
+
+def test_late_grower_balloons_from_pool_under_drf():
+    """A VM whose demand grows later can still balloon free machine
+    memory under DRF."""
     sim = MultiVmSimulation(
-        devices(), [grower, small], sharing_policy=WeightedDrf()
+        devices(), late_grower_vms(), sharing_policy=WeightedDrf()
     )
     results = sim.run(6)
     domain = next(
@@ -117,3 +124,18 @@ def test_late_grower_balloons_from_pool_under_drf():
     )
     assert domain.pages(NodeTier.SLOW) > 4096  # ballooned beyond the min
     assert results["grower"].stats.dropped_allocation_pages == 0
+
+
+def test_hotness_config_reaches_every_domain_tracker():
+    """SimConfig.hotness_config (scan costs, thresholds) applies to every
+    guest's tracker, as it does on the single-VM path."""
+    override = HotnessConfig(scan_batch_pages=1024, per_pte_scan_ns=50.0)
+    sim = MultiVmSimulation(
+        devices(),
+        [vm("a", workload("a")), vm("b", workload("b"))],
+        sharing_policy=MaxMinSharing(),
+        config=SimConfig(hotness_config=override),
+    )
+    assert len(sim.hypervisor.domains) == 2
+    for domain_id in sim.hypervisor.domains:
+        assert sim.hypervisor.tracker(domain_id).config is override
