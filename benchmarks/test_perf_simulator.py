@@ -5,8 +5,9 @@ real multi-round pytest-benchmark timings of the hot data structures —
 the numbers that matter when someone scales the simulator up.
 
 ``test_bench_fast_path_trajectory`` additionally archives
-``benchmarks/_results/BENCH_sim.json``: reference vs. array-backed
-fast path (``repro.sim.fast``) on the heaviest workload, cold first
+``benchmarks/_results/BENCH_sim.json``: the reference guest structures
+of the differential oracle (``tests/reference_guest.py``) vs. the
+simulator's array-backed ones on the heaviest workload, cold first
 step, steady-state epochs/sec, and per-phase nanoseconds from the
 PhaseProfiler.  The committed file is the perf trajectory reviewers
 diff; the in-test assertion is a deliberately modest floor so shared
@@ -18,7 +19,9 @@ import gc
 import json
 import os
 import pathlib
+import sys
 import time
+from contextlib import nullcontext
 
 from repro.core import make_policy
 from repro.guestos.buddy import BuddyAllocator
@@ -27,10 +30,12 @@ from repro.mem.frames import FramePool
 from repro.obs.bus import Telemetry
 from repro.obs.profiler import PhaseProfiler
 from repro.sim.engine import SimulationEngine
-from repro.sim.fast import HAS_NUMPY
 from repro.sim.runner import build_config
 from repro.units import MIB
 from repro.workloads.registry import make_workload
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from reference_guest import reference_guest  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
 
@@ -47,7 +52,7 @@ BENCH_TIMED_EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "150"))
 #: CI floor for fast/reference end-to-end step() speedup.  The
 #: committed BENCH_sim.json records the real trajectory (>= 3x end to
 #: end, >= 10x on the hottest phase); this assertion only catches the
-#: fast path silently degrading to parity.
+#: array-backed structures silently degrading to parity.
 MIN_END_TO_END_SPEEDUP = 1.5
 MIN_HOTTEST_PHASE_SPEEDUP = 2.0
 
@@ -104,14 +109,12 @@ def test_perf_engine_epoch_throughput(benchmark):
     benchmark(one_epoch)
 
 
-def _one_rep(fast):
+def _one_rep():
     """One timed repetition: (cold first-step sec, steady wall sec,
     per-phase seconds over the timed epochs)."""
-    config = build_config(fast_ratio=0.25)
-    config.fast_path = fast
     profiler = PhaseProfiler()
     engine = SimulationEngine(
-        config,
+        build_config(fast_ratio=0.25),
         make_workload("graphchi"),
         make_policy("hetero-lru"),
         telemetry=Telemetry(profiler=profiler),
@@ -136,11 +139,14 @@ def _one_rep(fast):
     return cold_sec, wall_sec, dict(profiler.seconds)
 
 
-def _best_of(fast):
-    """Minimum cold/wall/per-phase times over BENCH_REPS repetitions."""
+def _best_of(reference):
+    """Minimum cold/wall/per-phase times over BENCH_REPS repetitions;
+    ``reference`` builds and steps the guest on the oracle's
+    structures."""
     colds, walls, phase_runs = [], [], []
     for _ in range(BENCH_REPS):
-        cold_sec, wall_sec, phases = _one_rep(fast)
+        with reference_guest() if reference else nullcontext():
+            cold_sec, wall_sec, phases = _one_rep()
         colds.append(cold_sec)
         walls.append(wall_sec)
         phase_runs.append(phases)
@@ -160,8 +166,8 @@ def _phase_ns(phases):
 
 
 def test_bench_fast_path_trajectory():
-    ref_cold, ref_wall, ref_phases = _best_of(fast=False)
-    fast_cold, fast_wall, fast_phases = _best_of(fast=True)
+    ref_cold, ref_wall, ref_phases = _best_of(reference=True)
+    fast_cold, fast_wall, fast_phases = _best_of(reference=False)
 
     assert set(ref_phases) == set(fast_phases)
     assert "demand" in ref_phases, sorted(ref_phases)
@@ -172,14 +178,13 @@ def test_bench_fast_path_trajectory():
 
     payload = {
         "benchmark": (
-            "SimulationEngine.step() reference vs repro.sim.fast "
-            "(REPRO_FAST) steady state"
+            "SimulationEngine.step() reference oracle "
+            "(tests/reference_guest.py) vs array-backed guest, steady state"
         ),
         "workload": "graphchi",
         "policy": "hetero-lru",
         "timed_epochs": BENCH_TIMED_EPOCHS,
         "reps_best_of": BENCH_REPS,
-        "has_numpy": HAS_NUMPY,
         "reference": {
             "cold_first_step_sec": round(ref_cold, 4),
             "epochs_per_sec": round(BENCH_TIMED_EPOCHS / ref_wall, 1),
@@ -199,10 +204,11 @@ def test_bench_fast_path_trajectory():
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     print(
-        f"\nfast path: {payload['reference']['epochs_per_sec']} -> "
+        f"\nreference -> array-backed: "
+        f"{payload['reference']['epochs_per_sec']} -> "
         f"{payload['fast']['epochs_per_sec']} epochs/sec "
         f"({end_to_end_speedup:.2f}x end to end, {hottest_speedup:.2f}x "
-        f"on hottest phase {hottest!r}, numpy={HAS_NUMPY})"
+        f"on hottest phase {hottest!r})"
     )
     assert end_to_end_speedup >= MIN_END_TO_END_SPEEDUP, payload
     assert hottest_speedup >= MIN_HOTTEST_PHASE_SPEEDUP, payload

@@ -9,7 +9,6 @@ SlowMem throttled to ~5x latency / ~9x less bandwidth (Section 5.1).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -19,15 +18,6 @@ from repro.hw.memdevice import DRAM, MemoryDevice, MemoryKind
 from repro.hw.throttle import DEFAULT_SLOWMEM, ThrottleConfig, throttled_device
 from repro.hw.timing import CpuConfig
 from repro.units import GIB, NS_PER_MS, pages_of_bytes
-
-#: Environment switch for the array-backed epoch hot path
-#: (:mod:`repro.sim.fast`) when ``SimConfig.fast_path`` is left unset.
-#: ``"1"`` enables it; anything else (or unset) keeps the reference
-#: path.  Results are pinned bit-identical either way
-#: (tests/test_fast_equivalence.py), which is why the knob is never
-#: part of any spec or cache key.
-FAST_PATH_ENV = "REPRO_FAST"
-
 
 @dataclass
 class SimConfig:
@@ -57,11 +47,6 @@ class SimConfig:
     #: empty plan means no injector is built at all — the simulator
     #: takes the exact seed code path (the no-perturbation contract).
     fault_plan: FaultPlan | None = None
-    #: Array-backed epoch hot path (:mod:`repro.sim.fast`).  ``None``
-    #: defers to the ``REPRO_FAST`` environment variable; ``True`` /
-    #: ``False`` force it.  Purely an execution-speed knob: the fast
-    #: path is bit-identical to the reference path by contract.
-    fast_path: bool | None = None
 
     def __post_init__(self) -> None:
         if self.slow_capacity_bytes <= 0:
@@ -74,18 +59,6 @@ class SimConfig:
     @property
     def epoch_ns(self) -> float:
         return self.epoch_ms * NS_PER_MS
-
-    def resolved_fast_path(self) -> bool:
-        """Whether this run takes the array-backed hot path.
-
-        Explicit ``fast_path`` wins; otherwise ``REPRO_FAST=1`` in the
-        environment enables it.  Never feeds a cache key or a spec
-        hash — the two paths are interchangeable by the differential
-        oracle (tests/test_fast_equivalence.py).
-        """
-        if self.fast_path is not None:
-            return bool(self.fast_path)
-        return os.environ.get(FAST_PATH_ENV) == "1"
 
     def resolved_fast_device(self) -> MemoryDevice:
         device = self.fast_device.with_capacity(self.fast_capacity_bytes)

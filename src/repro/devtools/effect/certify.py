@@ -13,8 +13,8 @@ iteration, no module-global writes, no fork/handle use, every
 attribute write matching a declared pattern, and every escaping call
 matching an ``assume`` pattern.  Certified phases own their state the
 way HeteroOS's guest kernel owns its data structures — which is
-exactly the property the ROADMAP-item-2 numpy fast path needs before
-it can batch a phase across epochs.
+exactly the property an optimisation needs before it can batch a
+phase across epochs.
 
 The result is the **ledger** (``heteroeffect-ledger.json``): a
 deterministic JSON document pinned by CI, so a refactor that silently

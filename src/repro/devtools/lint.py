@@ -770,48 +770,6 @@ class NoPrintRule(Rule):
                 )
 
 
-@register
-class NumpyImportRule(Rule):
-    """numpy stays quarantined in ``repro.sim.fast``: the package must
-    import (and the reference simulation must run) on a bare
-    interpreter, so the optional array backend is the only module
-    allowed to import numpy — everywhere else gets the dependency for
-    free the moment someone types ``import numpy``, and the fallback
-    contract (``tests/test_fast_fallback.py``) silently dies."""
-
-    rule_id = "numpy-import"
-    rationale = (
-        "numpy is an optional accelerator (the 'fast' extra) confined to "
-        "repro.sim.fast behind an import guard; importing it anywhere "
-        "else makes it a hard dependency and breaks numpy-less installs"
-    )
-
-    _ALLOWED_SUFFIX = "sim/fast.py"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.relpath.replace("\\", "/").endswith(self._ALLOWED_SUFFIX):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy" or alias.name.startswith("numpy."):
-                        yield self.finding(
-                            ctx, node,
-                            "numpy import outside repro.sim.fast; route "
-                            "array-backed code through the fast module or "
-                            "keep this path dependency-free",
-                        )
-                        break
-            elif isinstance(node, ast.ImportFrom) and node.module is not None:
-                if node.module == "numpy" or node.module.startswith("numpy."):
-                    yield self.finding(
-                        ctx, node,
-                        "numpy import outside repro.sim.fast; route "
-                        "array-backed code through the fast module or "
-                        "keep this path dependency-free",
-                    )
-
-
 #: Modules that may import the host-metrics plane.  The sweep recorder
 #: observes the harness (``sim/parallel.py`` hooks, ``cli.py``
 #: rendering, the ``serve/`` daemon's scrape endpoint); letting

@@ -92,11 +92,9 @@ class GuestKernel:
         cpus: int = 16,
         balloon: BalloonFrontend | None = None,
         swap: SwapDevice | None = None,
-        lru_factory: "type[SplitLru] | None" = None,
     ) -> None:
         if not nodes:
             raise AllocationError("guest needs at least one memory node")
-        make_lru = lru_factory if lru_factory is not None else SplitLru
         self.nodes = dict(nodes)
         # The node topology is fixed for the kernel's lifetime (ballooning
         # hides frames, it never adds or removes nodes), so the ordered
@@ -116,7 +114,7 @@ class GuestKernel:
         self.swap = swap or SwapDevice(capacity_pages=pages_of_bytes(16 * GIB))
         self.percpu = PerCpuFreeLists(cpus, self.nodes)
         self.lru: dict[int, SplitLru] = {
-            node_id: make_lru(node_id) for node_id in self.nodes
+            node_id: SplitLru(node_id) for node_id in self.nodes
         }
         self.page_cache = PageCache()
         self.slab = SlabAllocator(self._slab_page_source, self._slab_page_release)
@@ -681,8 +679,8 @@ class GuestKernel:
             ids.insert(ids.index(extent.extent_id) + 1, sibling.extent_id)
         lru = self.lru[extent.node_id]
         # A resident extent is always on its node's LRU; its page count
-        # just shrank in place, so LRUs with running counters must hear
-        # about it (no-op on the baseline lists).
+        # just shrank in place, so the LRU's running counter must hear
+        # about it.
         lru.note_resized(extent, -rest_pages)
         lru.insert(sibling)
         if extent.state is ExtentState.INACTIVE:

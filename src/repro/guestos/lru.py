@@ -8,7 +8,9 @@ node memory pressure.  HeteroOS-LRU (:mod:`repro.core.hetero_lru`) layers
 its memory-type thresholds and eager demotion on top of these lists.
 
 The lists hold extents; ordering within a list is recency (head = most
-recent).  ``dict`` insertion order provides the queues.
+recent).  ``dict`` insertion order provides the queues.  Each list also
+keeps a running page count, so the per-sample occupancy snapshot reads
+two integers instead of walking every extent.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class SplitLru:
     def __post_init__(self) -> None:
         self._active: dict[int, PageExtent] = {}
         self._inactive: dict[int, PageExtent] = {}
+        self._active_page_count = 0
+        self._inactive_page_count = 0
 
     # ------------------------------------------------------------------
     # Membership
@@ -54,11 +58,14 @@ class SplitLru:
             raise AllocationError(f"extent {extent.extent_id} already on LRU")
         extent.state = ExtentState.ACTIVE
         self._active[extent.extent_id] = extent
+        self._active_page_count += extent.pages
 
     def remove(self, extent: PageExtent) -> None:
         if self._active.pop(extent.extent_id, None) is not None:
+            self._active_page_count -= extent.pages
             return
         if self._inactive.pop(extent.extent_id, None) is not None:
+            self._inactive_page_count -= extent.pages
             return
         raise AllocationError(f"extent {extent.extent_id} not on LRU")
 
@@ -69,14 +76,14 @@ class SplitLru:
         )
 
     def note_resized(self, extent: PageExtent, delta_pages: int) -> None:
-        """Hook: ``extent.pages`` changed in place by ``delta_pages``
-        while the extent sits on this LRU (extent splits do this).
-
-        The baseline lists re-read ``extent.pages`` on every walk, so
-        there is nothing to update here; subclasses that keep running
-        page counters (``repro.sim.fast.FastSplitLru``) adjust them in
-        this hook.  Callers must invoke it *after* mutating the extent.
-        """
+        """``extent.pages`` changed in place by ``delta_pages`` while the
+        extent sits on this LRU (extent splits do this): adjust the
+        running page count of the list holding it.  Callers must invoke
+        it *after* mutating the extent."""
+        if extent.extent_id in self._active:
+            self._active_page_count += delta_pages
+        elif extent.extent_id in self._inactive:
+            self._inactive_page_count += delta_pages
 
     # ------------------------------------------------------------------
     # State transitions
@@ -88,6 +95,8 @@ class SplitLru:
             del self._inactive[extent.extent_id]
             extent.state = ExtentState.ACTIVE
             self._active[extent.extent_id] = extent
+            self._inactive_page_count -= extent.pages
+            self._active_page_count += extent.pages
             self.stats.promotions += 1
         elif extent.extent_id in self._active:
             # Refresh recency: move to dict tail (most recent).
@@ -102,6 +111,8 @@ class SplitLru:
             del self._active[extent.extent_id]
             extent.state = ExtentState.INACTIVE
             self._inactive[extent.extent_id] = extent
+            self._active_page_count -= extent.pages
+            self._inactive_page_count += extent.pages
             self.stats.demotions += 1
         elif extent.extent_id not in self._inactive:
             raise AllocationError(f"extent {extent.extent_id} not on LRU")
@@ -154,11 +165,11 @@ class SplitLru:
 
     @property
     def active_pages(self) -> int:
-        return sum(e.pages for e in self._active.values())
+        return self._active_page_count
 
     @property
     def inactive_pages(self) -> int:
-        return sum(e.pages for e in self._inactive.values())
+        return self._inactive_page_count
 
     @property
     def inactive_extents(self) -> list[PageExtent]:

@@ -47,6 +47,9 @@ class MemoryNode:
     tier: NodeTier
     device: MemoryDevice
     zones: list[Zone] = field(default_factory=list)
+    _zones_for_cache: dict[PageType, list[Zone]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def is_fastmem(self) -> bool:
@@ -69,10 +72,21 @@ class MemoryNode:
         return any(zone.under_pressure for zone in self.zones)
 
     def zones_for(self, page_type: PageType) -> list[Zone]:
-        """Zones eligible to serve ``page_type``, in preference order."""
-        preference = zone_preference(page_type)
-        by_kind = {zone.kind: zone for zone in self.zones}
-        return [by_kind[kind] for kind in preference if kind in by_kind]
+        """Zones eligible to serve ``page_type``, in preference order.
+
+        Memoised per page type: zones are appended only inside
+        :func:`build_node`, before the node is handed to any caller.
+        """
+        zones = self._zones_for_cache.get(page_type)
+        if zones is None:
+            by_kind = {zone.kind: zone for zone in self.zones}
+            zones = [
+                by_kind[kind]
+                for kind in zone_preference(page_type)
+                if kind in by_kind
+            ]
+            self._zones_for_cache[page_type] = zones
+        return zones
 
     def allocate_pages(self, pages: int, page_type: PageType) -> list[FrameRange]:
         """Allocate from the first eligible zone with room; no splitting
@@ -112,9 +126,17 @@ class MemoryNode:
 
     def free_ranges(self, ranges: list[FrameRange]) -> None:
         """Return frame ranges to whichever zone owns them."""
+        zones = self.zones
+        if len(zones) == 1 and "free_span" not in zones[0].buddy.__dict__:
+            # One zone and no per-instance sanitizer wrapper: take the
+            # batched free, which keeps the per-range sequential
+            # semantics (coalescing is order-dependent) and raises
+            # where the walk below would.
+            zones[0].buddy._free_spans(ranges, self._zone_owning)
+            return
         for frame_range in ranges:
             zone = self._zone_owning(frame_range.start)
-            zone.buddy.free_range(frame_range)
+            zone.buddy.free_span(frame_range.start, frame_range.count)
 
     def _zone_owning(self, frame: int) -> Zone:
         for zone in self.zones:
@@ -129,34 +151,22 @@ def build_node(
     tier: NodeTier,
     device: MemoryDevice,
     base_frame: int = 0,
-    buddy_factory=None,
-    node_cls: "type[MemoryNode] | None" = None,
 ) -> MemoryNode:
-    """Construct a node with the tier-appropriate zone layout.
-
-    ``buddy_factory``/``node_cls`` substitute the array-backed
-    allocator and node from ``repro.sim.fast``; the default layout and
-    zone arithmetic are identical either way.
-    """
+    """Construct a node with the tier-appropriate zone layout."""
     total_pages = pages_of_bytes(device.capacity_bytes)
     if total_pages <= 0:
         raise ConfigurationError(f"node {node_id}: device has no capacity")
-    make_node = node_cls if node_cls is not None else MemoryNode
-    node = make_node(node_id=node_id, tier=tier, device=device)
-
-    def _zone(kind: ZoneKind, base: int, frames: int) -> Zone:
-        return make_zone(kind, base, frames, buddy_factory=buddy_factory)
-
+    node = MemoryNode(node_id=node_id, tier=tier, device=device)
     if tier is NodeTier.FAST:
-        node.zones.append(_zone(ZoneKind.UNIFIED, base_frame, total_pages))
+        node.zones.append(make_zone(ZoneKind.UNIFIED, base_frame, total_pages))
         return node
     dma_pages = min(DMA_ZONE_BYTES // PAGE_SIZE, max(1, total_pages // 16))
     normal_pages = total_pages - dma_pages
     if normal_pages <= 0:
-        node.zones.append(_zone(ZoneKind.NORMAL, base_frame, total_pages))
+        node.zones.append(make_zone(ZoneKind.NORMAL, base_frame, total_pages))
         return node
-    node.zones.append(_zone(ZoneKind.DMA, base_frame, dma_pages))
+    node.zones.append(make_zone(ZoneKind.DMA, base_frame, dma_pages))
     node.zones.append(
-        _zone(ZoneKind.NORMAL, base_frame + dma_pages, normal_pages)
+        make_zone(ZoneKind.NORMAL, base_frame + dma_pages, normal_pages)
     )
     return node

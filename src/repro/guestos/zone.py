@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.guestos.buddy import BuddyAllocator
@@ -77,22 +76,14 @@ def make_zone(
     base_frame: int,
     frames: int,
     watermark_fraction: float = 0.04,
-    buddy_factory: "Callable[[int, int], BuddyAllocator] | None" = None,
 ) -> Zone:
-    """Build a zone with Linux-style proportional watermarks.
-
-    ``buddy_factory`` swaps in an alternative :class:`BuddyAllocator`
-    implementation (the array-backed one from ``repro.sim.fast``);
-    zones never construct allocators any other way, so this is the
-    single substitution point.
-    """
+    """Build a zone with Linux-style proportional watermarks."""
     if frames <= 0:
         raise ConfigurationError("zone must contain at least one frame")
-    make_buddy = buddy_factory if buddy_factory is not None else BuddyAllocator
     low = max(1, int(frames * watermark_fraction))
     return Zone(
         kind=kind,
-        buddy=make_buddy(base_frame, frames),
+        buddy=BuddyAllocator(base_frame, frames),
         low_watermark_pages=low,
         min_watermark_pages=max(1, low // 2),
     )

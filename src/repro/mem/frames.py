@@ -34,7 +34,7 @@ class FrameRange:
 
         Reserved for allocators whose own invariants already guarantee
         ``start >= 0`` and ``count > 0`` (the buddy split arithmetic in
-        ``repro.sim.fast`` produces only such pairs); the frozen
+        ``repro.guestos.buddy`` produces only such pairs); the frozen
         dataclass ``__init__`` is a measurable share of the allocation
         hot path, and this bypasses it while keeping the type and its
         equality/hash semantics identical.

@@ -63,7 +63,18 @@ def _worker_main(tasks, results, capture_timelines: bool) -> None:
     making heartbeat-before-work an ordering guarantee.  A ``None``
     task is the shutdown sentinel.  Queue failures (parent died) end
     the loop quietly — the supervisor owns all error reporting.
+
+    The fork hands every worker both ends of both pipes.  A worker only
+    reads tasks and only writes results, so it first closes its copies
+    of the other two ends.  Otherwise the workers themselves would keep
+    the task pipe writable, and a parent killed without a chance to send
+    sentinels (SIGKILL) would leave them blocked in ``tasks.get()``
+    forever instead of seeing EOF; and they would keep the result pipe
+    readable, so a result put after the parent died could block on a
+    full pipe instead of failing.
     """
+    tasks._writer.close()
+    results._reader.close()
     while True:
         try:
             item = tasks.get()

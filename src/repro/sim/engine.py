@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from typing import Callable, NamedTuple
 
 from repro.config import SimConfig
 from repro.core.policy import PlacementPolicy, PolicyBinding
@@ -32,7 +31,7 @@ from repro.faults import FaultInjector
 from repro.guestos.balloon import TierReservation
 from repro.guestos.kernel import GuestKernel
 from repro.guestos.numa import NodeTier
-from repro.hw.cache import LastLevelCache, RegionAccess
+from repro.hw.cache import LastLevelCache
 from repro.hw.endurance import WearTracker
 from repro.hw.memdevice import MemoryDevice, topology_sort_key
 from repro.hw.throttle import ThrottleConfig, throttled_device
@@ -40,8 +39,8 @@ from repro.hw.timing import DeviceDemand, MemoryTimingModel
 from repro.mem.extent import PageType
 from repro.obs.bus import Telemetry
 from repro.obs.sample import SAMPLE_FORMAT_VERSION, EpochSample
+from repro.sim import fast
 from repro.sim.stats import RunResult, RunStats
-from repro.units import PAGE_SIZE
 from repro.vmm.domain import Domain
 from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.sharing import MaxMinSharing
@@ -58,11 +57,9 @@ _NO_PHASE = nullcontext()
 #: may mutate (trailing ``*`` is a wildcard); ``assume`` accepts
 #: opaque/polymorphic call patterns on trust, each with its
 #: justification.  Phases whose ledger entry lists violations (demand,
-#: cache, policy) are impure by design — they mutate kernel/policy
-#: state through dynamic dispatch; that is where the array-backed fast
-#: path (``repro.sim.fast``, selected via ``SimConfig.fast_path`` /
-#: ``REPRO_FAST``) substitutes its structures.  The certified phases
-#: (timing, sample) are untouched by it and must stay certified.
+#: cache, policy) are impure by design — they mutate kernel, wear and
+#: policy state, partly through dynamic dispatch.  The certified phases
+#: (timing, sample) must stay certified.
 STEP_PHASES = {
     "demand": {
         "roots": [
@@ -109,35 +106,6 @@ STEP_PHASES = {
 }
 
 
-class FastPathParts(NamedTuple):
-    """The structures :func:`fast_path_parts` picks (``None`` keeps the
-    reference implementation)."""
-
-    #: ``Hypervisor(node_builder=...)``: guest NUMA nodes and buddy zones.
-    node_builder: Callable | None
-    #: ``GuestKernel(lru_factory=...)``: per-node split LRUs.
-    lru_factory: type | None
-    #: ``SimulationEngine._memory_demands`` stand-in: demand accounting.
-    memory_demands: Callable | None
-
-
-def fast_path_parts(config: SimConfig) -> FastPathParts:
-    """Pick the array-backed (:mod:`repro.sim.fast`) or reference parts.
-
-    The one place ``SimConfig.resolved_fast_path()`` is consulted: every
-    guest, single-VM (:func:`build_custom_vm`) and multi-VM
-    (:class:`~repro.sim.multi_vm.MultiVmSimulation`), and every engine
-    take their structures from here, so ``REPRO_FAST`` covers them all.
-    """
-    if not config.resolved_fast_path():
-        return FastPathParts(None, None, None)
-    # Imported lazily so the reference path never pays (or warns
-    # about) the optional numpy dependency.
-    from repro.sim.fast import FastSplitLru, fast_build_node, fast_memory_demands
-
-    return FastPathParts(fast_build_node, FastSplitLru, fast_memory_demands)
-
-
 def build_single_vm(
     config: SimConfig,
 ) -> tuple[Hypervisor, Domain, GuestKernel]:
@@ -164,7 +132,6 @@ def build_custom_vm(
     config = config or SimConfig()
     from repro.units import pages_of_bytes
 
-    parts = fast_path_parts(config)
     reservations: dict[NodeTier, TierReservation] = {
         tier: TierReservation(
             pages_of_bytes(device.capacity_bytes),
@@ -176,7 +143,6 @@ def build_custom_vm(
         devices,
         sharing_policy=MaxMinSharing(),
         hotness_config=config.hotness_config,  # type: ignore[arg-type]
-        node_builder=parts.node_builder,
     )
     domain = hypervisor.create_domain("vm0", reservations)
     nodes = hypervisor.build_guest_nodes(domain)
@@ -184,7 +150,6 @@ def build_custom_vm(
         nodes,
         cpus=config.cpus,
         balloon=hypervisor.make_balloon_frontend(domain),
-        lru_factory=parts.lru_factory,
     )
     hypervisor.attach_kernel(domain, kernel)
     return hypervisor, domain, kernel
@@ -215,12 +180,6 @@ class SimulationEngine:
         self.cache = LastLevelCache(config.llc)
         self.timing = MemoryTimingModel(config.cpu)
         self.wear = WearTracker()
-        #: Array-backed demand accounting (repro.sim.fast); ``None``
-        #: keeps the reference implementation in ``_memory_demands``.
-        #: The two are pinned bit-identical by the differential oracle
-        #: (tests/test_fast_equivalence.py), so this never feeds a
-        #: cache key.
-        self._fast_demands = fast_path_parts(config).memory_demands
         self.rng = random.Random(config.seed)
         self.record_timeseries = record_timeseries
         #: Frame-ownership shadow checker (SimConfig(sanitize=True)).
@@ -618,67 +577,10 @@ class SimulationEngine:
     def _memory_demands(
         self, demand: EpochDemand
     ) -> tuple[dict[MemoryDevice, DeviceDemand], float]:
-        if self._fast_demands is not None:
-            return self._fast_demands(self, demand)
-        kernel = self.kernel
-        region_accesses: list[RegionAccess] = []
-        placements: dict[str, dict[MemoryDevice, float]] = {}
-        for region_id, (reads, writes) in demand.accesses.items():
-            if not kernel.has_region(region_id):
-                continue
-            spec = self.region_specs.get(region_id)
-            if spec is None:
-                continue
-            extents = kernel.region_extents(region_id)
-            pages = sum(extent.pages for extent in extents)
-            if pages == 0:
-                continue
-            region_accesses.append(
-                RegionAccess(
-                    region_id=region_id,
-                    footprint_bytes=pages * PAGE_SIZE,
-                    reads=reads,
-                    writes=writes,
-                    reuse=spec.reuse,
-                    bytes_per_miss=spec.bytes_per_miss,
-                )
-            )
-            fractions: dict[MemoryDevice, float] = {}
-            for extent in extents:
-                device = (
-                    self._slowest_device
-                    if extent.swapped
-                    else kernel.nodes[extent.node_id].device
-                )
-                fractions[device] = fractions.get(device, 0.0) + (
-                    extent.pages / pages
-                )
-            placements[region_id] = fractions
-
-        demands: dict[MemoryDevice, DeviceDemand] = {}
-        llc_misses = 0.0
-        for misses in self.cache.apportion(region_accesses):
-            llc_misses += misses.misses
-            for device, fraction in placements[misses.region_id].items():
-                addition = DeviceDemand(
-                    read_misses=misses.read_misses * fraction,
-                    write_misses=misses.write_misses * fraction,
-                    traffic_bytes=misses.traffic_bytes * fraction,
-                )
-                current = demands.get(device)
-                demands[device] = (
-                    addition if current is None else current.merged(addition)
-                )
-                # Endurance accounting: dirty-line writebacks are the
-                # device's wear (2x per write miss: fill + writeback).
-                self.wear.record(
-                    device,
-                    misses.write_misses
-                    * fraction
-                    * misses.bytes_per_miss
-                    * 2.0,
-                )
-        return demands, llc_misses
+        """Per-device demand and the epoch's LLC misses
+        (:func:`repro.sim.fast.fast_memory_demands`).  Looked up on the
+        module at call time, so a wrapper installed there is honoured."""
+        return fast.fast_memory_demands(self, demand)
 
     # ------------------------------------------------------------------
     # Results

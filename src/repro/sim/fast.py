@@ -1,99 +1,52 @@
-"""The array-backed epoch hot path (ROADMAP item 2).
+"""Epoch demand accounting: LLC misses split across memory devices.
 
-The PhaseProfiler (PR 4) puts the bulk of ``SimulationEngine.step()``
-host time in the demand phase, and inside it almost entirely in
-:class:`~repro.guestos.buddy.BuddyAllocator`: the Python-bigint free
-mask costs O(span bits) per allocate/free, ``min(set)`` rescans a free
-list per block, and every block materialises a validated frozen
-``FrameRange``.  The ISSUE names the LRU walks and demand accounting as
-further suspects; profiling ranks them second and third.  This module
-replaces all three with flat array-backed structures:
+Each epoch :meth:`SimulationEngine._memory_demands
+<repro.sim.engine.SimulationEngine._memory_demands>` calls
+:func:`fast_memory_demands`, which feeds the epoch's region accesses
+through the LLC model, splits each region's misses across devices by
+extent placement, and records device wear.  Two choices keep it cheap:
 
-* :class:`FrameBitmap` — a byte-per-frame free map (``bytearray`` with
-  an optional shared-memory numpy ``uint8`` view for bulk fills and the
-  invariant popcount) instead of one Python big integer.
-* :class:`FastBuddy` — a drop-in :class:`BuddyAllocator` using the
-  bitmap, per-order min-heaps with lazy deletion (reproducing the
-  reference ``min(set)`` block choice in O(log n)), and
-  ``FrameRange.unchecked`` construction.
-* :class:`FastSplitLru` — running active/inactive page counters so the
-  per-sample ``occupancy_snapshot`` stops walking every extent.
-* :class:`DemandAccumulator` / :func:`fast_memory_demands` — flat
-  per-device float columns replacing the per-(region, device) frozen
-  ``DeviceDemand`` merge chain of the reference demand accounting.
+* :class:`DemandAccumulator` — flat per-device float columns, one per
+  :data:`DEVICE_DEMAND_FIELDS` entry, instead of a chain of frozen
+  ``DeviceDemand`` merges;
+* :func:`_fast_apportion` — a tuple-returning twin of
+  ``LastLevelCache.apportion`` with the same float expressions in the
+  same order.
 
-Every structure is pinned **bit-identical** to its reference twin: the
-same allocations, the same float addition order, the same dict
-insertion order.  The differential oracle
-(``tests/test_fast_equivalence.py``) enforces this across all policies,
-fault plans, and telemetry modes; no change to this module merges
-without it.  See ``docs/performance.md``.
-
-numpy is optional (the ``fast`` extra).  When it cannot be imported the
-bitmap silently degrades to pure ``bytearray`` operations — identical
-results, reduced bulk-fill speed — and a single ``RuntimeWarning`` is
-emitted at import time.  This module is the only place allowed to
-import numpy (heterolint ``numpy-import``); everything else must stay
-dependency-free.
+Results are pinned **bit-identical** to the ``DeviceDemand``-merging
+reference kept in ``tests/`` — the same float addition order and the
+same dict insertion order.  The differential oracle
+(``tests/test_fast_equivalence.py``) enforces this across all
+policies, fault plans, and telemetry modes.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import heapq
-import warnings
 from typing import TYPE_CHECKING
 
-from repro.errors import AllocationError, OutOfMemoryError
-from repro.guestos.buddy import MAX_ORDER, BuddyAllocator
-from repro.guestos.lru import SplitLru
-from repro.guestos.numa import MemoryNode, build_node
 from repro.hw.cache import RegionAccess
 from repro.hw.timing import DeviceDemand
-from repro.mem.frames import FrameRange
 from repro.units import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mem.extent import PageExtent
     from repro.sim.engine import EpochDemand, SimulationEngine
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via test_fast_fallback
-    _np = None
-    warnings.warn(
-        "numpy unavailable; repro.sim.fast falls back to the pure-Python "
-        "array backend (results identical, bulk operations slower) — "
-        "install the 'fast' extra for full speed",
-        RuntimeWarning,
-    )
+__all__ = [
+    "DEVICE_DEMAND_FIELDS",
+    "DemandAccumulator",
+    "fast_memory_demands",
+]
 
-#: Whether the numpy backend is active (False = bytearray fallback).
-HAS_NUMPY = _np is not None
 
 #: heterocontract anchor (``contract-fast-mirror``): the accumulator
 #: columns of :class:`DemandAccumulator`, one per
 #: :class:`~repro.hw.timing.DeviceDemand` field.  Must stay a pure
 #: literal (it is read with ``ast.literal_eval``) and mirror the
 #: dataclass exactly — a DeviceDemand field without a column here would
-#: be silently dropped by the fast path.
+#: be silently dropped from every epoch's demand.
 DEVICE_DEMAND_FIELDS = ("read_misses", "write_misses", "traffic_bytes")
 
-#: Bulk bitmap fills at or above this many frames go through the numpy
-#: view (a memset, no ``bytes`` temporary); smaller fills stay on the
-#: bytearray slice path whose per-call overhead is ~10x lower.  Chosen
-#: where the two backends cross over on current CPython/numpy.
-_BULK_FILL_FRAMES = 2048
-
-# Hot-loop aliases: module-level bindings skip the attribute lookups
-# that dominate at ~100ns-per-operation scale.
-_heappush = heapq.heappush
-_heappop = heapq.heappop
-_heapify = heapq.heapify
-_unchecked = FrameRange.unchecked
-#: Pre-built zero/one runs for clearing or setting one buddy block per
-#: order, sparing a fresh ``bytes`` temporary per operation.
-_ZERO_RUN = tuple(bytes(1 << order) for order in range(MAX_ORDER + 1))
-_ONE_RUN = tuple(b"\x01" * (1 << order) for order in range(MAX_ORDER + 1))
 _new_instance = object.__new__
 
 
@@ -165,546 +118,6 @@ def _fast_apportion(cache, regions):
         ))
     return results
 
-__all__ = [
-    "DEVICE_DEMAND_FIELDS",
-    "HAS_NUMPY",
-    "DemandAccumulator",
-    "FastBuddy",
-    "FastNode",
-    "FastSplitLru",
-    "FrameBitmap",
-    "fast_build_node",
-    "fast_memory_demands",
-]
-
-
-class FrameBitmap:
-    """Byte-per-frame free map: ``buf[i]`` is 1 iff frame ``base + i``
-    is free.
-
-    The buffer is always a ``bytearray`` so scalar probes can use
-    ``bytearray.find`` (C ``memchr``) regardless of backend; when numpy
-    is importable, :attr:`view` is a ``uint8`` array sharing the same
-    memory, used for large fills and the population count.
-    """
-
-    __slots__ = ("buf", "view")
-
-    def __init__(self, frames: int) -> None:
-        self.buf = bytearray(frames)
-        self.view = None if _np is None else _np.frombuffer(self.buf, dtype=_np.uint8)
-
-    def fill(self, offset: int, count: int, value: int) -> None:
-        """Set ``count`` entries starting at ``offset`` to ``value``."""
-        if self.view is not None and count >= _BULK_FILL_FRAMES:
-            self.view[offset:offset + count] = value
-        elif value:
-            self.buf[offset:offset + count] = b"\x01" * count
-        else:
-            self.buf[offset:offset + count] = bytes(count)
-
-    def any_set(self, offset: int, end: int) -> bool:
-        """True if any entry in ``[offset, end)`` is non-zero."""
-        return self.buf.find(1, offset, end) != -1
-
-    def any_clear(self, offset: int, end: int) -> bool:
-        """True if any entry in ``[offset, end)`` is zero."""
-        return self.buf.find(0, offset, end) != -1
-
-    def popcount(self) -> int:
-        """Number of set entries across the whole map."""
-        if self.view is not None:
-            return int(self.view.sum())
-        return sum(self.buf)
-
-
-class FastBuddy(BuddyAllocator):
-    """Array-backed drop-in for :class:`BuddyAllocator`.
-
-    Three substitutions, none visible to callers:
-
-    * the big-int ``_free_mask`` becomes a :class:`FrameBitmap`
-      (O(count) slice writes instead of O(span-bits) shifts);
-    * each order's free list keeps a companion min-heap with lazy
-      deletion, so picking the lowest free block is O(log n) instead of
-      the reference ``min(set)`` rescan — and provably picks the *same*
-      block, which is what keeps allocation sequences bit-identical;
-    * granted blocks are built with ``FrameRange.unchecked`` (the split
-      arithmetic guarantees validity).
-    """
-
-    def __init__(self, base: int, frames: int, max_order: int = MAX_ORDER) -> None:
-        if frames <= 0:
-            raise AllocationError("buddy span must contain at least one frame")
-        if max_order < 0:
-            raise AllocationError("max_order must be non-negative")
-        self.base = base
-        self.total_frames = frames
-        self.max_order = max_order
-        self._free_lists = [set() for _ in range(max_order + 1)]
-        #: Per-order min-heaps shadowing ``_free_lists``.  Entries are
-        #: deleted lazily: the heap top is popped past starts no longer
-        #: in the live set before use.
-        self._heaps = [[] for _ in range(max_order + 1)]
-        self._free_frames = 0
-        self._mask = FrameBitmap(frames)
-        #: The bitmap's bytearray, aliased for the hot paths (slice
-        #: assignment never reallocates it, so the alias stays valid).
-        self._mask_bytes = self._mask.buf
-        self._insert_span(base, frames)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def is_free(self, frame: int) -> bool:
-        offset = frame - self.base
-        if not 0 <= offset < self.total_frames:
-            raise AllocationError(f"frame {frame} outside span")
-        return bool(self._mask.buf[offset])
-
-    # ------------------------------------------------------------------
-    # Allocation
-    # ------------------------------------------------------------------
-
-    def allocate_block(self, order: int) -> FrameRange:
-        if not 0 <= order <= self.max_order:
-            raise AllocationError(f"order {order} out of range")
-        return self._take_block(order)
-
-    def _live_heap(self, order: int) -> "list[int]":
-        """The order's heap, compacted when lazy deletion has let dead
-        entries (buddies coalesced away without ever reaching the top)
-        outnumber the live set.  Keeps heap size — and so push/pop cost
-        and memory — proportional to the live free list on arbitrarily
-        long runs."""
-        heap = self._heaps[order]
-        live = self._free_lists[order]
-        if len(heap) > (len(live) << 2) + 8:
-            heap[:] = live
-            _heapify(heap)
-        return heap
-
-    def _take_block(self, order: int) -> FrameRange:
-        """The reference allocate_block body with the scan replaced by
-        the heap pop; split-down and mask clear are unchanged."""
-        lists = self._free_lists
-        live = lists[order]
-        if live:
-            # Exact-order hit: no upward search, no split-down.
-            heap = self._live_heap(order)
-            while heap[0] not in live:
-                _heappop(heap)
-            start = _heappop(heap)
-            live.discard(start)
-            count = 1 << order
-            self._free_frames -= count
-            offset = start - self.base
-            self._mask_bytes[offset:offset + count] = (
-                _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
-            )
-            return _unchecked(start, count)
-        source = order
-        max_order = self.max_order
-        while source <= max_order and not lists[source]:
-            source += 1
-        if source > max_order:
-            raise OutOfMemoryError(
-                f"no free block of order >= {order} "
-                f"({self._free_frames} frames free)"
-            )
-        heap, live = self._live_heap(source), lists[source]
-        while heap[0] not in live:
-            _heappop(heap)
-        start = _heappop(heap)
-        live.discard(start)
-        heaps = self._heaps
-        while source > order:
-            source -= 1
-            buddy = start + (1 << source)
-            lists[source].add(buddy)
-            _heappush(heaps[source], buddy)
-        count = 1 << order
-        self._free_frames -= count
-        offset = start - self.base
-        self._mask_bytes[offset:offset + count] = (
-            _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
-        )
-        return _unchecked(start, count)
-
-    def allocate_pages(self, pages: int) -> "list[FrameRange]":
-        if pages <= 0:
-            raise AllocationError(f"page count must be positive: {pages}")
-        if pages > self._free_frames:
-            raise OutOfMemoryError(
-                f"requested {pages} pages, only {self._free_frames} free"
-            )
-        granted: "list[FrameRange]" = []
-        append = granted.append
-        remaining = pages
-        lists = self._free_lists
-        max_order = self.max_order
-        # The frame sanitizer intercepts allocation by installing a
-        # per-instance allocate_block wrapper; honour it when present,
-        # otherwise go straight to the implementation (the wrapper's
-        # range check is vacuous for internally computed orders).
-        wrapper = self.__dict__.get("allocate_block")
-        take = wrapper if wrapper is not None else self._take_block
-        heaps = self._heaps
-        mask = self._mask_bytes
-        base = self.base
-        try:
-            while remaining > 0:
-                want_order = min(max_order, remaining.bit_length() - 1)
-                order = want_order
-                # Fragmentation fallback: drop to the largest order that
-                # actually has a block (identical to the reference scan).
-                while order >= 0 and not lists[order]:
-                    order -= 1
-                if order < 0:
-                    order = want_order
-                live = lists[order]
-                if wrapper is None and live:
-                    # Same-order hit, inlined (the dominant case: a
-                    # large request peels off order-max blocks).  Pop as
-                    # many blocks of this order as the request and the
-                    # live set allow in one batch: between same-order
-                    # takes nothing is freed and no split-down runs, so
-                    # higher lists stay as they are and the reference
-                    # loop would pick this same order every time while
-                    # remaining >= 1 << order.
-                    heap = self._live_heap(order)
-                    count = 1 << order
-                    batch = remaining >> order
-                    if batch > len(live):
-                        batch = len(live)
-                    # Blocks pop in ascending start order and are often
-                    # contiguous (a freshly coalesced region re-split),
-                    # so adjacent mask clears merge into one run.
-                    run_offset = -1
-                    run_length = 0
-                    for _ in range(batch):
-                        while heap[0] not in live:
-                            _heappop(heap)
-                        start = _heappop(heap)
-                        live.discard(start)
-                        offset = start - base
-                        if offset == run_offset + run_length:
-                            run_length += count
-                        else:
-                            if run_length:
-                                mask[run_offset:run_offset + run_length] = (
-                                    _ZERO_RUN[order]
-                                    if run_length == count and order <= MAX_ORDER
-                                    else bytes(run_length)
-                                )
-                            run_offset = offset
-                            run_length = count
-                        append(_unchecked(start, count))
-                    if run_length:
-                        mask[run_offset:run_offset + run_length] = (
-                            _ZERO_RUN[order]
-                            if run_length == count and order <= MAX_ORDER
-                            else bytes(run_length)
-                        )
-                    taken = batch * count
-                    self._free_frames -= taken
-                    remaining -= taken
-                else:
-                    block = take(order)
-                    append(block)
-                    remaining -= block.count
-        except OutOfMemoryError:
-            for block in granted:
-                self.free_span(block.start, block.count)
-            raise
-        return granted
-
-    # ------------------------------------------------------------------
-    # Free
-    # ------------------------------------------------------------------
-
-    def free_span(self, start: int, count: int) -> None:
-        if count <= 0:
-            raise AllocationError("free count must be positive")
-        offset = start - self.base
-        if offset < 0 or offset + count > self.total_frames:
-            raise AllocationError(
-                f"span [{start}, {start + count}) outside allocator"
-            )
-        if self._mask_bytes.find(1, offset, offset + count) != -1:
-            raise AllocationError(
-                f"double free within span [{start}, {start + count})"
-            )
-        self._insert_span(start, count)
-
-    def _free_spans(self, ranges) -> None:
-        """Sequential ``free_span`` over ``ranges`` with the per-range
-        validation and the dominant single-aligned-block insert inlined
-        (identical state transitions and identical error points; the
-        general shape falls through to :meth:`_insert_span`)."""
-        base = self.base
-        total = self.total_frames
-        mask = self._mask_bytes
-        lists = self._free_lists
-        heaps = self._heaps
-        max_order = self.max_order
-        # The free-frame count is flushed lazily: before every raise and
-        # before delegating to _insert_span (which counts its own span),
-        # so partial failures leave the same state as sequential
-        # free_span calls would.
-        freed = 0
-        for frame_range in ranges:
-            start = frame_range.start
-            count = frame_range.count
-            if count <= 0:
-                self._free_frames += freed
-                raise AllocationError("free count must be positive")
-            offset = start - base
-            if offset < 0 or offset + count > total:
-                self._free_frames += freed
-                raise AllocationError(
-                    f"span [{start}, {start + count}) outside allocator"
-                )
-            if mask.find(1, offset, offset + count) != -1:
-                self._free_frames += freed
-                raise AllocationError(
-                    f"double free within span [{start}, {start + count})"
-                )
-            order = count.bit_length() - 1
-            if (
-                count == 1 << order
-                and order <= max_order
-                and not offset & (count - 1)
-            ):
-                # One naturally aligned block: set the mask run and
-                # coalesce upward, exactly as _insert_span would.
-                mask[offset:offset + count] = (
-                    _ONE_RUN[order] if order <= MAX_ORDER else b"\x01" * count
-                )
-                freed += count
-                block = start
-                while order < max_order:
-                    bucket = lists[order]
-                    buddy = base + ((block - base) ^ (1 << order))
-                    if buddy not in bucket:
-                        break
-                    bucket.remove(buddy)
-                    if buddy < block:
-                        block = buddy
-                    order += 1
-                lists[order].add(block)
-                _heappush(heaps[order], block)
-            else:
-                self._free_frames += freed
-                freed = 0
-                self._insert_span(start, count)
-        self._free_frames += freed
-
-    def _insert_span(self, start: int, count: int) -> None:
-        """Reference _insert_span with the coalescing loop inlined and
-        the mask write batched (numpy memset for large spans)."""
-        offset = start - self.base
-        if count < _BULK_FILL_FRAMES:
-            self._mask_bytes[offset:offset + count] = b"\x01" * count
-        else:
-            self._mask.fill(offset, count, 1)
-        self._free_frames += count
-        base = self.base
-        lists = self._free_lists
-        heaps = self._heaps
-        max_order = self.max_order
-        cursor = start
-        remaining = count
-        while remaining > 0:
-            cursor_offset = cursor - base
-            align_order = (
-                (cursor_offset & -cursor_offset).bit_length() - 1
-                if cursor_offset
-                else max_order
-            )
-            size_order = remaining.bit_length() - 1
-            order = min(max_order, align_order, size_order)
-            taken = 1 << order
-            block = cursor
-            while order < max_order:
-                block_offset = block - base
-                buddy = base + (block_offset ^ (1 << order))
-                if buddy not in lists[order]:
-                    break
-                lists[order].discard(buddy)
-                if buddy < block:
-                    block = buddy
-                order += 1
-            lists[order].add(block)
-            _heappush(heaps[order], block)
-            cursor += taken
-            remaining -= taken
-
-    def _coalesce_insert(self, start: int, order: int) -> None:
-        lists = self._free_lists
-        while order < self.max_order:
-            offset = start - self.base
-            buddy = self.base + (offset ^ (1 << order))
-            if buddy not in lists[order]:
-                break
-            lists[order].discard(buddy)
-            start = min(start, buddy)
-            order += 1
-        lists[order].add(start)
-        _heappush(self._heaps[order], start)
-
-    # ------------------------------------------------------------------
-    # Invariants
-    # ------------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """The reference checks against the byte mask instead of the
-        big-int mask."""
-        total_free = 0
-        seen: "list[tuple[int, int]]" = []
-        mask = self._mask
-        for order, starts in enumerate(self._free_lists):
-            size = 1 << order
-            for block_start in starts:
-                if (block_start - self.base) % size != 0:
-                    raise AllocationError(
-                        f"misaligned free block at {block_start} order {order}"
-                    )
-                offset = block_start - self.base
-                if mask.any_clear(offset, offset + size):
-                    raise AllocationError("free list and mask disagree")
-                seen.append((block_start, block_start + size))
-                total_free += size
-        seen.sort()
-        for (_, end_a), (start_b, _) in zip(seen, seen[1:]):
-            if end_a > start_b:
-                raise AllocationError("overlapping free blocks")
-        if total_free != self._free_frames:
-            raise AllocationError(
-                f"free accounting mismatch: {total_free} != {self._free_frames}"
-            )
-        if mask.popcount() != self._free_frames:
-            raise AllocationError("mask population does not match free count")
-
-
-class FastNode(MemoryNode):
-    """:class:`MemoryNode` with the per-call zone bookkeeping hoisted.
-
-    ``zones_for`` rebuilds a kind->zone dict on every allocation; the
-    zone list is fixed once ``build_node`` returns, so the eligibility
-    walk is memoised per page type.  ``free_ranges`` binds the owning
-    buddy's ``free_span`` once when the node has a single zone (every
-    FastMem node does) instead of re-resolving it per range.
-    """
-
-    def zones_for(self, page_type):
-        # Safe to memoise: zones are appended only inside build_node,
-        # before the node is handed to any caller of zones_for.
-        cache = self.__dict__.get("_zones_for_cache")
-        if cache is None:
-            cache = {}
-            self._zones_for_cache = cache
-        zones = cache.get(page_type)
-        if zones is None:
-            zones = super().zones_for(page_type)
-            cache[page_type] = zones
-        return zones
-
-    def free_ranges(self, ranges) -> None:
-        zones = self.zones
-        if len(zones) == 1:
-            buddy = zones[0].buddy
-            if buddy.__dict__.get("free_span") is None and isinstance(
-                buddy, FastBuddy
-            ):
-                # No per-instance sanitizer wrapper: take the batched
-                # free, which preserves the per-range sequential
-                # semantics (coalescing is order-dependent).
-                buddy._free_spans(ranges)
-                return
-            # Bound via the instance so a sanitizer free_span wrapper
-            # still intercepts every free.
-            free = buddy.free_span
-            for frame_range in ranges:
-                free(frame_range.start, frame_range.count)
-            return
-        for frame_range in ranges:
-            zone = self._zone_owning(frame_range.start)
-            zone.buddy.free_span(frame_range.start, frame_range.count)
-
-
-def fast_build_node(node_id, tier, device, base_frame=0):
-    """Drop-in ``build_node`` producing array-backed zones and nodes;
-    substituted via the ``Hypervisor(node_builder=...)`` injection
-    point when ``SimConfig.resolved_fast_path()`` is on."""
-    return build_node(
-        node_id,
-        tier,
-        device,
-        base_frame,
-        buddy_factory=FastBuddy,
-        node_cls=FastNode,
-    )
-
-
-class FastSplitLru(SplitLru):
-    """:class:`SplitLru` with O(1) active/inactive page counters.
-
-    ``occupancy_snapshot`` reads ``active_pages``/``inactive_pages``
-    once per node per sample; the baseline recomputes each with a full
-    extent walk.  Here every membership or state transition adjusts two
-    integers instead.  All transitions funnel through the overridden
-    methods below; in-place ``extent.pages`` mutations (extent splits)
-    arrive via :meth:`note_resized`.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._active_page_count = 0
-        self._inactive_page_count = 0
-
-    def insert(self, extent: "PageExtent") -> None:
-        super().insert(extent)
-        self._active_page_count += extent.pages
-
-    def remove(self, extent: "PageExtent") -> None:
-        if extent.extent_id in self._active:
-            self._active_page_count -= extent.pages
-        elif extent.extent_id in self._inactive:
-            self._inactive_page_count -= extent.pages
-        super().remove(extent)
-
-    def record_access(self, extent: "PageExtent") -> None:
-        promoted = extent.extent_id in self._inactive
-        super().record_access(extent)
-        if promoted:
-            pages = extent.pages
-            self._inactive_page_count -= pages
-            self._active_page_count += pages
-
-    def deactivate(self, extent: "PageExtent") -> None:
-        was_active = extent.extent_id in self._active
-        super().deactivate(extent)
-        if was_active:
-            pages = extent.pages
-            self._active_page_count -= pages
-            self._inactive_page_count += pages
-
-    def note_resized(self, extent: "PageExtent", delta_pages: int) -> None:
-        if extent.extent_id in self._active:
-            self._active_page_count += delta_pages
-        elif extent.extent_id in self._inactive:
-            self._inactive_page_count += delta_pages
-
-    @property
-    def active_pages(self) -> int:
-        return self._active_page_count
-
-    @property
-    def inactive_pages(self) -> int:
-        return self._inactive_page_count
-
 
 class DemandAccumulator:
     """Flat per-device demand columns, indexed by first-touch order.
@@ -758,17 +171,17 @@ class DemandAccumulator:
 
 
 def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
-    """Array-backed twin of ``SimulationEngine._memory_demands``.
+    """The epoch's per-device :class:`DeviceDemand` map and LLC misses.
 
-    Identical structure and visit order; two changes, neither visible
-    in the result: the per-(region, device) frozen ``DeviceDemand``
-    merge chain becomes in-place column adds in a
-    :class:`DemandAccumulator`, and device dicts are keyed by identity
-    over a canonicalised device set instead of by the field-walking
-    dataclass hash.  Float additions keep the reference's
-    left-associated order, and wear recording stays inside the inner
-    loop, in the same order, with the same expression.  Pinned by
-    tests/test_fast_equivalence.py.
+    Regions are visited in access order; each region's misses are split
+    across devices by the fraction of its pages on each (swapped
+    extents count against the slowest device), and each device's wear
+    records its dirty-line writebacks.  Misses accumulate as in-place
+    column adds in a :class:`DemandAccumulator`, and device dicts are
+    keyed by identity over a canonicalised device set instead of by the
+    field-walking dataclass hash.  Float additions are left-associated
+    in visit order, as a ``DeviceDemand.merged`` chain would be.
+    Pinned by tests/test_fast_equivalence.py.
     """
     kernel = engine.kernel
     nodes = kernel.nodes

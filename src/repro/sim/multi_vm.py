@@ -24,7 +24,7 @@ from repro.guestos.balloon import TierReservation
 from repro.guestos.kernel import GuestKernel
 from repro.guestos.numa import NodeTier
 from repro.hw.memdevice import MemoryDevice
-from repro.sim.engine import SimulationEngine, fast_path_parts
+from repro.sim.engine import SimulationEngine
 from repro.sim.stats import RunResult
 from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.sharing import SharingPolicy
@@ -55,12 +55,10 @@ class MultiVmSimulation:
         if not vms:
             raise ConfigurationError("need at least one VM")
         self.config = config or SimConfig()
-        parts = fast_path_parts(self.config)
         self.hypervisor = Hypervisor(
             devices,
             sharing_policy=sharing_policy,
             hotness_config=self.config.hotness_config,  # type: ignore[arg-type]
-            node_builder=parts.node_builder,
         )
         self.engines: dict[str, SimulationEngine] = {}
         llc_share = dataclasses.replace(
@@ -78,7 +76,6 @@ class MultiVmSimulation:
                 nodes,
                 cpus=self.config.cpus,
                 balloon=self.hypervisor.make_balloon_frontend(domain),
-                lru_factory=parts.lru_factory,
             )
             self.hypervisor.attach_kernel(domain, kernel)
             vm_config = dataclasses.replace(

@@ -106,11 +106,6 @@ CACHE_KEY_EXCLUDED = {
         "observation never affects results (the PR 4 no-perturbation "
         "contract), so it must not perturb cache keys either"
     ),
-    "fast_path": (
-        "the array-backed fast path is bit-identical to the reference "
-        "path by the differential oracle (tests/test_fast_equivalence), "
-        "so either path may serve a cached result for the same spec"
-    ),
 }
 
 #: Named SlowMem device presets a spec may reference (device objects
@@ -392,15 +387,11 @@ class _FileLock:
 def run_spec(
     spec: ExperimentSpec,
     telemetry: "Telemetry | None" = None,
-    fast_path: "bool | None" = None,
 ) -> RunResult:
     """Execute one spec; the single simulation path every mode shares.
 
     ``telemetry`` is deliberately *not* part of the spec: observation
     never affects results, so it must not perturb cache keys either.
-    ``fast_path`` picks the array-backed hot path (``None`` defers to
-    ``REPRO_FAST``); it is equally excluded because the two paths are
-    pinned bit-identical by the differential oracle.
     """
     policy = make_policy(spec.policy, **dict(spec.policy_args))
     device = None
@@ -425,7 +416,6 @@ def run_spec(
         config.hotness_config = HotnessConfig(**dict(spec.hotness))
     if spec.faults is not None:
         config.fault_plan = spec.faults
-    config.fast_path = fast_path
     return run_experiment(
         spec.app,
         policy,

@@ -39,12 +39,8 @@ class Hypervisor:
         devices: dict[NodeTier, MemoryDevice],
         sharing_policy: SharingPolicy | None = None,
         hotness_config: HotnessConfig | None = None,
-        node_builder=None,
     ) -> None:
         self.machine = MachineMemory(devices)
-        #: How guest NUMA nodes are constructed; the array-backed fast
-        #: path substitutes ``repro.sim.fast.fast_build_node`` here.
-        self._node_builder = node_builder if node_builder is not None else build_node
         self.sharing_policy = sharing_policy or MaxMinSharing()
         self.balloon_backend = BalloonBackend(self.machine, self.sharing_policy)
         self.tlb = Tlb()
@@ -103,7 +99,7 @@ class Hypervisor:
             device = self.machine.devices[tier].with_capacity(
                 bytes_of_pages(reservation.max_pages)
             )
-            nodes[node_id] = self._node_builder(node_id, tier, device, base_frame)
+            nodes[node_id] = build_node(node_id, tier, device, base_frame)
             base_frame += reservation.max_pages
             node_id += 1
         if not nodes:

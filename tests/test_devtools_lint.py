@@ -353,37 +353,6 @@ def test_no_print_ignores_shadowed_name():
 
 
 # ----------------------------------------------------------------------
-# numpy-import
-# ----------------------------------------------------------------------
-
-
-def test_numpy_import_flags_plain_and_from_imports():
-    src = (
-        "import numpy\n"
-        "import numpy as np\n"
-        "from numpy import frombuffer\n"
-        "from numpy.linalg import norm\n"
-        "import numpy.random\n"
-    )
-    assert len(rule_hits(src, rule_id="numpy-import")) == 5
-
-
-def test_numpy_import_allowed_only_in_sim_fast():
-    src = "try:\n    import numpy as _np\nexcept ImportError:\n    _np = None\n"
-    assert not rule_hits(
-        src, relpath="src/repro/sim/fast.py", rule_id="numpy-import"
-    )
-    assert rule_hits(
-        src, relpath="src/repro/sim/engine.py", rule_id="numpy-import"
-    )
-
-
-def test_numpy_import_ignores_lookalike_modules():
-    src = "import numpy_financial\nfrom numpystubs import x\n"
-    assert not rule_hits(src, rule_id="numpy-import")
-
-
-# ----------------------------------------------------------------------
 # metrics-confinement
 # ----------------------------------------------------------------------
 

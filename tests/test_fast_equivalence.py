@@ -1,17 +1,23 @@
-"""Differential oracle for the array-backed fast path.
+"""Differential oracle for the guest's array-backed structures.
 
-``repro.sim.fast`` re-implements the hottest ``SimulationEngine.step()``
-phases with flat array-backed structures.  Its contract is *bit
-identity*: with ``fast_path`` on, every :class:`RunResult` field —
-stats, wear, timeline, final placement — must equal the slow path's
-field for field (``dataclasses.asdict`` comparison, so nested floats
-must match exactly, which pins allocation order, float addition order,
-and dict insertion order).
+The simulator's buddy zones, NUMA nodes, split LRUs and demand
+accounting are tuned for speed (flat arrays, heaps, running counters,
+memoised lookups).  Their contract is *bit identity* with the plain
+reference structures in ``reference_guest.py``: every
+:class:`RunResult` field — stats, wear, timeline, final placement —
+must equal the reference run's field for field
+(``dataclasses.asdict`` comparison, so nested floats must match
+exactly, which pins allocation order, float addition order, and dict
+insertion order), and every guest must end with the same frames in
+every extent (``placement``), which pins each block the allocator
+chose.
 
-The slow path is the oracle.  These tests sweep every registered
-policy, the fault/telemetry/sanitizer modes, and (via Hypothesis) the
-synthetic-workload generator, so any fast-path divergence fails here
-before it can skew a figure.
+The reference side is the oracle.  These tests sweep every registered
+policy, the fault/telemetry/sanitizer modes, multi-VM ballooning, and
+(via Hypothesis) the synthetic-workload generator, so any divergence
+fails here before it can skew a figure.  Each reference run also
+checks that its guests really were built from the reference
+structures, so the oracle can never compare production with itself.
 """
 
 from __future__ import annotations
@@ -24,13 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_guest import placement, production_guest, reference_guest
 from test_multi_vm import devices, late_grower_vms
 
 from repro.config import SimConfig
 from repro.core.policy import available_policies, make_policy
 from repro.faults import FaultPlan
 from repro.obs.bus import Telemetry
-from repro.sim.fast import FastBuddy, FastSplitLru
 from repro.sim.multi_vm import MultiVmSimulation
 from repro.sim.runner import build_config, run_experiment
 from repro.vmm.drf import WeightedDrf
@@ -43,28 +49,36 @@ FAULT_PLAN = FaultPlan.from_dict(
 )
 
 
-def _run(app, policy_name, fast, *, epochs, slow_gib=2.0, faults=None,
+def _run(app, policy_name, reference, *, epochs, slow_gib=2.0, faults=None,
          telemetry=False, sanitize=False):
+    """One single-VM run as its ``dataclasses.asdict`` result and final
+    :func:`placement`; ``reference`` runs it on the oracle's structures
+    (and checks that it did)."""
     policy = make_policy(policy_name)
     config = build_config(
         fast_ratio=0.25,
         slow_gib=slow_gib,
         unlimited_fast=policy.requires_unlimited_fast,
     )
-    config.fast_path = fast
     config.sanitize = sanitize
     bus = Telemetry() if telemetry else None
-    result = run_experiment(
-        app, policy, epochs=epochs, config=config, telemetry=bus, faults=faults
-    )
-    return dataclasses.asdict(result)
+    with reference_guest() if reference else production_guest() as log:
+        result = run_experiment(
+            app, policy, epochs=epochs, config=config, telemetry=bus,
+            faults=faults,
+        )
+    assert len(log.engines) == 1
+    engine = log.engines[0]
+    if reference:
+        log.assert_reference(engine)
+    return dataclasses.asdict(result), placement(engine)
 
 
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_every_policy_is_bit_identical(policy_name):
-    reference = _run("redis", policy_name, False, epochs=3)
-    fast = _run("redis", policy_name, True, epochs=3)
-    assert fast == reference
+    reference = _run("redis", policy_name, True, epochs=3)
+    production = _run("redis", policy_name, False, epochs=3)
+    assert production == reference
 
 
 @pytest.mark.parametrize(
@@ -78,32 +92,35 @@ def test_every_policy_is_bit_identical(policy_name):
     ],
 )
 def test_modes_are_bit_identical(label, kwargs):
-    reference = _run("redis", "hetero-lru", False, epochs=4, **kwargs)
-    fast = _run("redis", "hetero-lru", True, epochs=4, **kwargs)
-    assert fast == reference, label
+    reference = _run("redis", "hetero-lru", True, epochs=4, **kwargs)
+    production = _run("redis", "hetero-lru", False, epochs=4, **kwargs)
+    assert production == reference, label
 
 
 @pytest.mark.parametrize("sharing", [MaxMinSharing, WeightedDrf])
 def test_multi_vm_balloon_scenario_is_bit_identical(sharing):
     """Lock-step multi-VM guests (Figure 13's path) balloon, arbitrate
-    and reclaim identically on both paths, and the fast path really
-    builds array-backed zones and LRUs in every guest."""
-    def run(fast):
+    and reclaim identically on both sides, and the reference side
+    really builds reference zones, nodes and LRUs in every guest."""
+    def run():
         sim = MultiVmSimulation(
             devices(), late_grower_vms(), sharing_policy=sharing(),
-            config=SimConfig(fast_path=fast),
+            config=SimConfig(),
         )
         results = sim.run(6)
-        return sim, {name: dataclasses.asdict(r) for name, r in results.items()}
+        return sim, {
+            name: (dataclasses.asdict(result), placement(sim.engines[name]))
+            for name, result in results.items()
+        }
 
-    _, reference = run(False)
-    sim, fast = run(True)
-    assert fast == reference
+    with reference_guest() as log:
+        sim, reference = run()
+    assert len(sim.engines) > 1
+    assert len(log.engines) == len(sim.engines)
     for engine in sim.engines.values():
-        kernel = engine.kernel
-        for node in kernel.nodes.values():
-            assert all(isinstance(zone.buddy, FastBuddy) for zone in node.zones)
-        assert all(isinstance(lru, FastSplitLru) for lru in kernel.lru.values())
+        log.assert_reference(engine)
+    _, production = run()
+    assert production == reference
 
 
 def _plan_from(seed, drop_p, derate_p):
@@ -152,8 +169,8 @@ def test_synthetic_workloads_are_bit_identical(
         )
 
     faults = _plan_from(seed, drop_p, 0.3) if with_faults else None
-    reference = _run(workload(), "hetero-lru", False,
+    reference = _run(workload(), "hetero-lru", True,
                      epochs=4, slow_gib=1.0, faults=faults)
-    fast = _run(workload(), "hetero-lru", True,
+    production = _run(workload(), "hetero-lru", False,
                 epochs=4, slow_gib=1.0, faults=faults)
-    assert fast == reference
+    assert production == reference

@@ -2,9 +2,11 @@
 invariants: allocators never lose or duplicate frames, cost models stay
 monotone, fairness maths stays in range."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_guest import ReferenceBuddy
 
+from repro.errors import ReproError
 from repro.guestos.buddy import BuddyAllocator
 from repro.guestos.lru import SplitLru
 from repro.hw.cache import CacheConfig, LastLevelCache, RegionAccess
@@ -20,30 +22,73 @@ from repro.vmm.migration import MigrationCostModel
 # Buddy allocator: conservation + invariants under arbitrary programs
 # ----------------------------------------------------------------------
 
+def _outcome(call):
+    """``("ok", value)`` or ``("raised", type, message)`` of ``call()``."""
+    try:
+        return ("ok", call())
+    except ReproError as exc:
+        return ("raised", type(exc), str(exc))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     span=st.integers(min_value=1, max_value=2048),
     program=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=1, max_value=256)),
+        st.tuples(
+            st.sampled_from(["alloc", "free", "fragment", "double", "outside"]),
+            st.integers(min_value=1, max_value=256),
+        ),
         max_size=40,
     ),
 )
+# Two free blocks of one order: which one is handed out must match.
+@example(span=2048, program=[("alloc", 1), ("alloc", 512)])
 def test_buddy_conserves_frames(span, program):
+    """The array-backed allocator and the reference allocator run the
+    same program in lockstep: same grants, same exceptions, same free
+    accounting after every op; frames are conserved throughout."""
     buddy = BuddyAllocator(0, span)
+    reference = ReferenceBuddy(0, span)
     live: list = []
-    for is_alloc, count in program:
-        if is_alloc:
-            if count <= buddy.free_frames:
-                try:
-                    live.extend(buddy.allocate_pages(count))
-                except Exception:
-                    pass  # fragmentation: allowed to fail, not to leak
-        elif live:
+    for op, count in program:
+        if op == "alloc":
+            got = _outcome(lambda: buddy.allocate_pages(count))
+            want = _outcome(lambda: reference.allocate_pages(count))
+            assert got == want
+            if got[0] == "ok":
+                live.extend(got[1])
+        elif op == "free" and live:
             block = live.pop()
-            buddy.free_span(block.start, block.count)
+            got = _outcome(lambda: buddy.free_span(block.start, block.count))
+            want = _outcome(lambda: reference.free_span(block.start, block.count))
+            assert got == want == ("ok", None)
+        elif op == "fragment" and live and live[-1].count > 1:
+            # Free the head of a block and keep its tail (per-CPU splits).
+            block = live.pop()
+            head, tail = block.split(1 + count % (block.count - 1))
+            live.append(tail)
+            got = _outcome(lambda: buddy.free_span(head.start, head.count))
+            want = _outcome(lambda: reference.free_span(head.start, head.count))
+            assert got == want == ("ok", None)
+        elif op == "double":
+            frame = count % span
+            if buddy.is_free(frame):
+                got = _outcome(lambda: buddy.free_span(frame, 1))
+                want = _outcome(lambda: reference.free_span(frame, 1))
+                assert got == want and got[0] == "raised"
+        elif op == "outside":
+            got = _outcome(lambda: buddy.free_span(span + count - 1, 1))
+            want = _outcome(lambda: reference.free_span(span + count - 1, 1))
+            assert got == want and got[0] == "raised"
+        assert buddy.free_frames == reference.free_frames
+        assert buddy.largest_free_order() == reference.largest_free_order()
     held = sum(block.count for block in live)
     assert buddy.free_frames + held == span
+    assert [buddy.is_free(f) for f in range(span)] == [
+        reference.is_free(f) for f in range(span)
+    ]
     buddy.check_invariants()
+    reference.check_invariants()
 
 
 @settings(max_examples=60, deadline=None)
@@ -181,28 +226,49 @@ def test_eq1_always_in_clamp_range(interval, delta):
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["insert", "access", "deactivate", "remove"]),
+            st.sampled_from(
+                ["insert", "access", "deactivate", "remove", "scan", "resize"]
+            ),
             st.integers(min_value=0, max_value=9),
         ),
         max_size=60,
     ),
 )
+# Every counter transition once: demote, resize while inactive,
+# promote, resize while active, scan-demote, remove.
+@example(ops=[("insert", 1), ("deactivate", 1), ("resize", 1), ("access", 1),
+              ("resize", 1), ("scan", 9), ("remove", 1)])
 def test_lru_page_accounting_consistent(ops):
+    """The running page counters equal their lists' extent sums after
+    every op, including scans and in-place resizes (extent splits)."""
     lru = SplitLru(node_id=0)
     extents: dict[int, PageExtent] = {}
     for op, key in ops:
         extent = extents.get(key)
         if op == "insert" and extent is None:
-            extent = PageExtent(f"r{key}", PageType.HEAP, 10, 0)
+            extent = PageExtent(f"r{key}", PageType.HEAP, 10 + key, 0)
             extents[key] = extent
             lru.insert(extent)
+        elif op == "scan":
+            lru.scan(current_epoch=key)
         elif extent is not None and lru.contains(extent):
             if op == "access":
+                extent.last_access_epoch = key
                 lru.record_access(extent)
             elif op == "deactivate":
                 lru.deactivate(extent)
             elif op == "remove":
                 lru.remove(extent)
                 del extents[key]
+            elif op == "resize" and extent.pages > 1:
+                # What GuestKernel.split_extent does: shrink in place,
+                # then report the delta.
+                delta = -(extent.pages // 2)
+                extent.pages += delta
+                lru.note_resized(extent, delta)
+        assert lru.active_pages == sum(e.pages for e in lru.active_extents)
+        assert lru.inactive_pages == sum(
+            e.pages for e in lru.inactive_extents
+        )
     live_pages = sum(e.pages for e in extents.values())
     assert lru.active_pages + lru.inactive_pages == live_pages

@@ -105,6 +105,54 @@ def test_sigkill_mid_flight_then_restart_is_bit_identical(tmp_path):
     assert result_dicts(served) == result_dicts(direct)
 
 
+def child_pids(pid: int) -> "list[int]":
+    """Live direct children of ``pid``, read from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command name: state, ppid, ...
+        fields = stat[stat.rindex(")") + 2:].split()
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def pid_alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2:].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigkilled_daemon_leaves_no_workers_behind(tmp_path):
+    proc, _ = start_daemon(tmp_path / "state")
+    try:
+        workers = child_pids(proc.pid)
+        assert len(workers) == 2, workers
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        proc.stderr.close()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if not any(pid_alive(pid) for pid in workers):
+            break
+        time.sleep(0.1)
+    survivors = [pid for pid in workers if pid_alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)  # don't leak them past the test
+    assert not survivors, f"workers outlived the SIGKILLed daemon: {survivors}"
+
+
 def test_restart_reuses_cache_for_finished_work(tmp_path):
     specs = batch()[:3]
     root = tmp_path / "state"
