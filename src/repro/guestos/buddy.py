@@ -26,7 +26,6 @@ allocation against a plain set-and-bitmask reference allocator.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
 
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.mem.frames import FrameRange
@@ -77,7 +76,17 @@ class BuddyAllocator:
         #: guard.  The whole span starts free, so the map is built filled.
         self._mask = bytearray(b"\x01") * frames
         self._free_frames = frames
-        self._insert_blocks(base, frames)
+        # The whole span starts free.  Max-order blocks never coalesce,
+        # so all of them up to the non-power-of-two tail are seeded in
+        # one step (an ascending list is already a valid heap; the set
+        # is filled from it so both hold the same int objects); only the
+        # tail goes through the block-at-a-time insert.
+        bulk = frames >> max_order << max_order
+        heap = self._heaps[max_order]
+        heap.extend(range(base, base + bulk, 1 << max_order))
+        self._free_lists[max_order].update(heap)
+        if bulk < frames:
+            self._insert_blocks(base + bulk, frames - bulk)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -294,37 +303,41 @@ class BuddyAllocator:
         """Convenience wrapper over :meth:`free_span`."""
         self.free_span(frame_range.start, frame_range.count)
 
-    def _free_spans(self, ranges, owner: Callable[[int], object]) -> None:
-        """Sequential ``free_span`` over ``ranges`` with the per-range
-        validation and the dominant single-aligned-block insert inlined
-        (identical state transitions and identical error points; the
-        general shape falls through to :meth:`_insert_span`).
+    def _free_spans(self, ranges: list[FrameRange], first: int) -> int:
+        """Sequential ``free_span`` over ``ranges[first:]``, stopping at
+        the first range that starts outside the span; returns that
+        range's index (``len(ranges)`` when every range was freed).
 
-        ``owner(start)`` is consulted only for a range outside the span,
-        before the error is raised, so the caller can report a frame it
-        does not own in its own terms (a NUMA node raises its
-        foreign-frame error there)."""
+        The per-range validation and the dominant single-aligned-block
+        insert are inlined (identical state transitions and identical
+        error points; the general shape falls through to
+        :meth:`_insert_span`).  Stopping rather than raising at a
+        foreign start lets a NUMA node hand the rest of the batch to the
+        zone that owns it, or raise its own foreign-frame error."""
         base = self.base
         total = self.total_frames
         mask = self._mask
         lists = self._free_lists
         heaps = self._heaps
         max_order = self.max_order
-        # The free-frame count is flushed lazily: before every raise and
-        # before delegating to _insert_span (which counts its own span),
-        # so partial failures leave the same state as sequential
-        # free_span calls would.
+        # The free-frame count is flushed lazily: before every raise or
+        # return and before delegating to _insert_span (which counts its
+        # own span), so partial failures leave the same state as
+        # sequential free_span calls would.
         freed = 0
-        for frame_range in ranges:
+        for index in range(first, len(ranges)):
+            frame_range = ranges[index]
             start = frame_range.start
+            offset = start - base
+            if not 0 <= offset < total:
+                self._free_frames += freed
+                return index
             count = frame_range.count
             if count <= 0:
                 self._free_frames += freed
                 raise AllocationError("free count must be positive")
-            offset = start - base
-            if offset < 0 or offset + count > total:
+            if offset + count > total:
                 self._free_frames += freed
-                owner(start)
                 raise AllocationError(
                     f"span [{start}, {start + count}) outside allocator"
                 )
@@ -362,6 +375,7 @@ class BuddyAllocator:
                 freed = 0
                 self._insert_span(start, count)
         self._free_frames += freed
+        return len(ranges)
 
     # ------------------------------------------------------------------
     # Internals

@@ -102,6 +102,7 @@ class GuestKernel:
         self._fast_node_ids = sorted(
             nid for nid, node in self.nodes.items() if node.is_fastmem
         )
+        self._fast_node_set = frozenset(self._fast_node_ids)
         self._slow_node_ids = sorted(
             (nid for nid, node in self.nodes.items() if not node.is_fastmem),
             key=lambda nid: self.nodes[nid].tier.rank,
@@ -256,11 +257,11 @@ class GuestKernel:
             raise
 
         self.regions[region_id] = [extent.extent_id for extent in extents]
-        fast_pages = sum(
-            extent.pages
-            for extent in extents
-            if self.nodes[extent.node_id].is_fastmem
-        )
+        fast_nodes = self._fast_node_set
+        fast_pages = 0
+        for extent in extents:
+            if extent.node_id in fast_nodes:
+                fast_pages += extent.pages
         self._record_allocation(page_type, pages, fast_pages)
         for extent in extents:
             if page_type.is_io:
@@ -350,8 +351,7 @@ class GuestKernel:
                 remaining = self.split_swapped(landed, room)
             else:
                 landed, remaining = remaining, None
-            frames = node.allocate_up_to(landed.pages, landed.page_type)
-            got = sum(fr.count for fr in frames)
+            frames, got = node.allocate_up_to(landed.pages, landed.page_type)
             if got < landed.pages:
                 # Raced out (fragmentation); both pieces stay swapped.
                 node.free_ranges(frames)
@@ -608,8 +608,7 @@ class GuestKernel:
             raise OutOfMemoryError(
                 f"node {target_node_id}: no room for {extent.pages} pages"
             )
-        new_frames = target.allocate_up_to(extent.pages, extent.page_type)
-        got = sum(fr.count for fr in new_frames)
+        new_frames, got = target.allocate_up_to(extent.pages, extent.page_type)
         if got < extent.pages:
             target.free_ranges(new_frames)
             raise OutOfMemoryError(
@@ -706,9 +705,10 @@ class GuestKernel:
             self.page_cache.writeback(extent)
             self.page_cache.drop(extent)
         self._remove_extent_from_region(extent)
-        self.lru[extent.node_id].remove(extent)
-        self.nodes[extent.node_id].free_ranges(extent.frames)
-        if self.nodes[extent.node_id].is_fastmem:
+        node_id = extent.node_id
+        self.lru[node_id].remove(extent)
+        self.nodes[node_id].free_ranges(extent.frames)
+        if node_id in self._fast_node_set:
             self.epoch_freed_fast_pages += extent.pages
         del self.extents[extent.extent_id]
         return extent.pages
@@ -788,8 +788,7 @@ class GuestKernel:
             except OutOfMemoryError:
                 return 0
         else:
-            frames = node.allocate_up_to(take, page_type)
-            got = sum(fr.count for fr in frames)
+            frames, got = node.allocate_up_to(take, page_type)
             if got < take:
                 node.free_ranges(frames)
                 return 0
@@ -840,9 +839,10 @@ class GuestKernel:
             # Pages live on the swap device; release the swap slots.
             self.swap.used_pages = max(0, self.swap.used_pages - extent.pages)
         else:
-            self.lru[extent.node_id].remove(extent)
-            self.nodes[extent.node_id].free_ranges(extent.frames)
-            if self.nodes[extent.node_id].is_fastmem:
+            node_id = extent.node_id
+            self.lru[node_id].remove(extent)
+            self.nodes[node_id].free_ranges(extent.frames)
+            if node_id in self._fast_node_set:
                 self.epoch_freed_fast_pages += extent.pages
         del self.extents[extent.extent_id]
 
@@ -850,8 +850,9 @@ class GuestKernel:
         self, page_type: PageType, pages: int, fast_pages: int
     ) -> None:
         for window in (self.epoch_stats, self.cumulative_stats):
-            window[page_type].requested_pages += pages
-            window[page_type].fast_granted_pages += fast_pages
+            stats = window[page_type]
+            stats.requested_pages += pages
+            stats.fast_granted_pages += fast_pages
         self.distribution.allocated[page_type] += pages
         # Page-table footprint: one PT page per 512 mapped pages.
         if page_type is not PageType.PAGE_TABLE:

@@ -106,37 +106,48 @@ class MemoryNode:
 
     def allocate_up_to(
         self, pages: int, page_type: PageType
-    ) -> list[FrameRange]:
+    ) -> tuple[list[FrameRange], int]:
         """Best-effort allocation: take what is available from eligible
-        zones, in preference order; may return fewer pages than asked."""
+        zones, in preference order.  Returns the granted ranges and
+        their page count, which may be fewer pages than asked."""
         granted: list[FrameRange] = []
         remaining = pages
         for zone in self.zones_for(page_type):
-            take = min(remaining, zone.free_pages)
+            take = min(remaining, zone.buddy.free_frames)
             if take > 0:
                 granted.extend(zone.buddy.allocate_pages(take))
                 remaining -= take
             if remaining == 0:
                 break
-        return granted
+        return granted, pages - remaining
 
     def free_pages_for(self, page_type: PageType) -> int:
         """Free pages in zones eligible to serve ``page_type``."""
-        return sum(zone.free_pages for zone in self.zones_for(page_type))
+        free = 0
+        for zone in self.zones_for(page_type):
+            free += zone.buddy.free_frames
+        return free
 
     def free_ranges(self, ranges: list[FrameRange]) -> None:
-        """Return frame ranges to whichever zone owns them."""
-        zones = self.zones
-        if len(zones) == 1 and "free_span" not in zones[0].buddy.__dict__:
-            # One zone and no per-instance sanitizer wrapper: take the
-            # batched free, which keeps the per-range sequential
-            # semantics (coalescing is order-dependent) and raises
-            # where the walk below would.
-            zones[0].buddy._free_spans(ranges, self._zone_owning)
-            return
-        for frame_range in ranges:
-            zone = self._zone_owning(frame_range.start)
-            zone.buddy.free_span(frame_range.start, frame_range.count)
+        """Return frame ranges to whichever zone owns them.
+
+        Sequential, as coalescing is order-dependent: a foreign frame, a
+        double free or a zero-count range raises with every earlier
+        range already freed.  Each run of consecutive ranges one zone
+        owns is freed in one batch.
+        """
+        index = 0
+        end = len(ranges)
+        while index < end:
+            start = ranges[index].start
+            buddy = self._zone_owning(start).buddy
+            if "free_span" in buddy.__dict__:
+                # The frame sanitizer's per-instance wrapper must see
+                # every free.
+                buddy.free_span(start, ranges[index].count)
+                index += 1
+            else:
+                index = buddy._free_spans(ranges, index)
 
     def _zone_owning(self, frame: int) -> Zone:
         for zone in self.zones:

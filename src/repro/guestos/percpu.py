@@ -132,7 +132,9 @@ class PerCpuFreeLists:
     ) -> None:
         want = max(shortfall, self.batch_pages)
         node = self.nodes[node_id]
-        grab = min(want, node.free_pages)
+        # Only zones that can serve ``page_type`` count: a SlowMem
+        # node's DMA zone never serves HEAP pages.
+        grab = min(want, node.free_pages_for(page_type))
         if grab < shortfall:
             raise OutOfMemoryError(
                 f"node {node_id}: per-CPU refill of {shortfall} pages failed"

@@ -35,6 +35,12 @@ class PageType(enum.Enum):
     PAGE_TABLE = "pagetable"
     DMA = "dma"
 
+    # Page-type-keyed dicts sit on the allocation hot path, and
+    # ``Enum.__hash__`` hashes the member's name in Python code.  Identity
+    # hashing is exact: members are singletons and ``Enum`` compares them
+    # by identity, so equal members still hash equal.
+    __hash__ = object.__hash__
+
     @property
     def is_io(self) -> bool:
         """Short-lived I/O pages released once the request completes."""

@@ -221,7 +221,7 @@ def test_kernel_migration_leak_is_an_ownership_race():
         # Mirrors GuestKernel.move_extent but "forgets" to return the
         # source frames to their node.
         target = kernel.nodes[target_node_id]
-        new_frames = target.allocate_up_to(extent.pages, extent.page_type)
+        new_frames, _ = target.allocate_up_to(extent.pages, extent.page_type)
         kernel.lru[extent.node_id].remove(extent)
         extent.frames = new_frames
         extent.node_id = target_node_id

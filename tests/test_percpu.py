@@ -4,8 +4,11 @@ import pytest
 
 from conftest import make_nodes
 from repro.errors import AllocationError, OutOfMemoryError
+from repro.guestos.numa import NodeTier
 from repro.guestos.percpu import PerCpuFreeLists
 from repro.mem.extent import PageType
+from repro.sim.engine import build_single_vm
+from repro.sim.runner import build_config
 
 
 @pytest.fixture
@@ -88,3 +91,23 @@ def test_split_hand_out_conserves_pages(lists):
     assert sum(r.count for r in ranges) == 3
     ranges2 = percpu.allocate(0, 0, 5, PageType.HEAP)
     assert sum(r.count for r in ranges2) == 5
+
+
+def test_refill_counts_only_zones_that_serve_the_page_type():
+    """A SlowMem node's DMA zone never serves HEAP pages, so it must not
+    size the refill: with NORMAL down to 10 free pages and DMA full, an
+    8-page HEAP region still fits on SlowMem."""
+    _, _, kernel = build_single_vm(build_config(fast_ratio=0.25, seed=7))
+    slow = kernel.node_for_tier(NodeTier.SLOW)
+    fast = kernel.node_for_tier(NodeTier.FAST)
+    dma, normal = slow.zones
+    normal.buddy.allocate_pages(normal.free_pages - 10)
+    dma_free = dma.free_pages
+    assert dma_free == dma.total_pages and normal.free_pages == 10
+
+    extents = kernel.allocate_region(
+        "small", PageType.HEAP, 8, [slow.node_id, fast.node_id]
+    )
+
+    assert [(e.node_id, e.pages) for e in extents] == [(slow.node_id, 8)]
+    assert dma.free_pages == dma_free

@@ -4,17 +4,20 @@ monotone, fairness maths stays in range."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_guest import ReferenceBuddy
+from reference_guest import ReferenceBuddy, ReferenceNode, reference_guest
 
 from repro.errors import ReproError
 from repro.guestos.buddy import BuddyAllocator
 from repro.guestos.lru import SplitLru
+from repro.guestos.numa import NodeTier, build_node
+from repro.guestos.zone import ZoneKind
 from repro.hw.cache import CacheConfig, LastLevelCache, RegionAccess
+from repro.hw.memdevice import NVM_PCM
 from repro.hw.throttle import ThrottleConfig, throttled_device
 from repro.core.coordinated import next_interval_ms
 from repro.mem.extent import PageExtent, PageType
-from repro.mem.frames import FramePool
-from repro.units import MIB
+from repro.mem.frames import FramePool, FrameRange
+from repro.units import MIB, PAGE_SIZE
 from repro.vmm.migration import MigrationCostModel
 
 
@@ -272,3 +275,122 @@ def test_lru_page_accounting_consistent(ops):
         )
     live_pages = sum(e.pages for e in extents.values())
     assert lru.active_pages + lru.inactive_pages == live_pages
+
+
+# ----------------------------------------------------------------------
+# NUMA node: batched frees across a SlowMem node's two zones
+# ----------------------------------------------------------------------
+
+_FREE_FAULTS = ("none", "double", "foreign", "zero", "zero-foreign")
+_NODE_BASE = 64
+
+
+def _slow_node(pages):
+    device = NVM_PCM.with_capacity(pages * PAGE_SIZE)
+    return build_node(1, NodeTier.SLOW, device, base_frame=_NODE_BASE)
+
+
+def _zone_state(node):
+    return [
+        (zone.kind, zone.free_pages, zone.buddy.largest_free_order(),
+         [zone.buddy.is_free(frame) for frame in
+          range(zone.buddy.base, zone.buddy.base + zone.total_pages)])
+        for zone in node.zones
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pages=st.integers(min_value=32, max_value=1024),
+    program=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("alloc"),
+                st.sampled_from([PageType.DMA, PageType.HEAP]),
+                st.integers(min_value=1, max_value=48),
+            ),
+            st.tuples(
+                st.just("free"),
+                st.lists(st.integers(min_value=0, max_value=63), max_size=8),
+                st.sampled_from(_FREE_FAULTS),
+                st.integers(min_value=0, max_value=8),
+            ),
+        ),
+        max_size=16,
+    ),
+)
+# DMA, NORMAL, DMA in one batch: the free leaves a zone and comes back.
+@example(pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "none", 0)])
+@example(pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "double", 2)])
+@example(pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "foreign", 2)])
+@example(pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "zero", 1)])
+@example(pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "zero-foreign", 1)])
+def test_node_free_ranges_matches_reference_across_zones(pages, program):
+    """``MemoryNode.free_ranges`` and the reference node's per-range
+    frees run the same batches in lockstep on a two-zone SlowMem node:
+    same exception type and message at the same point, and the same
+    per-zone free count, largest free order and free map after every
+    call.  Batches interleave the zones' ranges and fragments, and may
+    carry a mid-batch double free, a foreign frame or a zero-count
+    range."""
+    node = _slow_node(pages)
+    with reference_guest():
+        reference = _slow_node(pages)
+    assert type(reference) is ReferenceNode
+    assert all(type(zone.buddy) is ReferenceBuddy for zone in reference.zones)
+    assert [zone.kind for zone in node.zones] == [ZoneKind.DMA, ZoneKind.NORMAL]
+    end = _NODE_BASE + pages
+    held: list = []
+    for op, *args in program:
+        if op == "alloc":
+            page_type, count = args
+            got = _outcome(lambda: node.allocate_pages(count, page_type))
+            want = _outcome(lambda: reference.allocate_pages(count, page_type))
+            assert got == want
+            if got[0] == "ok":
+                held.extend(got[1])
+            continue
+        picks, fault, at = args
+        batch = []
+        for pick in picks:
+            if not held:
+                break
+            frame_range = held.pop(pick % len(held))
+            if pick % 2 and frame_range.count > 1:
+                # Free the head and keep the tail (per-CPU splits).
+                frame_range, tail = frame_range.split(
+                    1 + pick % (frame_range.count - 1))
+                held.append(tail)
+            batch.append(frame_range)
+        at = min(at, len(batch))
+        if fault == "double" and at > 0:
+            batch.insert(at, batch[at - 1])
+        elif fault == "foreign":
+            batch.insert(at, FrameRange(end + at, 1))
+        elif fault == "zero":
+            start = batch[at - 1].start if at > 0 else _NODE_BASE
+            batch.insert(at, FrameRange.unchecked(start, 0))
+        elif fault == "zero-foreign":
+            # Ownership is checked first: a foreign frame, not a bad count.
+            batch.insert(at, FrameRange.unchecked(end + at, 0))
+        else:
+            at = len(batch)
+        got = _outcome(lambda: node.free_ranges(batch))
+        want = _outcome(lambda: reference.free_ranges(batch))
+        assert got == want
+        assert (got[0] == "raised") == (at < len(batch))
+        # Everything before the fault was freed; nothing after it was.
+        held.extend(batch[at + 1:])
+        assert _zone_state(node) == _zone_state(reference)
+    for zone in node.zones + reference.zones:
+        zone.buddy.check_invariants()

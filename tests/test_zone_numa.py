@@ -66,8 +66,8 @@ def test_node_allocation_respects_zone_eligibility():
 
 def test_allocate_up_to_partial():
     node = build_node(0, NodeTier.FAST, DRAM.with_capacity(4 * MIB))
-    got = node.allocate_up_to(node.total_pages + 500, PageType.HEAP)
-    assert sum(r.count for r in got) == node.total_pages
+    got, granted = node.allocate_up_to(node.total_pages + 500, PageType.HEAP)
+    assert sum(r.count for r in got) == granted == node.total_pages
 
 
 def test_free_pages_for_counts_only_eligible_zones():
