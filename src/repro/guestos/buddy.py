@@ -14,34 +14,56 @@ Two entry points matter to callers:
   map makes double frees and frees of never-allocated frames hard
   errors.
 
-The allocator is the simulator's hottest structure, so its state is
-kept in flat arrays: the free map is a ``bytearray`` (slice writes and
-``bytearray.find`` probes run in C), and each order's free set has a
-companion min-heap with lazy deletion, so taking the lowest free block
-costs O(log n) instead of a ``min(set)`` rescan.  Blocks are handed out
-lowest-start-first; the differential oracle in ``tests/`` pins every
-allocation against a plain set-and-bitmask reference allocator.
+The allocator is the simulator's hottest structure, so each piece of
+state is shaped by its traffic.  The frame free map holds one byte per
+frame in a private anonymous ``mmap`` (slice writes and ``find``
+probes run in C; :func:`_free_frame_map` says why it is not a
+``bytearray``).  The top order, which holds most free memory and
+serves large requests in contiguous runs, is a second ``bytearray``
+with one byte per top-order block: the lowest free block is
+``find(1)``, and a request for k top blocks takes them run by run, one
+slice write per run.  Every lower order is a plain ``set``; those lists
+stay a few blocks long, so ``min(set)`` is cheap.  Blocks are handed
+out lowest-start-first; the differential oracle in ``tests/`` pins
+every allocation against a plain set-and-bitmask reference allocator.
 """
 
 from __future__ import annotations
 
-import heapq
+import mmap
 
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.mem.frames import FrameRange
 
 MAX_ORDER = 10  # Linux's default: blocks up to 2^10 = 1024 pages (4 MiB).
 
-# Hot-loop aliases: module-level bindings skip the attribute lookups
-# that dominate at ~100ns-per-operation scale.
-_heappush = heapq.heappush
-_heappop = heapq.heappop
-_heapify = heapq.heapify
+# Hot-loop alias: a module-level binding skips the attribute lookup
+# that dominates at ~100ns-per-operation scale.
 _unchecked = FrameRange.unchecked
 #: Pre-built zero/one runs for clearing or setting one buddy block per
 #: order, sparing a fresh ``bytes`` temporary per operation.
 _ZERO_RUN = tuple(bytes(1 << order) for order in range(MAX_ORDER + 1))
 _ONE_RUN = tuple(b"\x01" * (1 << order) for order in range(MAX_ORDER + 1))
+#: Free-frame bytes a new frame map is filled from, a chunk at a time
+#: (a view: slicing it copies nothing).
+_ONES = memoryview(b"\x01" * (1 << 16))
+
+
+def _free_frame_map(frames: int) -> mmap.mmap:
+    """A byte-per-frame map of ``frames`` free frames (byte 1 = free)
+    in its own private anonymous mapping rather than on the malloc heap.
+
+    The map is the allocator's one large allocation (2 MiB per 8 GiB
+    span), and finished guests are freed in batches by the cycle
+    collector.  On the heap, their maps leave multi-MiB holes that one
+    later small allocation near the heap top keeps from ever being
+    returned to the OS; a mapping is unmapped when it is freed."""
+    mask = mmap.mmap(-1, frames, access=mmap.ACCESS_COPY)
+    step = len(_ONES)
+    for offset in range(0, frames, step):
+        end = min(frames, offset + step)
+        mask[offset:end] = _ONES[:end - offset]
+    return mask
 
 
 class BuddyAllocator:
@@ -66,25 +88,21 @@ class BuddyAllocator:
         self.base = base
         self.total_frames = frames
         self.max_order = max_order
-        #: order -> set of free block start frames (absolute).
-        self._free_lists: list[set[int]] = [set() for _ in range(max_order + 1)]
-        #: Per-order min-heaps shadowing ``_free_lists``.  Entries are
-        #: deleted lazily: the heap top is popped past starts no longer
-        #: in the live set before use.
-        self._heaps: list[list[int]] = [[] for _ in range(max_order + 1)]
+        #: order -> set of free block start frames (absolute), for every
+        #: order below ``max_order``.
+        self._free_lists: list[set[int]] = [set() for _ in range(max_order)]
+        #: Byte i is 1 iff the top-order block at ``base + (i <<
+        #: max_order)`` is free as a whole; ``_top_free`` counts them.
+        #: Top-order blocks never coalesce, so the whole span up to its
+        #: non-power-of-two tail starts free in one step.
+        self._top = bytearray(b"\x01") * (frames >> max_order)
+        self._top_free = len(self._top)
         #: Byte i is 1 iff frame ``base + i`` is free.  Exact double-free
         #: guard.  The whole span starts free, so the map is built filled.
-        self._mask = bytearray(b"\x01") * frames
+        self._mask = _free_frame_map(frames)
         self._free_frames = frames
-        # The whole span starts free.  Max-order blocks never coalesce,
-        # so all of them up to the non-power-of-two tail are seeded in
-        # one step (an ascending list is already a valid heap; the set
-        # is filled from it so both hold the same int objects); only the
-        # tail goes through the block-at-a-time insert.
-        bulk = frames >> max_order << max_order
-        heap = self._heaps[max_order]
-        heap.extend(range(base, base + bulk, 1 << max_order))
-        self._free_lists[max_order].update(heap)
+        # Only the tail goes through the block-at-a-time insert.
+        bulk = self._top_free << max_order
         if bulk < frames:
             self._insert_blocks(base + bulk, frames - bulk)
 
@@ -102,7 +120,9 @@ class BuddyAllocator:
 
     def largest_free_order(self) -> int:
         """Largest order with a free block, or -1 when empty."""
-        for order in range(self.max_order, -1, -1):
+        if 1 in self._top:
+            return self.max_order
+        for order in range(self.max_order - 1, -1, -1):
             if self._free_lists[order]:
                 return order
         return -1
@@ -124,59 +144,32 @@ class BuddyAllocator:
             raise AllocationError(f"order {order} out of range")
         return self._take_block(order)
 
-    def _live_heap(self, order: int) -> list[int]:
-        """The order's heap, compacted when lazy deletion has let dead
-        entries (buddies coalesced away without ever reaching the top)
-        outnumber the live set.  Keeps heap size — and so push/pop cost
-        and memory — proportional to the live free list on arbitrarily
-        long runs."""
-        heap = self._heaps[order]
-        live = self._free_lists[order]
-        if len(heap) > (len(live) << 2) + 8:
-            heap[:] = live
-            _heapify(heap)
-        return heap
-
     def _take_block(self, order: int) -> FrameRange:
         """Take the lowest free block of ``order``, splitting the lowest
         block of the smallest larger order when none is free."""
         lists = self._free_lists
-        live = lists[order]
-        if live:
-            # Exact-order hit: no upward search, no split-down.
-            heap = self._live_heap(order)
-            while heap[0] not in live:
-                _heappop(heap)
-            start = _heappop(heap)
-            live.discard(start)
-            count = 1 << order
-            self._free_frames -= count
-            offset = start - self.base
-            self._mask[offset:offset + count] = (
-                _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
-            )
-            return _unchecked(start, count)
-        source = order
         max_order = self.max_order
-        while source <= max_order and not lists[source]:
+        source = order
+        while source < max_order and not lists[source]:
             source += 1
-        if source > max_order:
+        if source < max_order:
+            live = lists[source]
+            start = min(live)
+            live.discard(start)
+        elif self._top_free:
+            index = self._top.find(1)
+            self._top[index] = 0
+            self._top_free -= 1
+            start = self.base + (index << max_order)
+        else:
             raise OutOfMemoryError(
                 f"no free block of order >= {order} "
                 f"({self._free_frames} frames free)"
             )
-        heap, live = self._live_heap(source), lists[source]
-        while heap[0] not in live:
-            _heappop(heap)
-        start = _heappop(heap)
-        live.discard(start)
         # Split down to the requested order, freeing the upper halves.
-        heaps = self._heaps
         while source > order:
             source -= 1
-            buddy = start + (1 << source)
-            lists[source].add(buddy)
-            _heappush(heaps[source], buddy)
+            lists[source].add(start + (1 << source))
         count = 1 << order
         self._free_frames -= count
         offset = start - self.base
@@ -184,6 +177,39 @@ class BuddyAllocator:
             _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
         )
         return _unchecked(start, count)
+
+    def _take_top_runs(self, blocks: int, append) -> int:
+        """Take the ``blocks`` lowest free top-order blocks (at most as
+        many as are free), ``append`` one range per block in ascending
+        order, and return the frames taken.  Free top blocks are taken
+        run by run: each contiguous run costs one slice write to the
+        top-order map and one to the frame mask."""
+        top = self._top
+        mask = self._mask
+        max_order = self.max_order
+        size = 1 << max_order
+        if blocks > self._top_free:
+            blocks = self._top_free
+        left = blocks
+        index = 0
+        while left:
+            index = top.find(1, index)
+            end = top.find(0, index, index + left)
+            if end == -1:
+                end = index + left
+            run = end - index
+            top[index:end] = bytes(run)
+            offset = index << max_order
+            mask[offset:offset + (run << max_order)] = bytes(run << max_order)
+            for start in range(self.base + offset,
+                               self.base + (end << max_order), size):
+                append(_unchecked(start, size))
+            left -= run
+            index = end
+        self._top_free -= blocks
+        taken = blocks << max_order
+        self._free_frames -= taken
+        return taken
 
     def allocate_pages(self, pages: int) -> list[FrameRange]:
         """Allocate ``pages`` frames as buddy blocks (largest-first).
@@ -203,9 +229,10 @@ class BuddyAllocator:
         lists = self._free_lists
         max_order = self.max_order
         # The frame sanitizer intercepts allocation by installing a
-        # per-instance allocate_block wrapper; honour it when present,
-        # otherwise go straight to the implementation (the wrapper's
-        # range check is vacuous for internally computed orders).
+        # per-instance allocate_block wrapper; honour it when present
+        # (one block per call, no run takes), otherwise go straight to
+        # the implementation (the wrapper's range check is vacuous for
+        # internally computed orders).
         wrapper = self.__dict__.get("allocate_block")
         take = wrapper if wrapper is not None else self._take_block
         mask = self._mask
@@ -213,65 +240,58 @@ class BuddyAllocator:
         try:
             while remaining > 0:
                 want_order = min(max_order, remaining.bit_length() - 1)
-                order = want_order
-                # Prefer the largest available order not exceeding the
-                # need; when fragmentation leaves nothing small, split a
-                # larger block (_take_block handles the split).
-                while order >= 0 and not lists[order]:
-                    order -= 1
-                if order < 0:
-                    order = want_order
-                live = lists[order]
-                if wrapper is None and live:
-                    # Same-order hit, inlined (the dominant case: a
-                    # large request peels off order-max blocks).  Pop as
-                    # many blocks of this order as the request and the
-                    # live set allow in one batch: between same-order
-                    # takes nothing is freed and no split-down runs, so
-                    # higher lists stay as they are and a block-at-a-time
-                    # loop would pick this same order every time while
-                    # remaining >= 1 << order.
-                    heap = self._live_heap(order)
-                    count = 1 << order
-                    batch = remaining >> order
-                    if batch > len(live):
-                        batch = len(live)
-                    # Blocks pop in ascending start order and are often
-                    # contiguous (a freshly coalesced region re-split),
-                    # so adjacent mask clears merge into one run.
-                    run_offset = -1
-                    run_length = 0
-                    for _ in range(batch):
-                        while heap[0] not in live:
-                            _heappop(heap)
-                        start = _heappop(heap)
-                        live.discard(start)
-                        offset = start - base
-                        if offset == run_offset + run_length:
-                            run_length += count
-                        else:
-                            if run_length:
-                                mask[run_offset:run_offset + run_length] = (
-                                    _ZERO_RUN[order]
-                                    if run_length == count and order <= MAX_ORDER
-                                    else bytes(run_length)
-                                )
-                            run_offset = offset
-                            run_length = count
-                        append(_unchecked(start, count))
-                    if run_length:
-                        mask[run_offset:run_offset + run_length] = (
-                            _ZERO_RUN[order]
-                            if run_length == count and order <= MAX_ORDER
-                            else bytes(run_length)
+                if want_order == max_order and self._top_free:
+                    if wrapper is None:
+                        # The dominant case: a large request peels off
+                        # top-order blocks, often contiguous ones.
+                        remaining -= self._take_top_runs(
+                            remaining >> max_order, append
                         )
-                    taken = batch * count
-                    self._free_frames -= taken
-                    remaining -= taken
+                        continue
+                    order = max_order
                 else:
-                    block = take(order)
-                    append(block)
-                    remaining -= block.count
+                    # Prefer the largest available order not exceeding
+                    # the need; when fragmentation leaves nothing small,
+                    # split a larger block (_take_block handles the
+                    # split).
+                    order = min(want_order, max_order - 1)
+                    while order >= 0 and not lists[order]:
+                        order -= 1
+                    if order < 0:
+                        order = want_order
+                    elif wrapper is None:
+                        # Same-order hit, inlined.  Take as many blocks
+                        # of this order as the request and the list
+                        # allow in one batch: between same-order takes
+                        # nothing is freed and no split-down runs, so
+                        # higher lists stay empty and a block-at-a-time
+                        # loop would pick this same order every time
+                        # while remaining >= 1 << order.
+                        live = lists[order]
+                        count = 1 << order
+                        batch = remaining >> order
+                        if batch == 1:
+                            start = min(live)
+                            live.discard(start)
+                            starts = (start,)
+                        else:
+                            starts = sorted(live)[:batch]
+                            live.difference_update(starts)
+                        zero = (
+                            _ZERO_RUN[order] if order <= MAX_ORDER
+                            else bytes(count)
+                        )
+                        for start in starts:
+                            offset = start - base
+                            mask[offset:offset + count] = zero
+                            append(_unchecked(start, count))
+                        taken = len(starts) << order
+                        self._free_frames -= taken
+                        remaining -= taken
+                        continue
+                block = take(order)
+                append(block)
+                remaining -= block.count
         except OutOfMemoryError:
             for block in granted:
                 self.free_span(block.start, block.count)
@@ -293,7 +313,7 @@ class BuddyAllocator:
             raise AllocationError(
                 f"span [{start}, {start + count}) outside allocator"
             )
-        if self._mask.find(1, offset, offset + count) != -1:
+        if self._mask.find(b"\x01", offset, offset + count) != -1:
             raise AllocationError(
                 f"double free within span [{start}, {start + count})"
             )
@@ -318,7 +338,7 @@ class BuddyAllocator:
         total = self.total_frames
         mask = self._mask
         lists = self._free_lists
-        heaps = self._heaps
+        top = self._top
         max_order = self.max_order
         # The free-frame count is flushed lazily: before every raise or
         # return and before delegating to _insert_span (which counts its
@@ -341,7 +361,7 @@ class BuddyAllocator:
                 raise AllocationError(
                     f"span [{start}, {start + count}) outside allocator"
                 )
-            if mask.find(1, offset, offset + count) != -1:
+            if mask.find(b"\x01", offset, offset + count) != -1:
                 self._free_frames += freed
                 raise AllocationError(
                     f"double free within span [{start}, {start + count})"
@@ -368,8 +388,11 @@ class BuddyAllocator:
                     if buddy < block:
                         block = buddy
                     order += 1
-                lists[order].add(block)
-                _heappush(heaps[order], block)
+                if order < max_order:
+                    lists[order].add(block)
+                else:
+                    top[(block - base) >> max_order] = 1
+                    self._top_free += 1
             else:
                 self._free_frames += freed
                 freed = 0
@@ -393,7 +416,6 @@ class BuddyAllocator:
         each coalescing upward with its free buddies."""
         base = self.base
         lists = self._free_lists
-        heaps = self._heaps
         max_order = self.max_order
         cursor = start
         remaining = count
@@ -416,35 +438,55 @@ class BuddyAllocator:
                 if buddy < block:
                     block = buddy
                 order += 1
-            lists[order].add(block)
-            _heappush(heaps[order], block)
+            if order < max_order:
+                lists[order].add(block)
+            else:
+                self._top[(block - base) >> max_order] = 1
+                self._top_free += 1
             cursor += taken
             remaining -= taken
 
     def check_invariants(self) -> None:
-        """Free lists must be aligned, disjoint, mask-consistent."""
+        """Free lists must be aligned, disjoint, mask-consistent, and
+        the top-order map must agree with its count."""
+        base = self.base
+        mask = self._mask
+        top = self._top
+        max_order = self.max_order
+        blocks = [
+            (order, block_start)
+            for order, starts in enumerate(self._free_lists)
+            for block_start in starts
+        ]
+        index = top.find(1)
+        while index != -1:
+            blocks.append((max_order, base + (index << max_order)))
+            index = top.find(1, index + 1)
         total_free = 0
         seen: list[tuple[int, int]] = []
-        mask = self._mask
-        for order, starts in enumerate(self._free_lists):
+        for order, block_start in blocks:
             size = 1 << order
-            for block_start in starts:
-                if (block_start - self.base) % size != 0:
-                    raise AllocationError(
-                        f"misaligned free block at {block_start} order {order}"
-                    )
-                offset = block_start - self.base
-                if mask.find(0, offset, offset + size) != -1:
-                    raise AllocationError("free list and mask disagree")
-                seen.append((block_start, block_start + size))
-                total_free += size
+            offset = block_start - base
+            if offset % size != 0:
+                raise AllocationError(
+                    f"misaligned free block at {block_start} order {order}"
+                )
+            if mask.find(b"\x00", offset, offset + size) != -1:
+                raise AllocationError("free list and mask disagree")
+            seen.append((block_start, block_start + size))
+            total_free += size
         seen.sort()
         for (_, end_a), (start_b, _) in zip(seen, seen[1:]):
             if end_a > start_b:
                 raise AllocationError("overlapping free blocks")
+        if top.count(1) != self._top_free:
+            raise AllocationError(
+                f"free top-block count mismatch: "
+                f"{top.count(1)} != {self._top_free}"
+            )
         if total_free != self._free_frames:
             raise AllocationError(
                 f"free accounting mismatch: {total_free} != {self._free_frames}"
             )
-        if mask.count(1) != self._free_frames:
+        if mask[:].count(1) != self._free_frames:
             raise AllocationError("mask population does not match free count")

@@ -616,7 +616,13 @@ class GuestKernel:
             )
         was_inactive = extent.state is ExtentState.INACTIVE
         source = self.nodes[extent.node_id]
-        source.free_ranges(extent.frames)
+        try:
+            source.free_ranges(extent.frames)
+        except AllocationError:
+            # The source rejected its frames: hand the target its grant
+            # back so a failed move leaks nothing.
+            target.free_ranges(new_frames)
+            raise
         self.lru[extent.node_id].remove(extent)
         extent.frames = new_frames
         extent.node_id = target_node_id

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.errors import AllocationError, ConfigurationError, OutOfMemoryError
 from repro.guestos.zone import Zone, ZoneKind, make_zone, zone_preference
 from repro.hw.memdevice import MemoryDevice
 from repro.mem.extent import PageType
@@ -154,7 +154,9 @@ class MemoryNode:
             base = zone.buddy.base
             if base <= frame < base + zone.buddy.total_frames:
                 return zone
-        raise OutOfMemoryError(f"node {self.node_id}: frame {frame} not mine")
+        # Freeing a frame the node does not own is allocator misuse, not
+        # memory pressure (callers treat OutOfMemoryError as "full").
+        raise AllocationError(f"node {self.node_id}: frame {frame} not mine")
 
 
 def build_node(

@@ -214,10 +214,19 @@ class SimulationEngine:
                 telemetry=telemetry if self._sampling else None,
             )
         )
-        #: The slowest device, used to account swapped extents' misses.
+        #: node id -> the node's device, with equal devices collapsed to
+        #: one instance so the demand pass can key per-device columns by
+        #: identity instead of the field-walking dataclass hash.  Built
+        #: once: nothing reassigns a node's device after ``build_node``.
+        canonical: dict[MemoryDevice, MemoryDevice] = {}
+        self._node_devices = {
+            node_id: canonical.setdefault(node.device, node.device)
+            for node_id, node in kernel.nodes.items()
+        }
+        #: The slowest device, used to account swapped extents' misses
+        #: (one of the canonical instances).
         self._slowest_device = min(
-            (node.device for node in kernel.nodes.values()),
-            key=lambda d: d.bandwidth_gbps,
+            self._node_devices.values(), key=lambda d: d.bandwidth_gbps
         )
         if self._sampling:
             assert telemetry is not None

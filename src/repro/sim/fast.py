@@ -4,14 +4,19 @@ Each epoch :meth:`SimulationEngine._memory_demands
 <repro.sim.engine.SimulationEngine._memory_demands>` calls
 :func:`fast_memory_demands`, which feeds the epoch's region accesses
 through the LLC model, splits each region's misses across devices by
-extent placement, and records device wear.  Two choices keep it cheap:
+extent placement, and records device wear.  It rebuilds nothing that
+outlives an epoch, and builds little within one:
 
-* :class:`DemandAccumulator` — flat per-device float columns, one per
-  :data:`DEVICE_DEMAND_FIELDS` entry, instead of a chain of frozen
-  ``DeviceDemand`` merges;
-* :func:`_fast_apportion` — a tuple-returning twin of
-  ``LastLevelCache.apportion`` with the same float expressions in the
-  same order.
+* node devices are canonicalised once per engine
+  (``SimulationEngine._node_devices``), so per-device state is keyed by
+  identity instead of the field-walking dataclass hash;
+* each accessed region is one tuple row, which :func:`_fast_apportion`
+  — a twin of ``LastLevelCache.apportion`` with the same float
+  expressions in the same order — ranks and apportions in place of
+  ``RegionAccess``/``RegionMisses`` objects;
+* misses accumulate in per-device columns, one per
+  :data:`DEVICE_DEMAND_FIELDS` entry, and each device's
+  ``DeviceDemand`` is built once per epoch from them.
 
 Results are pinned **bit-identical** to the ``DeviceDemand``-merging
 reference kept in ``tests/`` — the same float addition order and the
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.hw.cache import RegionAccess
 from repro.hw.timing import DeviceDemand
 from repro.units import PAGE_SIZE
 
@@ -34,140 +38,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DEVICE_DEMAND_FIELDS",
-    "DemandAccumulator",
     "fast_memory_demands",
 ]
 
 
-#: heterocontract anchor (``contract-fast-mirror``): the accumulator
-#: columns of :class:`DemandAccumulator`, one per
-#: :class:`~repro.hw.timing.DeviceDemand` field.  Must stay a pure
-#: literal (it is read with ``ast.literal_eval``) and mirror the
-#: dataclass exactly — a DeviceDemand field without a column here would
-#: be silently dropped from every epoch's demand.
+#: heterocontract anchor (``contract-fast-mirror``): the per-device
+#: demand columns :func:`fast_memory_demands` accumulates, one per
+#: :class:`~repro.hw.timing.DeviceDemand` field, in the order each
+#: ``DeviceDemand`` is built from.  Must stay a pure literal (it is read
+#: with ``ast.literal_eval``) and mirror the dataclass exactly — a
+#: DeviceDemand field without a column here would be silently dropped
+#: from every epoch's demand.
 DEVICE_DEMAND_FIELDS = ("read_misses", "write_misses", "traffic_bytes")
 
-_new_instance = object.__new__
 
-
-def _region_access(region_id, footprint_bytes, reads, writes, reuse,
-                   bytes_per_miss):
-    """:class:`RegionAccess` without the ``__init__``/``__post_init__``
-    round trip (same trick as ``FrameRange.unchecked``).  Valid only for
-    arguments the reference constructor would accept: ``reuse`` and
-    ``bytes_per_miss`` come from an already-validated region spec, and
-    the kernel guarantees non-negative page counts and access counts."""
-    access = _new_instance(RegionAccess)
-    attrs = access.__dict__
-    attrs["region_id"] = region_id
-    attrs["footprint_bytes"] = footprint_bytes
-    attrs["reads"] = reads
-    attrs["writes"] = writes
-    attrs["reuse"] = reuse
-    attrs["bytes_per_miss"] = bytes_per_miss
-    return access
-
-
-_INF = float("inf")
-
-
-def _fast_apportion(cache, regions):
-    """Tuple-returning twin of ``LastLevelCache.apportion`` plus the
+def _fast_apportion(cache, rows):
+    """Tuple-based twin of ``LastLevelCache.apportion`` plus the
     ``RegionMisses.misses``/``traffic_bytes`` properties: the same float
-    expressions evaluated in the same order, minus one frozen dataclass
-    and two property calls per region per epoch.  Yields
-    ``(region_id, read_misses, write_misses, traffic_bytes,
-    bytes_per_miss, misses)`` in input order.  Pinned against the
-    reference by the differential oracle."""
+    expressions evaluated in the same order, over the rows
+    :func:`fast_memory_demands` collects (``(footprint_bytes, reads,
+    writes, reuse, bytes_per_miss, placement)``; every footprint is
+    positive, as regions without pages are skipped).  Returns
+    ``(read_misses, write_misses, traffic_bytes, misses)`` per row in
+    row order.  Pinned against the reference by the differential
+    oracle."""
     remaining = float(cache.config.capacity_bytes)
-    cached_frac = {}
-    ranked = sorted(
-        (r for r in regions if r.reads + r.writes > 0),
-        key=lambda r: (
-            (r.reads + r.writes) / r.footprint_bytes
-            if r.footprint_bytes
-            else _INF
-        ),
+    cached_frac = [0.0] * len(rows)
+    # Densest first; sorted() is stable, so ties keep access order.
+    for index in sorted(
+        (index for index, row in enumerate(rows) if row[1] + row[2] > 0),
+        key=lambda index: (rows[index][1] + rows[index][2]) / rows[index][0],
         reverse=True,
-    )
-    for region in ranked:
-        footprint = region.footprint_bytes
-        if footprint == 0:
-            cached_frac[region.region_id] = 1.0
-            continue
+    ):
+        footprint = rows[index][0]
         take = min(remaining, float(footprint))
-        cached_frac[region.region_id] = take / footprint
+        cached_frac[index] = take / footprint
         remaining -= take
     results = []
     append = results.append
-    frac_of = cached_frac.get
-    for region in regions:
-        frac = frac_of(region.region_id, 0.0)
-        hit_rate = region.reuse * frac
+    for (_, reads, writes, reuse, bytes_per_miss, _), frac in zip(
+        rows, cached_frac
+    ):
+        hit_rate = reuse * frac
         miss_rate = 1.0 - hit_rate
-        read_misses = region.reads * miss_rate
-        write_misses = region.writes * miss_rate
-        bytes_per_miss = region.bytes_per_miss
+        read_misses = reads * miss_rate
+        write_misses = writes * miss_rate
         append((
-            region.region_id,
             read_misses,
             write_misses,
             read_misses * bytes_per_miss + write_misses * bytes_per_miss * 2.0,
-            bytes_per_miss,
             read_misses + write_misses,
         ))
     return results
-
-
-class DemandAccumulator:
-    """Flat per-device demand columns, indexed by first-touch order.
-
-    One list per :data:`DEVICE_DEMAND_FIELDS` entry replaces the
-    reference chain of frozen ``DeviceDemand`` merges.  In-place ``+=``
-    in the same visit order produces the same left-associated float
-    sums, and first-touch indexing reproduces the reference dict's
-    insertion order, so :meth:`demands` materialises a bit-identical
-    mapping.
-    """
-
-    __slots__ = ("devices", "index", "reads", "writes", "traffic")
-
-    def __init__(self) -> None:
-        self.devices = []
-        self.index = {}
-        self.reads = []
-        self.writes = []
-        self.traffic = []
-
-    def add(self, device, read_misses, write_misses, traffic_bytes) -> None:
-        # Indexed by identity, not value: a MemoryDevice dataclass hash
-        # walks every field, and callers (fast_memory_demands) already
-        # canonicalise equal devices to one instance.
-        position = self.index.get(id(device))
-        if position is None:
-            self.index[id(device)] = len(self.devices)
-            self.devices.append(device)
-            self.reads.append(read_misses)
-            self.writes.append(write_misses)
-            self.traffic.append(traffic_bytes)
-        else:
-            self.reads[position] += read_misses
-            self.writes[position] += write_misses
-            self.traffic[position] += traffic_bytes
-
-    def demands(self) -> "dict":
-        columns = (self.reads, self.writes, self.traffic)
-        return {
-            device: DeviceDemand(
-                **dict(
-                    zip(
-                        DEVICE_DEMAND_FIELDS,
-                        (column[position] for column in columns),
-                    )
-                )
-            )
-            for position, device in enumerate(self.devices)
-        }
 
 
 def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
@@ -177,31 +99,20 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
     across devices by the fraction of its pages on each (swapped
     extents count against the slowest device), and each device's wear
     records its dirty-line writebacks.  Misses accumulate as in-place
-    column adds in a :class:`DemandAccumulator`, and device dicts are
-    keyed by identity over a canonicalised device set instead of by the
-    field-walking dataclass hash.  Float additions are left-associated
-    in visit order, as a ``DeviceDemand.merged`` chain would be.
-    Pinned by tests/test_fast_equivalence.py.
+    column adds keyed by device identity, over the engine's
+    canonicalised devices; distinct-but-equal devices, which the
+    reference dict would merge, are one instance there.  Float
+    additions are left-associated in visit order, as a
+    ``DeviceDemand.merged`` chain would be.  Pinned by
+    tests/test_fast_equivalence.py.
     """
     kernel = engine.kernel
-    nodes = kernel.nodes
+    node_devices = engine._node_devices
     slowest = engine._slowest_device
     region_specs = engine.region_specs
-    # Canonicalise the device universe once so the per-extent and
-    # per-miss bookkeeping can key dicts by id() instead of the
-    # field-walking dataclass hash.  Distinct-but-equal instances (which
-    # the reference dict would merge) collapse to one representative
-    # here, keeping the merge semantics identical.
-    canonical = {}
-    by_value = {}
-    for node in nodes.values():
-        device = node.device
-        canonical[id(device)] = by_value.setdefault(device, device)
-    canonical[id(slowest)] = by_value.setdefault(slowest, slowest)
     region_ids = kernel.regions
     extent_map = kernel.extents
-    region_accesses: "list[RegionAccess]" = []
-    placements = {}
+    rows = []
     for region_id, (reads, writes) in demand.accesses.items():
         # Inlined kernel.has_region + kernel.region_extents (the maps
         # are plain dicts; the method round trips dominate at this
@@ -212,59 +123,71 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
         spec = region_specs.get(region_id)
         if spec is None:
             continue
-        extents = [extent_map[eid] for eid in extent_ids]
-        if len(extents) == 1:
-            pages = extents[0].pages
+        if len(extent_ids) == 1:
+            extent = extent_map[extent_ids[0]]
+            pages = extent.pages
+            if pages == 0:
+                continue
+            # One extent holds every page: its fraction is exactly 1.0.
+            placement = ((
+                slowest if extent.swapped else node_devices[extent.node_id],
+                1.0,
+            ),)
         else:
+            extents = [extent_map[eid] for eid in extent_ids]
             pages = sum(extent.pages for extent in extents)
-        if pages == 0:
-            continue
-        region_accesses.append(
-            _region_access(
-                region_id,
-                pages * PAGE_SIZE,
-                reads,
-                writes,
-                spec.reuse,
-                spec.bytes_per_miss,
-            )
-        )
-        fractions = {}
-        for extent in extents:
-            device = canonical[
-                id(slowest if extent.swapped else nodes[extent.node_id].device)
-            ]
-            entry = fractions.get(id(device))
-            if entry is None:
-                fractions[id(device)] = [device, extent.pages / pages]
-            else:
-                entry[1] = entry[1] + (extent.pages / pages)
-        placements[region_id] = list(fractions.values())
+            if pages == 0:
+                continue
+            fractions = {}
+            for extent in extents:
+                device = (
+                    slowest if extent.swapped
+                    else node_devices[extent.node_id]
+                )
+                entry = fractions.get(id(device))
+                if entry is None:
+                    fractions[id(device)] = [device, extent.pages / pages]
+                else:
+                    entry[1] = entry[1] + (extent.pages / pages)
+            placement = fractions.values()
+        rows.append((
+            pages * PAGE_SIZE,
+            reads,
+            writes,
+            spec.reuse,
+            spec.bytes_per_miss,
+            placement,
+        ))
 
-    accumulator = DemandAccumulator()
-    add = accumulator.add
+    # id(device) -> [device, *one value per DEVICE_DEMAND_FIELDS entry]
+    columns = {}
     wear_record = engine.wear.record
     llc_misses = 0.0
-    for (
-        misses_region_id,
-        read_misses,
-        write_misses,
-        traffic_bytes,
-        bytes_per_miss,
-        misses_total,
-    ) in _fast_apportion(engine.cache, region_accesses):
-        llc_misses += misses_total
-        for device, fraction in placements[misses_region_id]:
-            add(
-                device,
-                read_misses * fraction,
-                write_misses * fraction,
-                traffic_bytes * fraction,
-            )
+    for row, (read_misses, write_misses, traffic_bytes, misses) in zip(
+        rows, _fast_apportion(engine.cache, rows)
+    ):
+        llc_misses += misses
+        bytes_per_miss = row[4]
+        for device, fraction in row[5]:
+            column = columns.get(id(device))
+            if column is None:
+                columns[id(device)] = [
+                    device,
+                    read_misses * fraction,
+                    write_misses * fraction,
+                    traffic_bytes * fraction,
+                ]
+            else:
+                column[1] += read_misses * fraction
+                column[2] += write_misses * fraction
+                column[3] += traffic_bytes * fraction
             # Endurance accounting: dirty-line writebacks are the
             # device's wear (2x per write miss: fill + writeback).
             wear_record(
                 device,
                 write_misses * fraction * bytes_per_miss * 2.0,
             )
-    return accumulator.demands(), llc_misses
+    return {
+        column[0]: DeviceDemand(**dict(zip(DEVICE_DEMAND_FIELDS, column[1:])))
+        for column in columns.values()
+    }, llc_misses

@@ -123,3 +123,24 @@ def test_oversized_request_rejected():
         buddy.allocate_pages(0)
     with pytest.raises(AllocationError):
         buddy.allocate_block(99)
+
+
+def test_invariants_catch_top_map_byte_over_allocated_frames():
+    buddy = BuddyAllocator(0, 4096)
+    block = buddy.allocate_block(10)
+    buddy.check_invariants()
+    # Seeded drift: the top-order map calls the block free while the
+    # frame mask still holds it allocated.
+    buddy._top[(block.start - buddy.base) >> buddy.max_order] = 1
+    buddy._top_free += 1
+    with pytest.raises(AllocationError, match="mask"):
+        buddy.check_invariants()
+
+
+def test_invariants_catch_top_free_count_drift():
+    buddy = BuddyAllocator(0, 4096)
+    buddy.allocate_pages(1024)
+    buddy.check_invariants()
+    buddy._top_free -= 1
+    with pytest.raises(AllocationError, match="top-block count"):
+        buddy.check_invariants()

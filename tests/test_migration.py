@@ -3,12 +3,15 @@
 import pytest
 
 from conftest import make_kernel
-from repro.errors import MigrationError
+from repro.errors import AllocationError, MigrationError
 from repro.mem.extent import PageType
+from repro.sim.engine import build_single_vm
+from repro.sim.runner import build_config
 from repro.units import NS_PER_US
 from repro.vmm.migration import (
     MigrationCostModel,
     MigrationEngine,
+    MigrationReport,
     TABLE6_ANCHORS,
 )
 
@@ -156,3 +159,28 @@ def test_swapped_and_same_node_extents_skipped():
     report = engine.migrate([home], 0, kernel)
     assert report.pages_moved == 0
     assert report.cost_ns == 0.0
+
+
+def test_failed_move_of_foreign_frames_leaks_nothing():
+    """A source that rejects the frames it is asked to free (here frames
+    another node owns) is allocator misuse, not a full target: the
+    kernel move and the engine's move both raise ``AllocationError``
+    instead of evicting or reporting failure, and the target gets its
+    grant back."""
+    hypervisor, _, kernel = build_single_vm(
+        build_config(fast_ratio=0.25, seed=7)
+    )
+    fast = next(nid for nid, node in kernel.nodes.items() if node.is_fastmem)
+    slow = next(nid for nid, node in kernel.nodes.items() if not node.is_fastmem)
+    (stolen,) = kernel.allocate_region("a", PageType.HEAP, 64, [slow])
+    (owner,) = kernel.allocate_region("b", PageType.HEAP, 64, [fast])
+    stolen.frames = list(owner.frames)
+    free_before = kernel.nodes[fast].free_pages
+    with pytest.raises(AllocationError):
+        kernel.move_extent(stolen, fast)
+    assert kernel.nodes[fast].free_pages == free_before
+    with pytest.raises(AllocationError):
+        hypervisor.migration_engine._move_once(
+            stolen, fast, kernel, None, MigrationReport()
+        )
+    assert kernel.nodes[fast].free_pages == free_before

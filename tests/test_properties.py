@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from reference_guest import ReferenceBuddy, ReferenceNode, reference_guest
 
 from repro.errors import ReproError
-from repro.guestos.buddy import BuddyAllocator
+from repro.guestos.buddy import MAX_ORDER, BuddyAllocator
 from repro.guestos.lru import SplitLru
 from repro.guestos.numa import NodeTier, build_node
 from repro.guestos.zone import ZoneKind
@@ -33,62 +33,98 @@ def _outcome(call):
         return ("raised", type(exc), str(exc))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    span=st.integers(min_value=1, max_value=2048),
-    program=st.lists(
+@st.composite
+def _buddy_programs(draw):
+    """A span and a program over it; request sizes reach the whole span,
+    so programs ask for top-order blocks directly and in runs."""
+    span = draw(st.integers(min_value=1, max_value=2048))
+    program = draw(st.lists(
         st.tuples(
-            st.sampled_from(["alloc", "free", "fragment", "double", "outside"]),
-            st.integers(min_value=1, max_value=256),
+            st.sampled_from(
+                ["alloc", "free", "fragment", "release", "double", "outside"]
+            ),
+            st.integers(min_value=1, max_value=span),
         ),
         max_size=40,
-    ),
+    ))
+    return span, program
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.integers(min_value=0, max_value=64),
+    max_order=st.integers(min_value=0, max_value=4),
+    case=_buddy_programs(),
 )
 # Two free blocks of one order: which one is handed out must match.
-@example(span=2048, program=[("alloc", 1), ("alloc", 512)])
-def test_buddy_conserves_frames(span, program):
+@example(base=0, max_order=MAX_ORDER,
+         case=(2048, [("alloc", 1), ("alloc", 512)]))
+# A top-order request whose lowest free blocks are split by an
+# allocated one: the run must stop at the allocated block.
+@example(base=0, max_order=2, case=(64, [
+    ("alloc", 12), ("alloc", 4), ("alloc", 8), ("release", 1), ("alloc", 16),
+]))
+def test_buddy_conserves_frames(base, max_order, case):
     """The array-backed allocator and the reference allocator run the
     same program in lockstep: same grants, same exceptions, same free
     accounting after every op; frames are conserved throughout."""
-    buddy = BuddyAllocator(0, span)
-    reference = ReferenceBuddy(0, span)
+    span, program = case
+    buddy = BuddyAllocator(base, span, max_order)
+    reference = ReferenceBuddy(base, span, max_order)
+    #: Live grants, oldest first: each the still-allocated blocks of one
+    #: allocate_pages call.
     live: list = []
+
+    def free_both(block):
+        got = _outcome(lambda: buddy.free_span(block.start, block.count))
+        want = _outcome(lambda: reference.free_span(block.start, block.count))
+        assert got == want == ("ok", None)
+
     for op, count in program:
         if op == "alloc":
             got = _outcome(lambda: buddy.allocate_pages(count))
             want = _outcome(lambda: reference.allocate_pages(count))
             assert got == want
             if got[0] == "ok":
-                live.extend(got[1])
+                live.append(got[1])
         elif op == "free" and live:
-            block = live.pop()
-            got = _outcome(lambda: buddy.free_span(block.start, block.count))
-            want = _outcome(lambda: reference.free_span(block.start, block.count))
-            assert got == want == ("ok", None)
-        elif op == "fragment" and live and live[-1].count > 1:
+            grant = live[-1]
+            free_both(grant.pop())
+            if not grant:
+                live.pop()
+        elif op == "fragment" and live and live[-1][-1].count > 1:
             # Free the head of a block and keep its tail (per-CPU splits).
-            block = live.pop()
+            grant = live[-1]
+            block = grant.pop()
             head, tail = block.split(1 + count % (block.count - 1))
-            live.append(tail)
-            got = _outcome(lambda: buddy.free_span(head.start, head.count))
-            want = _outcome(lambda: reference.free_span(head.start, head.count))
-            assert got == want == ("ok", None)
+            grant.append(tail)
+            free_both(head)
+        elif op == "release" and live:
+            # A whole grant, often from the middle, through the batched
+            # free a NUMA node uses.
+            grant = live.pop(count % len(live))
+            assert buddy._free_spans(grant, 0) == len(grant)
+            for block in grant:
+                reference.free_span(block.start, block.count)
         elif op == "double":
-            frame = count % span
+            frame = base + count % span
             if buddy.is_free(frame):
                 got = _outcome(lambda: buddy.free_span(frame, 1))
                 want = _outcome(lambda: reference.free_span(frame, 1))
                 assert got == want and got[0] == "raised"
         elif op == "outside":
-            got = _outcome(lambda: buddy.free_span(span + count - 1, 1))
-            want = _outcome(lambda: reference.free_span(span + count - 1, 1))
+            frame = base + span + count - 1
+            got = _outcome(lambda: buddy.free_span(frame, 1))
+            want = _outcome(lambda: reference.free_span(frame, 1))
             assert got == want and got[0] == "raised"
         assert buddy.free_frames == reference.free_frames
         assert buddy.largest_free_order() == reference.largest_free_order()
-    held = sum(block.count for block in live)
+        buddy.check_invariants()
+    held = sum(block.count for grant in live for block in grant)
     assert buddy.free_frames + held == span
-    assert [buddy.is_free(f) for f in range(span)] == [
-        reference.is_free(f) for f in range(span)
+    frames = range(base, base + span)
+    assert [buddy.is_free(f) for f in frames] == [
+        reference.is_free(f) for f in frames
     ]
     buddy.check_invariants()
     reference.check_invariants()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.errors import AllocationError, ConfigurationError, OutOfMemoryError
 from repro.guestos.numa import (
     DMA_ZONE_BYTES,
     MemoryNode,
@@ -80,7 +80,7 @@ def test_foreign_frame_free_rejected():
     node = build_node(0, NodeTier.FAST, DRAM.with_capacity(4 * MIB))
     from repro.mem.frames import FrameRange
 
-    with pytest.raises(OutOfMemoryError):
+    with pytest.raises(AllocationError):
         node.free_ranges([FrameRange(10_000_000, 1)])
 
 
