@@ -132,7 +132,13 @@ class NativeCoordinatedPolicy(HeteroLruPolicy):
             )
             cap = min(extent.pages, budget, surplus + displaceable)
             if cap <= 0:
-                continue
+                # budget and extent.pages are positive here, so no
+                # surplus is left and no FastMem extent is cooler than
+                # floor.  Skipping changes no state, and candidates come
+                # in descending estimate order, so every later floor is
+                # no higher: each later candidate would get no room
+                # either.
+                break
             try:
                 if cap < extent.pages:
                     kernel.split_extent(extent, cap)

@@ -66,7 +66,10 @@ def _multi_vm_run(
     sim = MultiVmSimulation(
         fig13_devices(), fig13_vmspecs(policy_name), sharing_policy=sharing
     )
-    return sim.run(epochs)
+    try:
+        return sim.run(epochs)
+    finally:
+        sim.close()
 
 
 def _single_vm_baselines(epochs: int) -> dict[str, RunResult]:
@@ -80,7 +83,10 @@ def _single_vm_baselines(epochs: int) -> dict[str, RunResult]:
         engine = SimulationEngine(
             config, workload, make_policy("hetero-coordinated")
         )
-        results[name] = engine.run(epochs)
+        try:
+            results[name] = engine.run(epochs)
+        finally:
+            engine.close()
     return results
 
 

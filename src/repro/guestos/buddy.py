@@ -15,17 +15,18 @@ Two entry points matter to callers:
   errors.
 
 The allocator is the simulator's hottest structure, so each piece of
-state is shaped by its traffic.  The frame free map holds one byte per
-frame in a private anonymous ``mmap`` (slice writes and ``find``
-probes run in C; :func:`_free_frame_map` says why it is not a
-``bytearray``).  The top order, which holds most free memory and
-serves large requests in contiguous runs, is a second ``bytearray``
-with one byte per top-order block: the lowest free block is
-``find(1)``, and a request for k top blocks takes them run by run, one
-slice write per run.  Every lower order is a plain ``set``; those lists
-stay a few blocks long, so ``min(set)`` is cheap.  Blocks are handed
-out lowest-start-first; the differential oracle in ``tests/`` pins
-every allocation against a plain set-and-bitmask reference allocator.
+state is shaped by its traffic.  The frame map holds one byte per
+frame (0 = free, 1 = allocated) in a private anonymous ``mmap`` (slice
+writes and ``find`` probes run in C; :func:`_free_frame_map` says why
+it is not a ``bytearray``).  The top order, which holds most free
+memory and serves large requests in contiguous runs, is a second
+``bytearray`` with one byte per top-order block: the lowest free block
+is ``find(1)``, and a request for k top blocks takes them run by run,
+one slice write per run.  Every lower order is a plain ``set``; those
+lists stay a few blocks long, so ``min(set)`` is cheap.  Blocks are
+handed out lowest-start-first; the differential oracle in ``tests/``
+pins every allocation against a plain set-and-bitmask reference
+allocator.
 """
 
 from __future__ import annotations
@@ -40,30 +41,25 @@ MAX_ORDER = 10  # Linux's default: blocks up to 2^10 = 1024 pages (4 MiB).
 # Hot-loop alias: a module-level binding skips the attribute lookup
 # that dominates at ~100ns-per-operation scale.
 _unchecked = FrameRange.unchecked
-#: Pre-built zero/one runs for clearing or setting one buddy block per
-#: order, sparing a fresh ``bytes`` temporary per operation.
+#: Pre-built zero/one runs for freeing or allocating one buddy block
+#: per order, sparing a fresh ``bytes`` temporary per operation.
 _ZERO_RUN = tuple(bytes(1 << order) for order in range(MAX_ORDER + 1))
 _ONE_RUN = tuple(b"\x01" * (1 << order) for order in range(MAX_ORDER + 1))
-#: Free-frame bytes a new frame map is filled from, a chunk at a time
-#: (a view: slicing it copies nothing).
-_ONES = memoryview(b"\x01" * (1 << 16))
 
 
 def _free_frame_map(frames: int) -> mmap.mmap:
-    """A byte-per-frame map of ``frames`` free frames (byte 1 = free)
+    """A byte-per-frame map of ``frames`` free frames (byte 0 = free)
     in its own private anonymous mapping rather than on the malloc heap.
 
     The map is the allocator's one large allocation (2 MiB per 8 GiB
-    span), and finished guests are freed in batches by the cycle
-    collector.  On the heap, their maps leave multi-MiB holes that one
-    later small allocation near the heap top keeps from ever being
-    returned to the OS; a mapping is unmapped when it is freed."""
-    mask = mmap.mmap(-1, frames, access=mmap.ACCESS_COPY)
-    step = len(_ONES)
-    for offset in range(0, frames, step):
-        end = min(frames, offset + step)
-        mask[offset:end] = _ONES[:end - offset]
-    return mask
+    span).  A fresh anonymous mapping reads as zeros, so it already is
+    the all-free state and costs no memory until a frame on one of its
+    pages is first allocated: a guest pays only for the frames it
+    touches.  Off the heap, a finished guest's map is unmapped by
+    :meth:`BuddyAllocator.close` (or when the cycle collector frees
+    it) instead of leaving a multi-MiB hole that one later small
+    allocation near the heap top keeps from being returned to the OS."""
+    return mmap.mmap(-1, frames, access=mmap.ACCESS_COPY)
 
 
 class BuddyAllocator:
@@ -97,8 +93,8 @@ class BuddyAllocator:
         #: non-power-of-two tail starts free in one step.
         self._top = bytearray(b"\x01") * (frames >> max_order)
         self._top_free = len(self._top)
-        #: Byte i is 1 iff frame ``base + i`` is free.  Exact double-free
-        #: guard.  The whole span starts free, so the map is built filled.
+        #: Byte i is 0 iff frame ``base + i`` is free.  Exact double-free
+        #: guard.  The whole span starts free: the fresh map's zeros.
         self._mask = _free_frame_map(frames)
         self._free_frames = frames
         # Only the tail goes through the block-at-a-time insert.
@@ -132,7 +128,13 @@ class BuddyAllocator:
         offset = frame - self.base
         if not 0 <= offset < self.total_frames:
             raise AllocationError(f"frame {frame} outside span")
-        return bool(self._mask[offset])
+        return not self._mask[offset]
+
+    def close(self) -> None:
+        """Unmap the frame map.  Idempotent.  The allocator is unusable
+        afterwards: any allocation, free or ``is_free`` that reaches the
+        map raises ``ValueError``."""
+        self._mask.close()
 
     # ------------------------------------------------------------------
     # Allocation
@@ -174,7 +176,7 @@ class BuddyAllocator:
         self._free_frames -= count
         offset = start - self.base
         self._mask[offset:offset + count] = (
-            _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
+            _ONE_RUN[order] if order <= MAX_ORDER else b"\x01" * count
         )
         return _unchecked(start, count)
 
@@ -200,7 +202,8 @@ class BuddyAllocator:
             run = end - index
             top[index:end] = bytes(run)
             offset = index << max_order
-            mask[offset:offset + (run << max_order)] = bytes(run << max_order)
+            frames = run << max_order
+            mask[offset:offset + frames] = b"\x01" * frames
             for start in range(self.base + offset,
                                self.base + (end << max_order), size):
                 append(_unchecked(start, size))
@@ -277,13 +280,13 @@ class BuddyAllocator:
                         else:
                             starts = sorted(live)[:batch]
                             live.difference_update(starts)
-                        zero = (
-                            _ZERO_RUN[order] if order <= MAX_ORDER
-                            else bytes(count)
+                        ones = (
+                            _ONE_RUN[order] if order <= MAX_ORDER
+                            else b"\x01" * count
                         )
                         for start in starts:
                             offset = start - base
-                            mask[offset:offset + count] = zero
+                            mask[offset:offset + count] = ones
                             append(_unchecked(start, count))
                         taken = len(starts) << order
                         self._free_frames -= taken
@@ -313,7 +316,7 @@ class BuddyAllocator:
             raise AllocationError(
                 f"span [{start}, {start + count}) outside allocator"
             )
-        if self._mask.find(b"\x01", offset, offset + count) != -1:
+        if self._mask.find(b"\x00", offset, offset + count) != -1:
             raise AllocationError(
                 f"double free within span [{start}, {start + count})"
             )
@@ -361,7 +364,7 @@ class BuddyAllocator:
                 raise AllocationError(
                     f"span [{start}, {start + count}) outside allocator"
                 )
-            if mask.find(b"\x01", offset, offset + count) != -1:
+            if mask.find(b"\x00", offset, offset + count) != -1:
                 self._free_frames += freed
                 raise AllocationError(
                     f"double free within span [{start}, {start + count})"
@@ -372,10 +375,10 @@ class BuddyAllocator:
                 and order <= max_order
                 and not offset & (count - 1)
             ):
-                # One naturally aligned block: set the mask run and
+                # One naturally aligned block: clear the mask run and
                 # coalesce upward, exactly as _insert_span would.
                 mask[offset:offset + count] = (
-                    _ONE_RUN[order] if order <= MAX_ORDER else b"\x01" * count
+                    _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
                 )
                 freed += count
                 block = start
@@ -407,7 +410,7 @@ class BuddyAllocator:
     def _insert_span(self, start: int, count: int) -> None:
         """Mark a span free and insert it as maximal aligned blocks."""
         offset = start - self.base
-        self._mask[offset:offset + count] = b"\x01" * count
+        self._mask[offset:offset + count] = bytes(count)
         self._free_frames += count
         self._insert_blocks(start, count)
 
@@ -471,7 +474,7 @@ class BuddyAllocator:
                 raise AllocationError(
                     f"misaligned free block at {block_start} order {order}"
                 )
-            if mask.find(b"\x00", offset, offset + size) != -1:
+            if mask.find(b"\x01", offset, offset + size) != -1:
                 raise AllocationError("free list and mask disagree")
             seen.append((block_start, block_start + size))
             total_free += size
@@ -488,5 +491,5 @@ class BuddyAllocator:
             raise AllocationError(
                 f"free accounting mismatch: {total_free} != {self._free_frames}"
             )
-        if mask[:].count(1) != self._free_frames:
+        if mask[:].count(0) != self._free_frames:
             raise AllocationError("mask population does not match free count")

@@ -513,8 +513,15 @@ class GuestKernel:
         for node in self.nodes.values():
             for zone in node.zones:
                 zone.buddy.check_invariants()
-        # Frame ownership: disjoint and in-node.
-        seen_frames: dict[int, int] = {}
+        # Frame ownership: in-node and disjoint.
+        zone_spans = {
+            node_id: [
+                (zone.buddy.base, zone.buddy.base + zone.buddy.total_frames)
+                for zone in node.zones
+            ]
+            for node_id, node in self.nodes.items()
+        }
+        owned: list[tuple[int, int, int]] = []
         extent_pages_by_node: dict[int, int] = {nid: 0 for nid in self.nodes}
         for extent in self.extents.values():
             if extent.swapped:
@@ -524,22 +531,30 @@ class GuestKernel:
                     )
                 continue
             extent_pages_by_node[extent.node_id] += extent.pages
+            spans = zone_spans[extent.node_id]
             frame_total = 0
             for frame_range in extent.frames:
                 frame_total += frame_range.count
-                for frame in (frame_range.start, frame_range.end - 1):
-                    owner = seen_frames.get(frame)
-                    if owner is not None and owner != extent.extent_id:
-                        raise AllocationError(
-                            f"frame {frame} owned by extents {owner} and "
-                            f"{extent.extent_id}"
-                        )
-                seen_frames[frame_range.start] = extent.extent_id
-                seen_frames[frame_range.end - 1] = extent.extent_id
+                start, end = frame_range.start, frame_range.end
+                if not any(
+                    low <= start and end <= high for low, high in spans
+                ):
+                    raise AllocationError(
+                        f"extent {extent.extent_id}: frames [{start}, {end}) "
+                        f"outside node {extent.node_id}'s zones"
+                    )
+                owned.append((start, end, extent.extent_id))
             if frame_total != extent.pages:
                 raise AllocationError(
                     f"extent {extent.extent_id}: {frame_total} frames for "
                     f"{extent.pages} pages"
+                )
+        # Sorted by start, any overlap shows between neighbours.
+        owned.sort()
+        for (_, end, owner), (start, _, other) in zip(owned, owned[1:]):
+            if start < end:
+                raise AllocationError(
+                    f"frame {start} owned by extents {owner} and {other}"
                 )
         # Region indexes reference live extents exactly once.
         referenced: set[int] = set()

@@ -655,6 +655,15 @@ class SimulationEngine:
             timeline=timeline,
         )
 
+    def close(self) -> None:
+        """Release the guest's frame maps (every zone's
+        :meth:`~repro.guestos.buddy.BuddyAllocator.close`).  Idempotent;
+        call it after :meth:`result`.  The engine is unusable afterwards:
+        any allocation or free in its guest raises ``ValueError``."""
+        for node in self.kernel.nodes.values():
+            for zone in node.zones:
+                zone.buddy.close()
+
     def _summary(self) -> dict:
         """Final JSON-safe aggregates for the telemetry summary record."""
         policy = self.policy

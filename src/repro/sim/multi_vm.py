@@ -108,3 +108,11 @@ class MultiVmSimulation:
                 if demand is not None:
                     self.engines[spec.name].step(demand)
         return {name: engine.result() for name, engine in self.engines.items()}
+
+    def close(self) -> None:
+        """Close every guest's engine (:meth:`SimulationEngine.close`).
+        Idempotent; call it after :meth:`run`.  The simulation is
+        unusable afterwards: any allocation or free in a guest raises
+        ``ValueError``."""
+        for engine in self.engines.values():
+            engine.close()

@@ -93,4 +93,7 @@ def run_experiment(
     if faults is not None:
         config.fault_plan = faults
     engine = SimulationEngine(config, workload, placement, telemetry=telemetry)
-    return engine.run(epochs)
+    try:
+        return engine.run(epochs)
+    finally:
+        engine.close()

@@ -100,6 +100,9 @@ class ReferenceBuddy:
             raise AllocationError(f"frame {frame} outside span")
         return bool((self._free_mask >> offset) & 1)
 
+    def close(self) -> None:
+        """Nothing to release: the free mask is an ordinary integer."""
+
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Buddy allocator."""
 
+import gc
+import os
+
 import pytest
 
 from repro.errors import AllocationError, OutOfMemoryError
+from repro.experiments.sharing import run_fig13
 from repro.guestos.buddy import BuddyAllocator
+from repro.sim.runner import run_experiment
 
 
 def test_block_allocation_sizes():
@@ -144,3 +149,62 @@ def test_invariants_catch_top_free_count_drift():
     buddy._top_free -= 1
     with pytest.raises(AllocationError, match="top-block count"):
         buddy.check_invariants()
+
+
+def test_invariants_catch_lower_order_block_marked_allocated():
+    buddy = BuddyAllocator(0, 4096)
+    buddy.allocate_block(0)
+    buddy.check_invariants()
+    # Seeded drift: a lower-order free block whose frame-map bytes read
+    # "allocated" (1).
+    start = min(buddy._free_lists[3])
+    buddy._mask[start:start + 8] = b"\x01" * 8
+    with pytest.raises(AllocationError, match="mask"):
+        buddy.check_invariants()
+
+
+def _resident_mib() -> float:
+    with open("/proc/self/statm") as statm:
+        resident_pages = int(statm.read().split()[1])
+    return resident_pages * os.sysconf("SC_PAGE_SIZE") / (1 << 20)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm"
+)
+def test_frame_map_costs_only_allocated_frames():
+    """The frame map is faulted in page by page as frames are first
+    allocated: a 64 GiB span (16 MiB of map) costs nothing to build and
+    about one byte per allocated frame."""
+    gc.collect()
+    before = _resident_mib()
+    buddy = BuddyAllocator(0, 1 << 24)
+    built = _resident_mib()
+    assert built - before < 1.0
+    # 1 << 20 frames, block by block: a run-sized temporary left on the
+    # malloc heap would otherwise add to the reading.
+    blocks = [buddy.allocate_block(buddy.max_order) for _ in range(1 << 10)]
+    assert 0.75 < _resident_mib() - built < 1.5
+    assert sum(block.count for block in blocks) == 1 << 20
+    buddy.close()
+    buddy.close()
+    with pytest.raises(ValueError):
+        buddy.is_free(0)
+
+
+def test_finished_runs_close_their_frame_maps(monkeypatch):
+    """``run_experiment`` and Fig. 13's multi- and single-VM runs unmap
+    every frame map they built once their results are taken."""
+    built = []
+    init = BuddyAllocator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(BuddyAllocator, "__init__", recording_init)
+    run_experiment("redis", "hetero-lru", epochs=2)
+    assert built and all(buddy._mask.closed for buddy in built)
+    built.clear()
+    run_fig13(epochs=2)
+    assert built and all(buddy._mask.closed for buddy in built)

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import make_kernel
 from repro.core import make_policy
-from repro.errors import OutOfMemoryError
+from repro.errors import AllocationError, OutOfMemoryError
 from repro.mem.extent import PageType
+from repro.mem.frames import FrameRange
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import build_config
 from repro.workloads.registry import make_workload
@@ -53,17 +54,54 @@ def test_consistent_after_hide_reveal(kernel):
     kernel.check_invariants()
 
 
+def test_invariants_catch_range_inside_another_extent():
+    kernel = make_kernel(fast_mib=8, slow_mib=32)
+    kernel.begin_epoch(0)
+    (first,) = kernel.allocate_region("a", PageType.HEAP, 1024, [0])
+    (second,) = kernel.allocate_region("b", PageType.HEAP, 1024, [0])
+    kernel.check_invariants()
+    # Frames 1280-1791 lie strictly inside the second extent's range.
+    first.frames = [FrameRange(0, 512), FrameRange(1280, 512)]
+    owners = f"owned by extents {second.extent_id} and {first.extent_id}"
+    with pytest.raises(AllocationError, match=f"frame 1280 {owners}"):
+        kernel.check_invariants()
+
+
+def test_invariants_catch_frames_outside_the_node():
+    kernel = make_kernel(fast_mib=8, slow_mib=32)
+    kernel.begin_epoch(0)
+    (extent,) = kernel.allocate_region("a", PageType.HEAP, 1024, [0])
+    extent.frames = [FrameRange(10**7, 1024)]
+    with pytest.raises(AllocationError, match="outside node 0"):
+        kernel.check_invariants()
+
+
 @pytest.mark.parametrize(
-    "policy", ["heap-od", "hetero-lru", "hetero-coordinated", "vmm-exclusive"]
+    "app, fast_ratio, epochs, policy",
+    [
+        *(
+            pytest.param("leveldb", 0.25, 20, policy, id=policy)
+            for policy in (
+                "heap-od", "hetero-lru", "hetero-coordinated", "vmm-exclusive"
+            )
+        ),
+        # Scarce FastMem: these runs migrate pages; the leveldb ones
+        # migrate none.
+        pytest.param("xstream", 0.125, 30, "hetero-native",
+                     id="xstream-r0.125-hetero-native"),
+        pytest.param("xstream", 0.125, 30, "nvm-write-aware",
+                     id="xstream-r0.125-nvm-write-aware"),
+    ],
 )
-def test_consistent_after_full_simulation(policy):
+def test_consistent_after_full_simulation(app, fast_ratio, epochs, policy):
     engine = SimulationEngine(
-        build_config(fast_ratio=0.25),
-        make_workload("leveldb"),
+        build_config(fast_ratio=fast_ratio),
+        make_workload(app),
         make_policy(policy),
     )
-    engine.run(20)
-    engine.kernel.check_invariants()
+    for demand in engine.workload.epochs(epochs):
+        engine.step(demand)
+        engine.kernel.check_invariants()
 
 
 @settings(max_examples=25, deadline=None)
