@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Used when the tree has no ``WORKER_ENTRY_POINTS`` marker of its own.
-DEFAULT_WORKER_ENTRY_POINTS = ("_run_chunk", "_run_one", "run_spec")
+DEFAULT_WORKER_ENTRY_POINTS = ("_worker_main",)
 
 #: Module (index-normalized) whose functions run inside forked workers.
 _WORKER_MODULE = "sim.parallel"

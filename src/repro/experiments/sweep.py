@@ -96,7 +96,7 @@ def expand_grid(
     """Expand a sweep grid into specs, baselines included, in row order.
 
     Each (throttle, ratio, app) group leads with its baseline spec so a
-    chunked parallel run simulates baselines early; duplicates (e.g.
+    parallel run simulates baselines early; duplicates (e.g.
     ``baseline_policy`` also listed in ``policies``) are collapsed by
     :func:`~repro.sim.parallel.run_specs` itself.
     """

@@ -28,17 +28,16 @@ onto the existing job instead of duplicating work (idempotent
 resubmission, the serve twin of the cache-key dedup inside
 ``run_specs``).
 
-Durability idiom mirrors :class:`~repro.sim.parallel.SweepJournal`:
-appends are flushed, fsynced, and guarded by the same advisory file
-lock; corrupt lines (a kill mid-append) are skipped on load with the
-last entry per job winning.
+Durability is :class:`~repro.sim.parallel.SweepJournal`'s, through
+the same append/replay pair: appends are flushed, fsynced, and guarded
+by the same advisory file lock; corrupt lines (a kill mid-append) are
+skipped on load with the last entry per job winning.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,7 +49,8 @@ from repro.sim.parallel import (
     ResultCache,
     SpecOutcome,
     SweepJournal,
-    _FileLock,
+    _append_jsonl,
+    _replay_jsonl,
     source_fingerprint,
     spec_from_canonical,
 )
@@ -162,27 +162,13 @@ class JobStore:
         version-skewed lines are skipped; an unreadable journal
         degrades to an empty store, never an error.
         """
-        events: "List[dict]" = []
-        corrupt = 0
-        try:
-            with open(self.jobs_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        corrupt += 1
-                        continue
-                    if (
-                        isinstance(entry, dict)
-                        and entry.get("v") == JOBS_FORMAT_VERSION
-                    ):
-                        events.append(entry)
-        except OSError:
-            pass
-        self.corrupt_lines_skipped = corrupt
+        lines, self.corrupt_lines_skipped = _replay_jsonl(self.jobs_path)
+        events: "List[dict]" = [
+            entry
+            for entry in lines
+            if isinstance(entry, dict)
+            and entry.get("v") == JOBS_FORMAT_VERSION
+        ]
         self.jobs = {}
         for entry in events:
             job_id = entry.get("job")
@@ -270,14 +256,15 @@ class JobStore:
         if existing is not None:
             return existing, False
         job = Job(job_id=job_id, client=client, specs=tuple(specs))
-        self._append(
+        _append_jsonl(
+            self.jobs_path,
             {
                 "v": JOBS_FORMAT_VERSION,
                 "event": "submit",
                 "job": job_id,
                 "client": client,
                 "specs": [spec.canonical() for spec in job.specs],
-            }
+            },
         )
         self.jobs[job_id] = job
         return job, True
@@ -287,33 +274,15 @@ class JobStore:
         if state not in JOB_STATES:
             raise ServeError(f"unknown job state {state!r}")
         job.state = state
-        self._append(
+        _append_jsonl(
+            self.jobs_path,
             {
                 "v": JOBS_FORMAT_VERSION,
                 "event": "state",
                 "job": job.job_id,
                 "state": state,
-            }
+            },
         )
-
-    def _append(self, entry: dict) -> None:
-        """SweepJournal-idiom append: locked, flushed, fsynced,
-        best-effort (an unwritable journal degrades durability, not
-        availability)."""
-        try:
-            self.jobs_path.parent.mkdir(parents=True, exist_ok=True)
-            with _FileLock(self.jobs_path):
-                with open(self.jobs_path, "a", encoding="utf-8") as handle:
-                    handle.write(
-                        json.dumps(
-                            entry, sort_keys=True, separators=(",", ":")
-                        )
-                        + "\n"
-                    )
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     # Views

@@ -15,8 +15,10 @@ Architecture (three thread groups, one lock):
   bit-identical to direct execution — and completes jobs as outcomes
   arrive.
 * **worker processes** under the
-  :class:`~repro.serve.supervisor.WorkerSupervisor` run the specs
-  (persistent pool, heartbeats, respawn, quarantine).
+  :class:`~repro.sim.parallel.WorkerSupervisor` run the specs
+  (persistent pool, one task per worker, respawn, quarantine) — the
+  same pool ``run_specs`` uses.  Without ``fork`` the supervisor runs
+  specs inline on the scheduler thread, outside the server lock.
 
 Robustness properties:
 
@@ -50,9 +52,13 @@ from repro.errors import ServeError
 from repro.obs.flight import SweepRecorder
 from repro.obs.metrics import MetricsRegistry, PROMETHEUS_CONTENT_TYPE
 from repro.serve.jobstore import Job, JobStore, job_id_for
-from repro.serve.supervisor import WorkerSupervisor
 from repro.serve.wire import outcome_to_wire
-from repro.sim.parallel import ExperimentSpec, SpecFailure, SpecOutcome
+from repro.sim.parallel import (
+    ExperimentSpec,
+    SpecFailure,
+    SpecOutcome,
+    WorkerSupervisor,
+)
 
 __all__ = ["ServeConfig", "ExperimentServer"]
 
@@ -582,20 +588,9 @@ class ExperimentServer:
             self.store.cache.store(
                 spec, self.store.fingerprint, outcome.result
             )
-        self.store.journal.record(spec, self.store.fingerprint, outcome)
-        entry: dict = {
-            "key": task.key,
-            "label": spec.label,
-            "status": "ok" if outcome.ok else "failed",
-            "source": outcome.source,
-            "elapsed_sec": outcome.elapsed_sec,
-        }
-        if outcome.error is not None:
-            entry["kind"] = outcome.error.kind
-            entry["message"] = outcome.error.message
-            if outcome.error.error_type is not None:
-                entry["error_type"] = outcome.error.error_type
-        self._journal_entries[task.key] = entry
+        self._journal_entries[task.key] = self.store.journal.record(
+            spec, self.store.fingerprint, outcome
+        )
         copies = sum(len(indexes) for _, indexes in task.waiters)
         self.recorder.outcome(
             spec.label,

@@ -14,14 +14,17 @@ Figure 3.  This module makes the grid the unit of work:
 * :class:`ResultCache` — an on-disk memo of pickled
   :class:`~repro.sim.stats.RunResult` payloads, one file per cache key.
   Corrupt or stale entries degrade to misses, never errors.
-* :func:`run_specs` — fans specs out across worker processes via
-  :class:`concurrent.futures.ProcessPoolExecutor` with chunked
-  scheduling and a per-spec timeout enforced *inside* the worker
-  (``SIGALRM``), falling back to in-process serial execution when
-  ``max_workers=1`` or the platform cannot fork.  Worker crashes and
-  timeouts surface as structured :class:`SpecFailure`\\ s on the
-  returned :class:`SpecOutcome`\\ s — a sweep never hangs and never
-  loses the rest of the grid.
+* :class:`WorkerSupervisor` — the one worker pool: persistent forked
+  workers, each with its own pipe and at most one task, crash
+  attribution and respawn, and a per-spec timeout enforced *inside*
+  the worker (``SIGALRM``).  With ``max_workers=1`` or without
+  ``fork`` it runs the same code path inline.  Both :func:`run_specs`
+  and the ``repro serve`` daemon execute on it.
+* :func:`run_specs` — submits a grid's cache misses to one supervisor
+  and polls for outcomes.  Worker crashes and timeouts surface as
+  structured :class:`SpecFailure`\\ s on the returned
+  :class:`SpecOutcome`\\ s — a dead worker never hangs a sweep, and
+  a crash fails only the spec that caused it.
 * :func:`run_cached` — the in-process memoized entry point the
   experiment drivers share, layered over the same spec/cache machinery
   (set ``REPRO_SWEEP_CACHE_DIR`` to persist across processes).
@@ -35,6 +38,7 @@ that equivalence field-by-field for every registered policy.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -43,12 +47,9 @@ import pickle
 import signal
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 try:  # advisory file locking (POSIX); absent on some platforms
     import fcntl
@@ -56,7 +57,7 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.policy import make_policy
-from repro.errors import ReproError, SweepError
+from repro.errors import ReproError, ServeError, SweepError
 from repro.faults import FaultPlan
 from repro.hw.throttle import ThrottleConfig
 from repro.hw.topology import remote_dram
@@ -74,6 +75,7 @@ __all__ = [
     "SpecFailure",
     "SpecOutcome",
     "SweepJournal",
+    "WorkerSupervisor",
     "clear_memo",
     "default_cache",
     "make_spec",
@@ -89,12 +91,13 @@ __all__ = [
 #: (used by CI and the benchmark harness; absent means no disk cache).
 CACHE_DIR_ENV = "REPRO_SWEEP_CACHE_DIR"
 
-#: Functions executed inside forked sweep workers.  The heteroeffect
-#: race rules (``repro lint --effects``) read this marker statically
-#: and treat everything call-reachable from these as shared with the
-#: parent process: module-global writes there are races, module-global
-#: OS handles are fork-unsafe.  Keep it in sync with run_specs().
-WORKER_ENTRY_POINTS = ("_run_chunk", "_run_one", "run_spec")
+#: The function every forked worker runs.  The heteroeffect race rules
+#: (``repro lint --effects``) read this marker statically and treat
+#: everything call-reachable from it (``_run_one``, ``run_spec``, the
+#: simulator) as shared with the parent process: module-global writes
+#: there are races, module-global OS handles are fork-unsafe.  Keep it
+#: in sync with :meth:`WorkerSupervisor._spawn`.
+WORKER_ENTRY_POINTS = ("_worker_main",)
 
 #: heterocontract anchor (``contract-spec-field``): run inputs that are
 #: deliberately NOT part of the cache key, with the reason a reviewer
@@ -669,9 +672,11 @@ class SpecFailure:
     """A structured per-spec failure (never a raised exception).
 
     ``kind`` is one of ``"timeout"`` (the per-spec budget elapsed),
-    ``"worker-crash"`` (the worker process died — its whole chunk is
-    marked, so innocent chunk-mates may carry this too), or ``"error"``
-    (the simulation raised; ``message`` holds the exception text).
+    ``"worker-crash"`` (the worker process died while running this
+    spec; the parent knows which spec each worker holds, so no other
+    spec is marked), or
+    ``"error"`` (the simulation raised; ``message`` holds the exception
+    text).
     When the raised exception was a :class:`~repro.errors.ReproError`
     subclass, ``error_type`` preserves its class name across the worker
     boundary instead of collapsing the type into the message string.
@@ -738,6 +743,50 @@ def results_or_raise(outcomes: "Sequence[SpecOutcome]") -> "list[RunResult]":
 # ----------------------------------------------------------------------
 
 
+def _append_jsonl(path: Path, entry: dict) -> None:
+    """Append one canonical-JSON line to a journal: locked, flushed and
+    fsynced, so a kill loses at most the line being written.
+
+    Best-effort: an unwritable journal degrades durability, never
+    availability.  The advisory lock keeps a ``repro serve`` daemon and
+    a concurrent ``repro sweep`` appending to one file from
+    interleaving their lines.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with _FileLock(path):
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(
+                    json.dumps(entry, sort_keys=True, separators=(",", ":"))
+                    + "\n"
+                )
+                handle.flush()
+                os.fsync(handle.fileno())
+    except OSError:
+        pass
+
+
+def _replay_jsonl(path: Path) -> "tuple[list, int]":
+    """Every parseable line of a journal, in file order, and the number
+    of corrupt lines skipped (torn writes from a kill mid-append).  An
+    absent or unreadable journal replays as empty."""
+    entries: list = []
+    corrupt = 0
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    entries.append(json.loads(line))
+                except ValueError:
+                    corrupt += 1
+    except OSError:
+        pass
+    return entries, corrupt
+
+
 class SweepJournal:
     """Append-only JSONL checkpoint of per-spec sweep progress.
 
@@ -763,25 +812,12 @@ class SweepJournal:
 
     def load(self) -> "dict[str, dict]":
         """Entries by cache key; empty when absent or unreadable."""
-        entries: "dict[str, dict]" = {}
-        corrupt = 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        corrupt += 1  # torn write from a kill mid-append
-                        continue
-                    if isinstance(entry, dict) and isinstance(
-                        entry.get("key"), str
-                    ):
-                        entries[entry["key"]] = entry
-        except OSError:
-            pass
+        lines, corrupt = _replay_jsonl(self.path)
+        entries: "dict[str, dict]" = {
+            entry["key"]: entry
+            for entry in lines
+            if isinstance(entry, dict) and isinstance(entry.get("key"), str)
+        }
         self.corrupt_lines_skipped = corrupt
         if corrupt:
             warnings.warn(
@@ -795,9 +831,9 @@ class SweepJournal:
 
     def record(
         self, spec: ExperimentSpec, fingerprint: str, outcome: SpecOutcome
-    ) -> None:
-        """Append one spec's outcome; flushed so a kill loses at most
-        the line being written."""
+    ) -> dict:
+        """Append one spec's outcome (see :func:`_append_jsonl`) and
+        return the entry written, as :meth:`load` would read it back."""
         entry: dict = {
             "key": spec.cache_key(fingerprint),
             "label": spec.label,
@@ -812,22 +848,8 @@ class SweepJournal:
             entry["message"] = outcome.error.message
             if outcome.error.error_type is not None:
                 entry["error_type"] = outcome.error.error_type
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            # Advisory lock so a daemon and a concurrent `repro sweep`
-            # appending to the same journal cannot interleave lines.
-            with _FileLock(self.path):
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(
-                        json.dumps(
-                            entry, sort_keys=True, separators=(",", ":")
-                        )
-                        + "\n"
-                    )
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        except OSError:
-            pass
+        _append_jsonl(self.path, entry)
+        return entry
 
     def reset(self) -> None:
         """Start a fresh sweep: drop any previous checkpoint."""
@@ -890,8 +912,8 @@ def _run_one(
     start = _wall_sec()
     use_alarm = timeout_sec is not None and _timeout_supported()
     if timeout_sec is not None and not use_alarm:
-        # Graceful fallback: a worker on a non-main thread (the serve
-        # supervisor's serial path) or a platform without SIGALRM runs
+        # Graceful fallback: a spec run inline on a non-main thread (the
+        # serve scheduler without fork) or a platform without SIGALRM runs
         # without a timeout rather than crashing.  warnings' per-location
         # registry dedups this to once per process.
         warnings.warn(
@@ -944,17 +966,6 @@ def _run_one(
                 )
 
 
-def _run_chunk(
-    specs: "list[ExperimentSpec]",
-    timeout_sec: "float | None",
-    capture_timelines: bool = False,
-) -> "list[tuple[str, object, float]]":
-    """Worker entry point: run a chunk of specs sequentially."""
-    return [
-        _run_one(spec, timeout_sec, capture_timelines) for spec in specs
-    ]
-
-
 def _outcome_from_status(
     spec: ExperimentSpec,
     status: "tuple[str, object, float]",
@@ -980,18 +991,317 @@ def _outcome_from_status(
     )
 
 
-def _chunked(
-    items: "list[ExperimentSpec]", chunk_size: int
-) -> "list[list[ExperimentSpec]]":
-    return [
-        items[i:i + chunk_size] for i in range(0, len(items), chunk_size)
-    ]
-
-
 def _fork_available() -> bool:
     import multiprocessing
 
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+# ----------------------------------------------------------------------
+# Supervised worker pool (run_specs and the repro serve daemon)
+# ----------------------------------------------------------------------
+
+
+def _worker_main(conn, inherited, capture_timelines: bool) -> None:
+    """Worker process loop: receive a spec, run it, send its status.
+
+    Every worker has a pipe of its own to the parent and holds at most
+    one task, so the parent always knows which spec a worker runs: a
+    crash is attributed without any message from the worker, and no
+    lock is shared between workers.  (A queue shared by all workers is
+    guarded by a read lock that an idle worker holds while it waits;
+    SIGKILL that worker and every other one blocks for good.)  A
+    ``None`` task is the shutdown sentinel.  Pipe failures (the parent
+    died) end the loop quietly: the supervisor owns all error
+    reporting.
+
+    The fork hands the worker the parent's end of its own pipe and of
+    every other worker's pipe (``inherited``).  It closes them first.
+    Otherwise the workers would keep each other's pipes open, and a
+    parent killed without a chance to send sentinels (SIGKILL) would
+    leave them blocked in ``recv()`` forever instead of seeing EOF.
+    """
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            item = conn.recv()
+        except (EOFError, OSError):
+            break
+        if item is None:
+            break
+        spec, timeout_sec = item
+        status = _run_one(spec, timeout_sec, capture_timelines)
+        try:
+            conn.send(status)
+        except (EOFError, OSError):
+            break
+
+
+class WorkerSupervisor:
+    """The crash-tolerant worker pool behind :func:`run_specs` and the
+    ``repro serve`` scheduler.
+
+    Protocol: :meth:`submit` queues ``(task_id, spec)`` under any
+    hashable id the caller picks; :meth:`poll` returns finished
+    ``(task_id, SpecOutcome)`` pairs and supervises the pool meanwhile:
+
+    * **one task per worker** — each worker has its own pipe, and a
+      task is sent only to an idle worker; the rest wait in a
+      parent-side deque.  The parent always knows which worker owns
+      which spec, and :meth:`submit` never blocks on a full pipe;
+    * **crash detection + respawn** — a dead worker fails the task it
+      held with the structured ``worker-crash`` kind and is replaced
+      immediately (:attr:`respawns`);
+    * **bounded crash retries + quarantine** — a crashed task re-runs
+      until it has killed ``max_crashes`` workers, then surfaces as a
+      final ``worker-crash`` failure, so one poisoned spec cannot
+      serially kill every worker.  ``run_specs`` passes
+      ``max_crashes=1``: every crash goes back to its own retry loop;
+    * **inline execution** — with ``inline=True``, without ``fork``, or
+      when the pool fails to start, :meth:`poll` runs one queued spec
+      per call in the calling thread.  There is no process boundary
+      then, so no crash isolation.  On a non-main thread (the daemon's
+      scheduler) :func:`_run_one` warns once and runs without a
+      timeout.
+
+    Timeout failures come back un-retried: the caller owns the retry
+    budget for timeouts.  Execution in a worker and inline is the same
+    :func:`_run_one`, which is what keeps served, parallel and serial
+    results bit-identical.
+    """
+
+    def __init__(
+        self,
+        max_workers: int = 1,
+        timeout_sec: "float | None" = None,
+        capture_timelines: bool = False,
+        max_crashes: int = 2,
+        inline: bool = False,
+    ) -> None:
+        if max_workers < 1:
+            raise ServeError(
+                f"max_workers must be >= 1, got {max_workers}"
+            )
+        if max_crashes < 1:
+            raise ServeError(
+                f"max_crashes must be >= 1, got {max_crashes}"
+            )
+        self.max_workers = int(max_workers)
+        self.timeout_sec = timeout_sec
+        self.capture_timelines = capture_timelines
+        self.max_crashes = int(max_crashes)
+        #: Workers respawned after a crash (a serve metrics series).
+        self.respawns = 0
+        #: task id -> crash count at the moment it was quarantined.
+        self.quarantined: "dict[Hashable, int]" = {}
+        self._serial = inline or not _fork_available()
+        self._started = False
+        self._stopping = False
+        self._context = None
+        #: parent end of a worker's pipe -> its process.
+        self._workers: dict = {}
+        #: parent end of a busy worker's pipe -> the task id it holds.
+        self._running: dict = {}
+        #: task id -> spec, for everything submitted but not finished.
+        self._outstanding: "dict[Hashable, ExperimentSpec]" = {}
+        #: Task ids submitted but not yet sent to a worker (or, when
+        #: inline, not yet run), in submission order.
+        self._pending: "collections.deque[Hashable]" = collections.deque()
+        self._crashes: "dict[Hashable, int]" = {}
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+
+    @property
+    def mode(self) -> str:
+        """``"forked"`` (supervised pool) or ``"serial"`` (inline)."""
+        return "serial" if self._serial else "forked"
+
+    def start(self) -> None:
+        if self._started:
+            return
+        self._started = True
+        if self._serial:
+            return
+        import multiprocessing
+
+        try:
+            self._context = multiprocessing.get_context("fork")
+            for _ in range(self.max_workers):
+                self._spawn()
+        except (OSError, NotImplementedError, ValueError):
+            # The pool failed to start (process or descriptor limits,
+            # an exotic platform): run inline, same execution path.
+            for conn, process in self._workers.items():
+                process.terminate()
+                process.join(timeout=1.0)
+                conn.close()
+            self._workers = {}
+            self._serial = True
+
+    def _spawn(self) -> None:
+        conn, child = self._context.Pipe()
+        process = self._context.Process(
+            target=_worker_main,
+            args=(child, [conn, *self._workers], self.capture_timelines),
+            daemon=True,
+        )
+        try:
+            process.start()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            child.close()
+        self._workers[conn] = process
+
+    def stop(self) -> None:
+        """Shut the pool down; idempotent, never raises."""
+        self._stopping = True
+        if self._serial or not self._started:
+            return
+        for conn in self._workers:
+            try:
+                conn.send(None)
+            except (OSError, ValueError):
+                pass  # already dead: joined below
+        for conn, process in self._workers.items():
+            process.join(timeout=2.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=1.0)
+            conn.close()
+        self._workers = {}
+        self._running = {}
+
+    # ------------------------------------------------------------------
+    # Work
+    # ------------------------------------------------------------------
+
+    def submit(self, task_id: Hashable, spec: ExperimentSpec) -> None:
+        """Queue one spec for execution under ``task_id``; never blocks
+        and never runs the spec (that happens in :meth:`poll`)."""
+        if not self._started or self._stopping:
+            raise ServeError("supervisor is not running")
+        self._outstanding[task_id] = spec
+        self._pending.append(task_id)
+        if not self._serial:
+            self._feed()
+
+    def poll(
+        self, timeout_sec: float = 0.05
+    ) -> "list[tuple[Hashable, SpecOutcome]]":
+        """Collect finished tasks; supervise the pool while doing so.
+
+        Inline, runs the next queued spec and returns its outcome.
+        Forked, waits up to ``timeout_sec`` for results or worker
+        deaths and handles every one that is ready.  Crash handling
+        happens here: a dead worker fails the task it held, gets
+        replaced, and the task either re-runs (crash count below
+        ``max_crashes``) or surfaces as a quarantined ``worker-crash``
+        failure.  Idle workers get their next tasks last.
+        """
+        if self._serial:
+            if not self._pending:
+                return []
+            task_id = self._pending.popleft()
+            spec = self._outstanding.pop(task_id)
+            status = _run_one(spec, self.timeout_sec, self.capture_timelines)
+            return [(task_id, _outcome_from_status(spec, status, "serial"))]
+        if not self._started or self._stopping:
+            return []
+        from multiprocessing.connection import wait
+
+        # A worker's sentinel turns ready as it exits, a little before
+        # is_alive() turns false: reaping by sentinel never spins.
+        sentinels = {
+            process.sentinel: conn for conn, process in self._workers.items()
+        }
+        ready = wait([*self._running, *sentinels], max(0.0, timeout_sec))
+        events: "list[tuple[Hashable, SpecOutcome]]" = []
+        # Results first: a worker may send its result and then die.
+        for conn in ready:
+            if conn in self._running:
+                events.extend(self._receive(conn))
+        for sentinel in ready:
+            conn = sentinels.get(sentinel)
+            if conn is None or conn not in self._workers:
+                continue
+            if conn in self._running and conn.poll():
+                events.extend(self._receive(conn))
+            if conn in self._workers:
+                events.extend(self._reap(conn))
+        self._feed()
+        return events
+
+    def _feed(self) -> None:
+        """Send queued tasks to idle workers, one task each."""
+        for conn in self._workers:
+            if not self._pending:
+                return
+            if conn in self._running:
+                continue
+            task_id = self._pending[0]
+            try:
+                conn.send((self._outstanding[task_id], self.timeout_sec))
+            except OSError:
+                continue  # died idle: its sentinel reports it
+            self._running[conn] = self._pending.popleft()
+
+    def _receive(self, conn) -> "list[tuple[Hashable, SpecOutcome]]":
+        """Read a busy worker's result; reap it if it died first."""
+        try:
+            status = conn.recv()
+        except (OSError, EOFError, pickle.UnpicklingError):
+            return self._reap(conn)  # died before or while sending
+        task_id = self._running.pop(conn)
+        spec = self._outstanding.pop(task_id)
+        return [(task_id, _outcome_from_status(spec, status, "parallel"))]
+
+    def _reap(self, conn) -> "list[tuple[Hashable, SpecOutcome]]":
+        """Replace a dead worker; re-run or quarantine its task."""
+        process = self._workers.pop(conn)
+        process.join()
+        conn.close()
+        task_id = self._running.pop(conn, None)
+        if not self._stopping:
+            self._spawn()
+            self.respawns += 1
+        if task_id is None:
+            return []
+        spec = self._outstanding[task_id]
+        count = self._crashes.get(task_id, 0) + 1
+        self._crashes[task_id] = count
+        if count < self.max_crashes and not self._stopping:
+            # A crash is re-runnable until this spec has proven
+            # poisonous.
+            self._pending.append(task_id)
+            return []
+        self.quarantined[task_id] = count
+        del self._outstanding[task_id]
+        return [
+            (
+                task_id,
+                SpecOutcome(
+                    spec=spec,
+                    error=SpecFailure(
+                        kind="worker-crash",
+                        message=(
+                            f"worker process died {count} time(s) "
+                            "running this spec; quarantined"
+                        ),
+                    ),
+                    source="parallel",
+                ),
+            )
+        ]
+
+    @property
+    def outstanding(self) -> int:
+        """Tasks submitted but not yet finished (queued + in flight)."""
+        return len(self._outstanding)
 
 
 ProgressFn = Callable[[SpecOutcome, int, int], None]
@@ -1028,7 +1338,6 @@ def run_specs(
     max_workers: "int | None" = 1,
     cache: "ResultCache | str | Path | None" = None,
     timeout_sec: "float | None" = None,
-    chunk_size: "int | None" = None,
     progress: "Optional[ProgressFn]" = None,
     fingerprint: "str | None" = None,
     capture_timelines: bool = False,
@@ -1041,11 +1350,12 @@ def run_specs(
     """Execute a grid, returning one :class:`SpecOutcome` per input spec.
 
     Duplicate specs are simulated once and fanned back out.  Cache hits
-    (when ``cache`` is given) skip simulation entirely.  ``max_workers``
-    above 1 fans cache misses out over a forked process pool with
-    chunked scheduling; ``max_workers=1``, ``max_workers=None`` on a
-    single-core host, or a platform without ``fork`` all degrade to
-    in-process serial execution of the same code path.  ``timeout_sec``
+    (when ``cache`` is given) skip simulation entirely.  Cache misses
+    all go to one :class:`WorkerSupervisor`, started on the first miss
+    and kept across retry rounds: ``max_workers`` above 1 forks that
+    many workers (a crash fails only the spec that caused it);
+    ``max_workers=1``, ``max_workers=None`` on a single-core host, or a
+    platform without ``fork`` run the same code path inline.  ``timeout_sec``
     bounds each spec's wall-clock budget (enforced in the executing
     process via ``SIGALRM`` where available).  ``progress`` is invoked
     as ``progress(outcome, done, total)`` after every grid point.
@@ -1207,144 +1517,59 @@ def run_specs(
         for index in pending[spec]:
             _record(index, outcome)
 
-    OutcomeFn = Callable[[ExperimentSpec, SpecOutcome], None]
-
-    def _run_serially(
-        round_specs: "list[ExperimentSpec]", on_outcome: "OutcomeFn"
-    ) -> None:
-        for spec in round_specs:
-            on_outcome(spec, _outcome_from_status(
-                spec,
-                _run_one(spec, timeout_sec, capture_timelines),
-                "serial",
-            ))
-
-    def _execute_round(
-        round_specs: "list[ExperimentSpec]", on_outcome: "OutcomeFn"
-    ) -> None:
-        """Run one batch of specs, parallel when possible."""
-        # max_workers > 1 always means worker-process isolation (even
-        # for a single miss): a crashing simulation must never take
-        # down the caller's process.
-        if not (max_workers > 1 and round_specs and _fork_available()):
-            _run_serially(round_specs, on_outcome)
-            return
-        if chunk_size is None:
-            # Aim for ~4 chunks per worker: coarse enough to amortize
-            # task dispatch, fine enough to keep the pool busy.
-            round_chunk = max(1, len(round_specs) // (max_workers * 4))
-        else:
-            round_chunk = chunk_size
-        chunks = _chunked(round_specs, round_chunk)
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        try:
-            executor = ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=context
-            )
-        except (OSError, NotImplementedError, ValueError):
-            # Pool creation itself failed (resource limits, exotic
-            # platform): graceful serial fallback, same execution path.
-            _run_serially(round_specs, on_outcome)
-            return
-
-        try:
-            futures = {
-                executor.submit(
-                    _run_chunk, chunk, timeout_sec, capture_timelines
-                ): chunk
-                for chunk in chunks
-            }
-            for future in as_completed(futures):
-                chunk = futures[future]
-                try:
-                    statuses = future.result()
-                except BrokenProcessPool:
-                    # The worker died mid-chunk (hard crash); every spec
-                    # in the chunk is marked rather than re-run, because
-                    # the crasher would take the parent down with it.
-                    failure = SpecFailure(
-                        kind="worker-crash",
-                        message=(
-                            "worker process died; chunk of "
-                            f"{len(chunk)} spec(s) abandoned"
-                        ),
-                    )
-                    for spec in chunk:
-                        on_outcome(
-                            spec,
-                            SpecOutcome(
-                                spec=spec, error=failure, source="parallel"
-                            ),
-                        )
-                except ReproError as exc:
-                    failure = SpecFailure(
-                        kind="error",
-                        message=f"{type(exc).__name__}: {exc}",
-                        error_type=type(exc).__name__,
-                    )
-                    for spec in chunk:
-                        on_outcome(
-                            spec,
-                            SpecOutcome(
-                                spec=spec, error=failure, source="parallel"
-                            ),
-                        )
-                except Exception as exc:  # noqa: BLE001 — structured outcome
-                    failure = SpecFailure(
-                        kind="error", message=f"{type(exc).__name__}: {exc}"
-                    )
-                    for spec in chunk:
-                        on_outcome(
-                            spec,
-                            SpecOutcome(
-                                spec=spec, error=failure, source="parallel"
-                            ),
-                        )
-                else:
-                    for spec, status in zip(chunk, statuses):
-                        on_outcome(
-                            spec,
-                            _outcome_from_status(spec, status, "parallel"),
-                        )
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    # Bounded-retry loop: transient failures (timeouts, worker crashes)
-    # re-run with exponential backoff; everything else finishes on its
-    # first outcome.  Deterministic errors never retry — the simulator
-    # would reproduce them bit-for-bit.
+    # Bounded-retry loop over one supervised pool: transient failures
+    # (timeouts, worker crashes) re-run with exponential backoff;
+    # everything else finishes on its first outcome.  Deterministic
+    # errors never retry — the simulator would reproduce them
+    # bit-for-bit.  max_workers > 1 always means worker-process
+    # isolation (even for a single miss): a crashing simulation must
+    # never take down the caller's process.  max_crashes=1 hands every
+    # crash straight back to this loop, so ``retries`` covers both kinds.
     to_run = misses
     attempt = 0
-    while to_run:
-        retryable: "list[ExperimentSpec]" = []
-
-        def _dispatch(spec: ExperimentSpec, outcome: SpecOutcome) -> None:
-            if (
-                attempt < retries
-                and outcome.error is not None
-                and outcome.error.transient
-            ):
-                if recorder is not None:
-                    recorder.retry(
-                        spec.label, outcome.error.kind, attempt + 1
-                    )
-                retryable.append(spec)
-            else:
-                _finish(spec, outcome)
-
-        _execute_round(to_run, _dispatch)
-        if not retryable:
-            break
-        attempt += 1
-        stretch = 1.0
-        if retry_jitter > 0:
-            stretch += retry_jitter * _retry_jitter_fraction(
-                retryable, fingerprint or "", attempt
-            )
-        _sleep_backoff(retry_backoff_sec * stretch, attempt)
-        to_run = retryable
+    supervisor = None
+    if to_run:  # a warm sweep forks nothing
+        supervisor = WorkerSupervisor(
+            max_workers=max(1, min(max_workers, len(to_run))),
+            timeout_sec=timeout_sec,
+            capture_timelines=capture_timelines,
+            max_crashes=1,
+            inline=max_workers <= 1,
+        )
+        supervisor.start()
+    try:
+        while to_run:
+            for spec in to_run:
+                supervisor.submit(pending[spec][0], spec)
+            retryable: "list[ExperimentSpec]" = []
+            while supervisor.outstanding:
+                for _, outcome in supervisor.poll():
+                    spec = outcome.spec
+                    if (
+                        attempt < retries
+                        and outcome.error is not None
+                        and outcome.error.transient
+                    ):
+                        if recorder is not None:
+                            recorder.retry(
+                                spec.label, outcome.error.kind, attempt + 1
+                            )
+                        retryable.append(spec)
+                    else:
+                        _finish(spec, outcome)
+            if not retryable:
+                break
+            attempt += 1
+            stretch = 1.0
+            if retry_jitter > 0:
+                stretch += retry_jitter * _retry_jitter_fraction(
+                    retryable, fingerprint or "", attempt
+                )
+            _sleep_backoff(retry_backoff_sec * stretch, attempt)
+            to_run = retryable
+    finally:
+        if supervisor is not None:
+            supervisor.stop()
     if recorder is not None:
         recorder.sweep_finished(cache=resolved_cache)
     return [outcomes[i] for i in range(len(ordered))]

@@ -5,7 +5,8 @@ bit-identical :class:`RunResult` whether it runs serially in-process,
 in a forked worker, or comes back from the on-disk cache.  These tests
 assert that equivalence field-by-field for every registered policy,
 and pin the failure modes — cache corruption, worker crashes, per-spec
-timeouts — as structured outcomes rather than hung or poisoned sweeps.
+timeouts, batches larger than the worker pipe — as structured outcomes
+rather than hung or poisoned sweeps.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import os
 import pickle
 import signal
+import threading
 import time
 
 import pytest
@@ -24,6 +26,7 @@ from repro.sim import parallel
 from repro.sim.parallel import (
     ExperimentSpec,
     ResultCache,
+    WorkerSupervisor,
     make_spec,
     results_or_raise,
     run_spec,
@@ -239,16 +242,33 @@ def scratch_workloads():
 
 
 def test_max_workers_one_never_forks(monkeypatch):
-    """The serial fallback must not touch ProcessPoolExecutor at all."""
+    """A serial sweep runs inline: it never spawns a worker process."""
 
-    def _boom(*args, **kwargs):  # pragma: no cover - defensive
-        raise AssertionError("serial path created a process pool")
+    def _boom(self):  # pragma: no cover - defensive
+        raise AssertionError("serial path spawned a worker process")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _boom)
+    monkeypatch.setattr(WorkerSupervisor, "_spawn", _boom)
     outcomes = run_specs(
         [make_spec("nginx", "hetero-lru", epochs=EPOCHS)], max_workers=1
     )
     assert outcomes[0].ok and outcomes[0].source == "serial"
+
+
+@needs_fork
+def test_pool_that_fails_to_start_runs_serially(monkeypatch):
+    def _fork_fails(self):
+        raise OSError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(WorkerSupervisor, "_spawn", _fork_fails)
+    outcomes = run_specs(
+        [
+            make_spec("nginx", "hetero-lru", epochs=EPOCHS),
+            make_spec("nginx", "heap-od", epochs=EPOCHS),
+        ],
+        max_workers=2,
+    )
+    assert [o.source for o in outcomes] == ["serial", "serial"]
+    assert all(o.ok for o in outcomes)
 
 
 def test_forkless_platform_falls_back_to_serial(monkeypatch):
@@ -286,7 +306,6 @@ def test_parallel_timeout_spares_the_rest_of_the_grid(scratch_workloads):
         ],
         max_workers=2,
         timeout_sec=0.3,
-        chunk_size=1,
     )
     assert outcomes[0].error is not None
     assert outcomes[0].error.kind == "timeout"
@@ -298,11 +317,162 @@ def test_worker_crash_is_structured_not_hung(scratch_workloads):
     outcomes = run_specs(
         [make_spec(_CrashyWorkload.name, "hetero-lru", epochs=1)],
         max_workers=2,
-        chunk_size=1,
     )
     assert not outcomes[0].ok
     assert outcomes[0].error.kind == "worker-crash"
     assert "worker process died" in outcomes[0].error.message
+
+
+@needs_fork
+@pytest.mark.parametrize("retries", [0, 2])
+def test_worker_crash_fails_only_its_own_spec(scratch_workloads, retries):
+    """One crashing spec among 24 healthy ones fails alone, and stays
+    the only failure when its retries crash again."""
+    healthy = [
+        make_spec("nginx", "hetero-lru", epochs=3, seed=seed)
+        for seed in range(24)
+    ]
+    crashy = make_spec(_CrashyWorkload.name, "hetero-lru", epochs=1)
+    specs = healthy[:5] + [crashy] + healthy[5:]
+    outcomes = run_specs(
+        specs, max_workers=2, retries=retries, retry_backoff_sec=0.0
+    )
+    assert [i for i, o in enumerate(outcomes) if not o.ok] == [5]
+    assert outcomes[5].error.kind == "worker-crash"
+    assert f"died {retries + 1} time(s)" in outcomes[5].error.message
+    serial = run_specs(healthy, max_workers=1)
+    survivors = outcomes[:5] + outcomes[6:]
+    assert [result_dict(o.result) for o in survivors] == [
+        result_dict(o.result) for o in serial
+    ]
+
+
+def many_small_specs(
+    count: int = 600, first_seed: int = 0
+) -> "list[ExperimentSpec]":
+    """600 of them are more tasks than a 64 KiB pipe holds at once
+    (~300 B each)."""
+    return [
+        make_spec("nginx", "hetero-lru", epochs=1, seed=seed)
+        for seed in range(first_seed, first_seed + count)
+    ]
+
+
+def finish_within(seconds: float, work, on_wedge=lambda: None):
+    """Run ``work()`` on a daemon thread and return its result, so a
+    wedged pool fails the test instead of hanging it.  ``on_wedge``
+    cleans up after a wedge (``stop()`` could block too)."""
+    box = {}
+    thread = threading.Thread(
+        target=lambda: box.update(value=work()), daemon=True
+    )
+    thread.start()
+    thread.join(timeout=seconds)
+    if thread.is_alive():
+        on_wedge()
+        pytest.fail(f"still running after {seconds:g}s")
+    assert "value" in box, "the work raised; see the thread's traceback"
+    return box["value"]
+
+
+def drive(supervisor, specs) -> dict:
+    """Submit ``specs`` under their indexes; poll until all are back."""
+
+    def work():
+        for index, spec in enumerate(specs):
+            supervisor.submit(index, spec)
+        outcomes = {}
+        while supervisor.outstanding:
+            outcomes.update(supervisor.poll(0.25))
+        return outcomes
+
+    def terminate_workers():
+        for process in list(supervisor._workers.values()):
+            process.terminate()
+
+    return finish_within(60, work, terminate_workers)
+
+
+@needs_fork
+def test_supervisor_completes_a_batch_larger_than_its_pipe():
+    specs = many_small_specs()
+    supervisor = WorkerSupervisor(max_workers=2)
+    supervisor.start()
+    try:
+        outcomes = drive(supervisor, specs)
+    finally:
+        supervisor.stop()
+    assert sorted(outcomes) == list(range(len(specs)))
+    assert all(outcome.ok for outcome in outcomes.values())
+
+
+@needs_fork
+def test_run_specs_completes_a_batch_larger_than_the_pipe():
+    specs = many_small_specs()
+    outcomes = run_specs(specs, max_workers=2)
+    assert all(outcome.ok for outcome in outcomes)
+    assert [outcome.spec for outcome in outcomes] == specs
+
+
+@needs_fork
+@pytest.mark.parametrize("victims", [(0,), (1,), (0, 1)])
+def test_supervisor_replaces_sigkilled_idle_workers(victims):
+    """Workers SIGKILLed while they wait for a task (an OOM kill, an
+    operator) are replaced, and every spec submitted afterwards comes
+    back.  A task queue shared by all workers fails this: the idle
+    worker holding its read lock takes the lock to its grave."""
+    supervisor = WorkerSupervisor(max_workers=2)
+    supervisor.start()
+    try:
+        assert len(drive(supervisor, many_small_specs(4))) == 4
+        workers = list(supervisor._workers.values())
+        for index in victims:
+            os.kill(workers[index].pid, signal.SIGKILL)
+            workers[index].join(timeout=10)
+            assert not workers[index].is_alive()
+        outcomes = drive(supervisor, many_small_specs(4, first_seed=4))
+        assert supervisor.respawns == len(victims)
+    finally:
+        supervisor.stop()
+    assert sorted(outcomes) == [0, 1, 2, 3]
+    assert all(outcome.ok for outcome in outcomes.values())
+
+
+@needs_fork
+def test_run_specs_survives_a_sigkilled_worker():
+    """A worker SIGKILLed mid-sweep costs at most one retry: every spec
+    comes back, with the serial result."""
+    import multiprocessing
+
+    specs = many_small_specs(40)
+    killed = []
+
+    def kill_a_worker(outcome, done, total):
+        if not killed:
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            killed.append(victim.pid)
+
+    def terminate_workers():
+        for process in multiprocessing.active_children():
+            process.terminate()
+
+    outcomes = finish_within(
+        60,
+        lambda: run_specs(
+            specs,
+            max_workers=2,
+            retries=1,
+            retry_backoff_sec=0.0,
+            progress=kill_a_worker,
+        ),
+        terminate_workers,
+    )
+    assert killed
+    serial = run_specs(specs, max_workers=1)
+    assert [result_dict(o.result) for o in outcomes] == [
+        result_dict(o.result) for o in serial
+    ]
 
 
 def test_simulation_error_is_structured():

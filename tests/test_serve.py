@@ -25,7 +25,6 @@ from repro.serve import (
     JobStore,
     ServeClient,
     ServeConfig,
-    WorkerSupervisor,
     outcome_from_wire,
     outcome_to_wire,
 )
@@ -34,10 +33,13 @@ from repro.sim import parallel
 from repro.sim.parallel import (
     SpecFailure,
     SpecOutcome,
+    WorkerSupervisor,
     make_spec,
     run_specs,
     spec_from_canonical,
 )
+from repro.workloads import registry
+from repro.workloads.base import Workload
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -387,6 +389,48 @@ def test_served_results_identical_to_run_specs_all_policies(server):
         assert (
             server.store.cache.lookup(spec, fingerprint) is not None
         ), spec.label
+
+
+class _SlowWorkload(Workload):
+    """Holds the executing thread for three seconds of wall clock."""
+
+    name = "serve-test-slow"
+    metric = "seconds"
+
+    def default_epochs(self) -> int:
+        return 1
+
+    def epochs(self, count):
+        time.sleep(3.0)
+        return iter(())
+
+
+def test_forkless_daemon_runs_specs_inline(tmp_path, monkeypatch):
+    """Without fork the supervisor runs each spec inline on the
+    scheduler thread, outside the server lock: /healthz answers while a
+    spec runs, and results still equal run_specs'."""
+    monkeypatch.setattr(parallel, "_fork_available", lambda: False)
+    registry.register_workload(_SlowWorkload.name, _SlowWorkload)
+    srv = ExperimentServer(ServeConfig(root=tmp_path, workers=2))
+    srv.start()
+    specs = [tiny_spec(), tiny_spec("heap-od")]
+    try:
+        client = client_for(srv, client_id="inline")
+        slow = make_spec(_SlowWorkload.name, "hetero-lru", epochs=1)
+        job_id = client.submit([slow] + specs)
+        time.sleep(0.5)  # the scheduler is inside the slow spec now
+        probe = client_for(srv, max_attempts=1, timeout_sec=1.0)
+        assert probe.healthz()["worker_mode"] == "serial"
+        served = client.outcomes(client.wait(job_id, timeout_sec=60))[1:]
+    finally:
+        registry._REGISTRY.pop(_SlowWorkload.name, None)
+        srv.drain()
+        assert srv.wait(timeout_sec=30), "drain did not finish"
+    assert [outcome.source for outcome in served] == ["serial", "serial"]
+    direct = run_specs(specs)
+    assert [result_dict(o.result) for o in served] == [
+        result_dict(o.result) for o in direct
+    ]
 
 
 @needs_fork

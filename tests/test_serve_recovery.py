@@ -42,17 +42,21 @@ def result_dicts(outcomes):
     return [dataclasses.asdict(outcome.result) for outcome in outcomes]
 
 
-def start_daemon(root, *extra: str) -> "tuple[subprocess.Popen, str]":
+def repro_env() -> dict:
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src)
+    return env
+
+
+def start_daemon(root, *extra: str) -> "tuple[subprocess.Popen, str]":
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--cache-dir", str(root), "--workers", "2", "--port", "0",
             *extra,
         ],
-        env=env,
+        env=repro_env(),
         stderr=subprocess.PIPE,
         text=True,
     )
@@ -132,16 +136,22 @@ def pid_alive(pid: int) -> bool:
     return stat[stat.rindex(")") + 2:].split()[0] != "Z"
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_sigkilled_daemon_leaves_no_workers_behind(tmp_path):
-    proc, _ = start_daemon(tmp_path / "state")
+def sigkill_with_two_workers(proc: subprocess.Popen) -> None:
+    """SIGKILL ``proc`` once it has two workers; fail if either worker
+    outlives it by 10 s.  A worker must see EOF on its pipe (idle) or
+    a broken pipe when it sends its result (busy), and exit."""
     try:
+        deadline = time.monotonic() + 30.0
         workers = child_pids(proc.pid)
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = child_pids(proc.pid)
         assert len(workers) == 2, workers
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
-        proc.stderr.close()
+        if proc.stderr is not None:
+            proc.stderr.close()
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         if not any(pid_alive(pid) for pid in workers):
@@ -150,7 +160,59 @@ def test_sigkilled_daemon_leaves_no_workers_behind(tmp_path):
     survivors = [pid for pid in workers if pid_alive(pid)]
     for pid in survivors:
         os.kill(pid, signal.SIGKILL)  # don't leak them past the test
-    assert not survivors, f"workers outlived the SIGKILLed daemon: {survivors}"
+    assert not survivors, (
+        f"workers outlived their SIGKILLed parent: {survivors}"
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigkilled_daemon_leaves_no_workers_behind(tmp_path):
+    proc, _ = start_daemon(tmp_path / "state")
+    sigkill_with_two_workers(proc)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigkilled_sweep_leaves_no_workers_behind(tmp_path):
+    """Killed mid-grid: the sweep runs on the daemon's worker pool."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "sweep",
+            "--policies", "hetero-lru", "hetero-coordinated", "heap-od",
+            "heap-io-slab-od", "vmm-exclusive",
+            "--ratios", "0.125", "0.25", "--epochs", "300",
+            "--workers", "2", "--no-cache", "--quiet",
+        ],
+        env=repro_env(),
+        cwd=tmp_path,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    sigkill_with_two_workers(proc)
+
+
+def test_daemon_serves_a_batch_larger_than_its_task_pipe(tmp_path):
+    """600 distinct specs are more tasks than the worker pipe holds at
+    once; the daemon must keep answering and finish the job."""
+    specs = [
+        make_spec("nginx", "hetero-lru", epochs=1, seed=seed)
+        for seed in range(600)
+    ]
+    proc, address = start_daemon(tmp_path / "state")
+    try:
+        # Short client timeouts: a wedged daemon fails the test quickly
+        # instead of hanging it.
+        client = ServeClient(
+            f"http://{address}", client_id="bulk", max_attempts=2,
+            timeout_sec=5.0,
+        )
+        job_id = client.submit(specs)
+        payload = client.wait(job_id, timeout_sec=120, poll_sec=5.0)
+        served = client.outcomes(payload)
+        assert client.healthz()["status"] == "ok"
+    finally:
+        assert stop_daemon(proc) == 0
+    assert [outcome.spec for outcome in served] == specs
+    assert all(outcome.ok for outcome in served)
 
 
 def test_restart_reuses_cache_for_finished_work(tmp_path):
