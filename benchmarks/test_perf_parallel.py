@@ -8,7 +8,10 @@ sweeps of the Figure 9 grid:
   sweep that populated the cache, and
 * a 4-worker cold sweep must beat the serial cold sweep on
   multi-core runners (skipped on single-core boxes, where forked
-  workers only add overhead).
+  workers only add overhead).  The two sweeps alternate ``ROUNDS``
+  times and each side's best time is compared: a shared host's slow
+  stretches only ever add time, so the minimum is the least-perturbed
+  sample (the best-of-N protocol of docs/performance.md).
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from repro.sim.parallel import ResultCache, results_or_raise, run_specs
 EPOCHS = 40
 
 SPEEDUP_FLOOR = 5.0
+
+#: Alternating serial / 4-worker rounds of the cold comparison.
+ROUNDS = 3
 
 
 def _timed_sweep(specs, **kwargs):
@@ -68,15 +74,20 @@ def test_perf_cached_resweep_beats_cold(tmp_path):
 def test_perf_four_workers_beat_serial_cold(tmp_path):
     specs = fig9_grid_specs(epochs=EPOCHS)
 
-    serial_results, serial_sec = _timed_sweep(specs)
-    parallel_results, parallel_sec = _timed_sweep(specs, max_workers=4)
-
-    assert [dataclasses.asdict(r) for r in parallel_results] == [
-        dataclasses.asdict(r) for r in serial_results
-    ], "worker processes must reproduce the serial results bit-for-bit"
+    serial_times, parallel_times = [], []
+    for _ in range(ROUNDS):
+        serial_results, serial_sec = _timed_sweep(specs)
+        parallel_results, parallel_sec = _timed_sweep(specs, max_workers=4)
+        serial_times.append(serial_sec)
+        parallel_times.append(parallel_sec)
+        assert [dataclasses.asdict(r) for r in parallel_results] == [
+            dataclasses.asdict(r) for r in serial_results
+        ], "worker processes must reproduce the serial results bit-for-bit"
+    serial_sec = min(serial_times)
+    parallel_sec = min(parallel_times)
 
     print(
-        f"\nFig. 9 grid cold: serial {serial_sec:.2f}s, "
+        f"\nFig. 9 grid cold, best of {ROUNDS}: serial {serial_sec:.2f}s, "
         f"4 workers {parallel_sec:.2f}s"
     )
     assert parallel_sec < serial_sec, (

@@ -22,11 +22,14 @@ it is not a ``bytearray``).  The top order, which holds most free
 memory and serves large requests in contiguous runs, is a second
 ``bytearray`` with one byte per top-order block: the lowest free block
 is ``find(1)``, and a request for k top blocks takes them run by run,
-one slice write per run.  Every lower order is a plain ``set``; those
-lists stay a few blocks long, so ``min(set)`` is cheap.  Blocks are
-handed out lowest-start-first; the differential oracle in ``tests/``
-pins every allocation against a plain set-and-bitmask reference
-allocator.
+one slice write per run.  A grant lists each such run as one
+:class:`FrameRange`, and freeing a range of whole, aligned top-order
+blocks is again one write per map: top-order blocks never coalesce, so
+a run is allocated and freed whole.  Every lower order is a plain
+``set``; those lists stay a few blocks long, so ``min(set)`` is cheap.
+Blocks are handed out lowest-start-first; the differential oracle in
+``tests/`` pins every allocation against a plain set-and-bitmask
+reference allocator.
 """
 
 from __future__ import annotations
@@ -182,14 +185,13 @@ class BuddyAllocator:
 
     def _take_top_runs(self, blocks: int, append) -> int:
         """Take the ``blocks`` lowest free top-order blocks (at most as
-        many as are free), ``append`` one range per block in ascending
-        order, and return the frames taken.  Free top blocks are taken
-        run by run: each contiguous run costs one slice write to the
-        top-order map and one to the frame mask."""
+        many as are free), ``append`` one range per contiguous run of
+        them in ascending order, and return the frames taken.  Each run
+        costs one slice write to the top-order map, one to the frame
+        mask and one range, whatever its length."""
         top = self._top
         mask = self._mask
         max_order = self.max_order
-        size = 1 << max_order
         if blocks > self._top_free:
             blocks = self._top_free
         left = blocks
@@ -204,9 +206,7 @@ class BuddyAllocator:
             offset = index << max_order
             frames = run << max_order
             mask[offset:offset + frames] = b"\x01" * frames
-            for start in range(self.base + offset,
-                               self.base + (end << max_order), size):
-                append(_unchecked(start, size))
+            append(_unchecked(self.base + offset, frames))
             left -= run
             index = end
         self._top_free -= blocks
@@ -217,8 +217,13 @@ class BuddyAllocator:
     def allocate_pages(self, pages: int) -> list[FrameRange]:
         """Allocate ``pages`` frames as buddy blocks (largest-first).
 
-        Falls back to smaller orders under fragmentation; on failure the
-        partial allocation is rolled back and the allocator is unchanged.
+        The grant lists each run of contiguous top-order blocks as one
+        range of ``k << max_order`` frames, so its ranges are not all
+        power-of-two blocks; every lower-order block is its own range.
+        The top-order runs come first, then the lower blocks in the
+        order they were taken.  Falls back to smaller orders under
+        fragmentation; on failure the partial allocation is rolled back
+        and the allocator is unchanged.
         """
         if pages <= 0:
             raise AllocationError(f"page count must be positive: {pages}")
@@ -251,47 +256,59 @@ class BuddyAllocator:
                             remaining >> max_order, append
                         )
                         continue
-                    order = max_order
-                else:
-                    # Prefer the largest available order not exceeding
-                    # the need; when fragmentation leaves nothing small,
-                    # split a larger block (_take_block handles the
-                    # split).
-                    order = min(want_order, max_order - 1)
-                    while order >= 0 and not lists[order]:
-                        order -= 1
-                    if order < 0:
-                        order = want_order
-                    elif wrapper is None:
-                        # Same-order hit, inlined.  Take as many blocks
-                        # of this order as the request and the list
-                        # allow in one batch: between same-order takes
-                        # nothing is freed and no split-down runs, so
-                        # higher lists stay empty and a block-at-a-time
-                        # loop would pick this same order every time
-                        # while remaining >= 1 << order.
-                        live = lists[order]
-                        count = 1 << order
-                        batch = remaining >> order
-                        if batch == 1:
-                            start = min(live)
-                            live.discard(start)
-                            starts = (start,)
-                        else:
-                            starts = sorted(live)[:batch]
-                            live.difference_update(starts)
-                        ones = (
-                            _ONE_RUN[order] if order <= MAX_ORDER
-                            else b"\x01" * count
+                    # Sanitized: one wrapped block per call, joined to
+                    # the run before it when contiguous, so the grant
+                    # has the shape _take_top_runs gives it.  Top-order
+                    # blocks lead the grant, so granted[-1] is a run.
+                    block = wrapper(max_order)
+                    remaining -= block.count
+                    if granted and granted[-1].end == block.start:
+                        run = granted[-1]
+                        granted[-1] = _unchecked(
+                            run.start, run.count + block.count
                         )
-                        for start in starts:
-                            offset = start - base
-                            mask[offset:offset + count] = ones
-                            append(_unchecked(start, count))
-                        taken = len(starts) << order
-                        self._free_frames -= taken
-                        remaining -= taken
-                        continue
+                    else:
+                        append(block)
+                    continue
+                # Prefer the largest available order not exceeding
+                # the need; when fragmentation leaves nothing small,
+                # split a larger block (_take_block handles the
+                # split).
+                order = min(want_order, max_order - 1)
+                while order >= 0 and not lists[order]:
+                    order -= 1
+                if order < 0:
+                    order = want_order
+                elif wrapper is None:
+                    # Same-order hit, inlined.  Take as many blocks
+                    # of this order as the request and the list
+                    # allow in one batch: between same-order takes
+                    # nothing is freed and no split-down runs, so
+                    # higher lists stay empty and a block-at-a-time
+                    # loop would pick this same order every time
+                    # while remaining >= 1 << order.
+                    live = lists[order]
+                    count = 1 << order
+                    batch = remaining >> order
+                    if batch == 1:
+                        start = min(live)
+                        live.discard(start)
+                        starts = (start,)
+                    else:
+                        starts = sorted(live)[:batch]
+                        live.difference_update(starts)
+                    ones = (
+                        _ONE_RUN[order] if order <= MAX_ORDER
+                        else b"\x01" * count
+                    )
+                    for start in starts:
+                        offset = start - base
+                        mask[offset:offset + count] = ones
+                        append(_unchecked(start, count))
+                    taken = len(starts) << order
+                    self._free_frames -= taken
+                    remaining -= taken
+                    continue
                 block = take(order)
                 append(block)
                 remaining -= block.count
@@ -331,18 +348,22 @@ class BuddyAllocator:
         the first range that starts outside the span; returns that
         range's index (``len(ranges)`` when every range was freed).
 
-        The per-range validation and the dominant single-aligned-block
-        insert are inlined (identical state transitions and identical
-        error points; the general shape falls through to
-        :meth:`_insert_span`).  Stopping rather than raising at a
-        foreign start lets a NUMA node hand the rest of the batch to the
-        zone that owns it, or raise its own foreign-frame error."""
+        The per-range validation and the two dominant shapes are inlined
+        (identical state transitions and identical error points; the
+        general shape falls through to :meth:`_insert_span`): a run of
+        whole, aligned top-order blocks, which never coalesce, costs one
+        mask write and one top-map write whatever its length; a single
+        aligned lower-order block clears its mask run and coalesces
+        upward.  Stopping rather than raising at a foreign start lets a
+        NUMA node hand the rest of the batch to the zone that owns it,
+        or raise its own foreign-frame error."""
         base = self.base
         total = self.total_frames
         mask = self._mask
         lists = self._free_lists
         top = self._top
         max_order = self.max_order
+        top_mask = (1 << max_order) - 1
         # The free-frame count is flushed lazily: before every raise or
         # return and before delegating to _insert_span (which counts its
         # own span), so partial failures leave the same state as
@@ -369,13 +390,19 @@ class BuddyAllocator:
                 raise AllocationError(
                     f"double free within span [{start}, {start + count})"
                 )
+            if not (offset | count) & top_mask:
+                # Whole, aligned top-order blocks: a run of a grant.
+                mask[offset:offset + count] = bytes(count)
+                index = offset >> max_order
+                blocks = count >> max_order
+                top[index:index + blocks] = b"\x01" * blocks
+                self._top_free += blocks
+                freed += count
+                continue
             order = count.bit_length() - 1
-            if (
-                count == 1 << order
-                and order <= max_order
-                and not offset & (count - 1)
-            ):
-                # One naturally aligned block: clear the mask run and
+            if count == 1 << order and not offset & (count - 1):
+                # One naturally aligned block, below the top order (a
+                # top-sized one is a run above): clear the mask run and
                 # coalesce upward, exactly as _insert_span would.
                 mask[offset:offset + count] = (
                     _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
@@ -416,7 +443,8 @@ class BuddyAllocator:
 
     def _insert_blocks(self, start: int, count: int) -> None:
         """Insert an already-marked free span as maximal aligned blocks,
-        each coalescing upward with its free buddies."""
+        each coalescing upward with its free buddies; a stretch of whole
+        top-order blocks inside it is inserted in one step."""
         base = self.base
         lists = self._free_lists
         max_order = self.max_order
@@ -431,21 +459,30 @@ class BuddyAllocator:
             )
             size_order = remaining.bit_length() - 1
             order = min(max_order, align_order, size_order)
-            taken = 1 << order
-            block = cursor
-            while order < max_order:
-                buddy = base + ((block - base) ^ (1 << order))
-                if buddy not in lists[order]:
-                    break
-                lists[order].discard(buddy)
-                if buddy < block:
-                    block = buddy
-                order += 1
-            if order < max_order:
-                lists[order].add(block)
+            if order == max_order:
+                # A stretch of whole top-order blocks: they never
+                # coalesce, so it is marked free in one top-map write.
+                index = cursor_offset >> max_order
+                blocks = remaining >> max_order
+                self._top[index:index + blocks] = b"\x01" * blocks
+                self._top_free += blocks
+                taken = blocks << max_order
             else:
-                self._top[(block - base) >> max_order] = 1
-                self._top_free += 1
+                taken = 1 << order
+                block = cursor
+                while order < max_order:
+                    buddy = base + ((block - base) ^ (1 << order))
+                    if buddy not in lists[order]:
+                        break
+                    lists[order].discard(buddy)
+                    if buddy < block:
+                        block = buddy
+                    order += 1
+                if order < max_order:
+                    lists[order].add(block)
+                else:
+                    self._top[(block - base) >> max_order] = 1
+                    self._top_free += 1
             cursor += taken
             remaining -= taken
 

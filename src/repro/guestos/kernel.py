@@ -322,10 +322,13 @@ class GuestKernel:
         :attr:`pending_cost_ns`); when no node has room, a refault storm
         penalty is charged instead, capped at one read per page.
         """
-        total_pages = self._region_pages(region_id)
+        extents = self.region_extents(region_id)
+        total_pages = 0
+        for extent in extents:
+            total_pages += extent.pages
         if total_pages == 0:
             return
-        for extent in self.region_extents(region_id):
+        for extent in extents:
             fraction = extent.pages / total_pages
             share = accesses * fraction
             if extent.swapped and share > 0:
@@ -590,9 +593,6 @@ class GuestKernel:
                     f"cached + {hidden} hidden + {used} in extents != "
                     f"{node.total_pages} total"
                 )
-
-    def _region_pages(self, region_id: str) -> Pages:
-        return sum(e.pages for e in self.region_extents(region_id))
 
     # ------------------------------------------------------------------
     # Extent movement (guest-controlled migration target ops)

@@ -535,6 +535,7 @@ class SimulationEngine:
 
     def _apply_allocs(self, demand: EpochDemand) -> None:
         kernel = self.kernel
+        fast_nodes = kernel._fast_node_set
         for region_id, spec in demand.allocs:
             preference = self.policy.node_preference(spec.page_type)
             try:
@@ -548,11 +549,10 @@ class SimulationEngine:
                 if extents is None:
                     self.stats.dropped_allocation_pages += spec.pages
                     continue
-            fast_pages = sum(
-                extent.pages
-                for extent in extents
-                if kernel.nodes[extent.node_id].is_fastmem
-            )
+            fast_pages = 0
+            for extent in extents:
+                if extent.node_id in fast_nodes:
+                    fast_pages += extent.pages
             self.policy.on_allocated(spec.page_type, spec.pages, fast_pages)
             self.region_specs[region_id] = spec
 
@@ -573,11 +573,11 @@ class SimulationEngine:
             return None
 
     def _apply_touches(self, demand: EpochDemand) -> None:
+        kernel = self.kernel
+        regions = kernel.regions
         for region_id, (reads, writes) in demand.accesses.items():
-            if self.kernel.has_region(region_id):
-                self.kernel.touch_region(
-                    region_id, reads + writes, writes=writes
-                )
+            if region_id in regions:
+                kernel.touch_region(region_id, reads + writes, writes=writes)
 
     # ------------------------------------------------------------------
     # Cache + placement accounting

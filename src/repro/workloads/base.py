@@ -84,11 +84,12 @@ class ChurnSpec:
                 f"[1, lifetime]"
             )
 
-    def region_spec(self, pages: int | None = None) -> RegionSpec:
+    def region_spec(self) -> RegionSpec:
+        """The frozen spec every region of this flow is allocated with."""
         return RegionSpec(
             label=self.label,
             page_type=self.page_type,
-            pages=pages or self.pages_per_epoch,
+            pages=self.pages_per_epoch,
             reuse=self.reuse,
             access_share=self.access_share,
             write_fraction=self.write_fraction,
@@ -184,6 +185,12 @@ class StatisticalWorkload(Workload):
         return sum(spec.pages for spec in self.resident)
 
     def epochs(self, count: int) -> Iterator[EpochDemand]:
+        # Per-run constants, built once: each resident region's id and
+        # each churn flow's frozen region spec.
+        resident = [
+            (f"{self.name}:{spec.label}", spec) for spec in self.resident
+        ]
+        churn = [(spec, spec.region_spec()) for spec in self.churn]
         #: live churn regions: (region_id, spec, birth_epoch)
         live: list[tuple[str, ChurnSpec, int]] = []
         for epoch in range(count):
@@ -192,11 +199,9 @@ class StatisticalWorkload(Workload):
                 instructions=self.instructions_per_epoch,
                 io_wait_ns=self.io_wait_ns,
             )
-            for spec in self.resident:
+            for region_id, spec in resident:
                 if spec.alloc_epoch == epoch:
-                    demand.allocs.append(
-                        (f"{self.name}:{spec.label}", spec)
-                    )
+                    demand.allocs.append((region_id, spec))
             # Expire old churn regions.
             still_live: list[tuple[str, ChurnSpec, int]] = []
             for region_id, spec, birth in live:
@@ -206,18 +211,19 @@ class StatisticalWorkload(Workload):
                     still_live.append((region_id, spec, birth))
             live = still_live
             # Spawn this epoch's churn regions.
-            for spec in self.churn:
+            for spec, region_spec in churn:
                 region_id = (
                     f"{self.name}:{spec.label}:{next(self._ids)}"
                 )
-                demand.allocs.append((region_id, spec.region_spec()))
+                demand.allocs.append((region_id, region_spec))
                 live.append((region_id, spec, epoch))
-            self._fill_accesses(demand, live, epoch)
+            self._fill_accesses(demand, resident, live, epoch)
             yield demand
 
     def _fill_accesses(
         self,
         demand: EpochDemand,
+        resident: list[tuple[str, RegionSpec]],
         live: list[tuple[str, ChurnSpec, int]],
         epoch: int,
     ) -> None:
@@ -227,15 +233,13 @@ class StatisticalWorkload(Workload):
             if epoch >= boundary:
                 shifted.update(shares)
         weights: list[tuple[str, float, float]] = []  # id, weight, wf
-        for spec in self.resident:
+        for region_id, spec in resident:
             if epoch < spec.alloc_epoch:
                 continue
             if (epoch - spec.alloc_epoch) % spec.access_period != 0:
                 continue
             share = shifted.get(spec.label, spec.access_share)
-            weights.append(
-                (f"{self.name}:{spec.label}", share, spec.write_fraction)
-            )
+            weights.append((region_id, share, spec.write_fraction))
         # A churn flow's share is split across its *active* live regions.
         active_by_flow: dict[str, list[str]] = {}
         flow_specs: dict[str, ChurnSpec] = {}

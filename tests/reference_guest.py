@@ -9,7 +9,9 @@ demand columns (:func:`repro.sim.fast.fast_memory_demands`).  This
 module keeps the plain versions they must reproduce bit for bit:
 
 * :class:`ReferenceBuddy` — a set-per-order allocator with one
-  Python big integer as its free mask;
+  Python big integer as its free mask, picking and freeing one block
+  at a time (its grants list a run of contiguous top-order blocks as
+  one range, the shape the simulator grants);
 * :class:`ReferenceNode` — zone eligibility rebuilt on every call and
   one ``free_range`` per freed range;
 * :class:`ReferenceSplitLru` — active/inactive page counts summed over
@@ -134,8 +136,13 @@ class ReferenceBuddy:
     def allocate_pages(self, pages: int) -> list[FrameRange]:
         """Allocate ``pages`` frames as buddy blocks (largest-first).
 
-        Falls back to smaller orders under fragmentation; on failure the
-        partial allocation is rolled back and the allocator is unchanged.
+        Every block is picked on its own; the grant then lists each run
+        of consecutive, contiguous top-order blocks as one range, the
+        shape the simulator's allocator grants.  The kernel code both
+        sides share splits a range by position, so the shapes must agree
+        for the frames to.  Falls back to smaller orders under
+        fragmentation; on failure the partial allocation is rolled back
+        and the allocator is unchanged.
         """
         if pages <= 0:
             raise AllocationError(f"page count must be positive: {pages}")
@@ -163,7 +170,20 @@ class ReferenceBuddy:
             for block in granted:
                 self.free_span(block.start, block.count)
             raise
-        return granted
+        top = 1 << self.max_order
+        shaped: list[FrameRange] = []
+        for block in granted:
+            if (
+                block.count == top
+                and shaped
+                and shaped[-1].count % top == 0
+                and shaped[-1].end == block.start
+            ):
+                shaped[-1] = FrameRange(shaped[-1].start,
+                                        shaped[-1].count + top)
+            else:
+                shaped.append(block)
+        return shaped
 
     # ------------------------------------------------------------------
     # Free

@@ -5,9 +5,11 @@ import os
 
 import pytest
 
+from repro.devtools.sanitizer import FrameSanitizer
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.experiments.sharing import run_fig13
 from repro.guestos.buddy import BuddyAllocator
+from repro.mem.frames import FrameRange
 from repro.sim.runner import run_experiment
 
 
@@ -161,6 +163,96 @@ def test_invariants_catch_lower_order_block_marked_allocated():
     buddy._mask[start:start + 8] = b"\x01" * 8
     with pytest.raises(AllocationError, match="mask"):
         buddy.check_invariants()
+
+
+#: One top-order block at the default ``max_order``.
+TOP = 1 << 10
+
+
+def _free_state(buddy):
+    return (
+        buddy.free_frames,
+        buddy._top_free,
+        [buddy.is_free(frame) for frame in range(buddy.total_frames)],
+    )
+
+
+def _free_span_call(buddy, run):
+    buddy.free_span(run.start, run.count)
+
+
+def _free_spans_call(buddy, run):
+    assert buddy._free_spans([run], 0) == 1
+
+
+FREE_PATHS = pytest.mark.parametrize(
+    "free", [_free_span_call, _free_spans_call], ids=["free_span", "_free_spans"]
+)
+
+
+def test_contiguous_top_blocks_granted_as_one_range():
+    buddy = BuddyAllocator(0, 4 * TOP)
+    assert buddy.allocate_pages(3 * TOP) == [FrameRange(0, 3 * TOP)]
+    assert buddy._top_free == 1
+    buddy.check_invariants()
+
+
+def test_top_run_stops_at_an_allocated_block():
+    buddy = BuddyAllocator(0, 4 * TOP)
+    first = buddy.allocate_block(10)
+    buddy.allocate_block(10)  # the middle block stays allocated
+    buddy.free_range(first)
+    assert buddy.allocate_pages(3 * TOP) == [
+        FrameRange(0, TOP),
+        FrameRange(2 * TOP, 2 * TOP),
+    ]
+    buddy.check_invariants()
+
+
+@FREE_PATHS
+def test_freeing_a_run_restores_the_top_order(free):
+    buddy = BuddyAllocator(0, 3 * TOP + 100)
+    before = _free_state(buddy)
+    (run,) = buddy.allocate_pages(3 * TOP)
+    assert buddy.largest_free_order() == 6  # the 100-frame tail's 64
+    free(buddy, run)
+    assert _free_state(buddy) == before
+    assert buddy.largest_free_order() == 10
+    buddy.check_invariants()
+
+
+@FREE_PATHS
+def test_double_free_inside_a_run_changes_nothing(free):
+    buddy = BuddyAllocator(0, 4 * TOP)
+    (run,) = buddy.allocate_pages(3 * TOP)
+    buddy.free_span(run.start + TOP + 7, 1)
+    before = _free_state(buddy)
+    with pytest.raises(AllocationError, match="double free"):
+        free(buddy, run)
+    assert _free_state(buddy) == before
+    buddy.check_invariants()
+
+
+def test_sanitized_grant_has_the_same_shape():
+    """The sanitizer's block-by-block path joins contiguous top-order
+    blocks as the run takes do, so a grant's shape does not depend on
+    whether the sanitizer is attached."""
+    grants = []
+    for sanitize in (False, True):
+        buddy = BuddyAllocator(0, 6 * TOP + 300)
+        sanitizer = FrameSanitizer()
+        if sanitize:
+            sanitizer.attach_buddy(buddy, owner="zone0")
+        first = buddy.allocate_block(10)
+        buddy.allocate_block(10)
+        buddy.free_range(first)
+        grants.append(buddy.allocate_pages(5 * TOP + 200))
+        assert (sanitizer.events > 0) == sanitize
+        assert not sanitizer.reports
+        buddy.check_invariants()
+    plain, sanitized = grants
+    assert sanitized == plain
+    assert plain[:2] == [FrameRange(0, TOP), FrameRange(2 * TOP, 4 * TOP)]
 
 
 def _resident_mib() -> float:

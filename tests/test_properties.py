@@ -64,6 +64,18 @@ def _buddy_programs(draw):
 @example(base=0, max_order=2, case=(64, [
     ("alloc", 12), ("alloc", 4), ("alloc", 8), ("release", 1), ("alloc", 16),
 ]))
+# Grants holding runs of several top blocks: fragments whose head is a
+# stretch of whole top blocks plus a lower tail, runs freed whole
+# through the batch and through free_span, and a grant whose runs are
+# split by a fragment's tail still held.
+@example(base=0, max_order=2, case=(42, [
+    ("alloc", 41), ("free", 1), ("fragment", 10), ("release", 0),
+    ("alloc", 16), ("alloc", 20), ("release", 0), ("free", 1),
+]))
+@example(base=5, max_order=2, case=(64, [
+    ("alloc", 12), ("fragment", 5), ("alloc", 20), ("release", 1),
+    ("free", 1), ("alloc", 30), ("free", 0), ("fragment", 8), ("release", 0),
+]))
 def test_buddy_conserves_frames(base, max_order, case):
     """The array-backed allocator and the reference allocator run the
     same program in lockstep: same grants, same exceptions, same free
@@ -71,7 +83,7 @@ def test_buddy_conserves_frames(base, max_order, case):
     span, program = case
     buddy = BuddyAllocator(base, span, max_order)
     reference = ReferenceBuddy(base, span, max_order)
-    #: Live grants, oldest first: each the still-allocated blocks of one
+    #: Live grants, oldest first: each the still-allocated ranges of one
     #: allocate_pages call.
     live: list = []
 
