@@ -2,11 +2,11 @@
 """Watching a phase change through the policies' eyes.
 
 GraphChi's hot vertex set drifts at epoch 120 (iteration-group change).
-This example records per-epoch timeseries for HeteroOS-LRU (placement
-only) and HeteroOS-coordinated (placement + hotness tracking) and prints
-the stretch around the shift: the fraction of memory stall served by
-FastMem collapses for both, but only the coordinated policy's tracker
-migrates the new hot set back into FastMem.
+This example reads the per-epoch telemetry timelines of HeteroOS-LRU
+(placement only) and HeteroOS-coordinated (placement + hotness tracking)
+and prints the stretch around the shift: the fraction of memory stall
+served by FastMem collapses for both, but only the coordinated policy's
+tracker migrates the new hot set back into FastMem.
 
 Usage::
 
@@ -16,6 +16,7 @@ Usage::
 from __future__ import annotations
 
 from repro.core import make_policy
+from repro.obs.bus import Telemetry
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import build_config
 from repro.workloads import make_workload
@@ -25,14 +26,28 @@ WINDOW = (100, 180)
 
 
 def record(policy_name: str) -> list[dict]:
+    """One row per epoch from the run's telemetry timeline."""
     engine = SimulationEngine(
         build_config(fast_ratio=0.125),
         make_workload("graphchi"),
         make_policy(policy_name),
-        record_timeseries=True,
+        telemetry=Telemetry(),
     )
-    engine.run(WINDOW[1] + 20)
-    return engine.timeseries
+    timeline = engine.run(WINDOW[1] + 20).timeline
+    fast = {
+        engine.kernel.nodes[node_id].device.name
+        for node_id in engine.kernel.fast_node_ids
+    }
+    rows = []
+    for sample in timeline:
+        stalls = sample.stall_ns_by_device
+        total = sum(stalls.values())
+        fast_stall = sum(stalls[name] for name in stalls if name in fast)
+        rows.append({
+            "runtime_ns": sample.runtime_ns,
+            "fast_stall_fraction": fast_stall / total if total else 0.0,
+        })
+    return rows
 
 
 def main() -> None:

@@ -25,7 +25,7 @@ from repro.core.hetero_lru import HeteroLruPolicy
 from repro.core.policy import PolicyBinding, register_policy
 from repro.errors import ConfigurationError, ReproError
 from repro.mem.extent import PageExtent, PageType
-from repro.units import NS_PER_MS
+from repro.units import NS_PER_MS, plain_sum
 
 
 def next_interval_ms(
@@ -192,7 +192,7 @@ class CoordinatedPolicy(HeteroLruPolicy):
         ]
         missed_pages = sum(e.pages for e in missed)
         incoming_density = (
-            2.0 * sum(e.temperature for e in missed) / missed_pages
+            2.0 * plain_sum(e.temperature for e in missed) / missed_pages
             if missed_pages
             else 0.0
         )
@@ -202,7 +202,8 @@ class CoordinatedPolicy(HeteroLruPolicy):
         fast_active = kernel.lru[target].active_extents
         fast_active_pages = sum(e.pages for e in fast_active)
         fast_mean_density = (
-            sum(e.temperature for e in fast_active) / fast_active_pages
+            plain_sum(e.temperature for e in fast_active)
+            / fast_active_pages
             if fast_active_pages
             else 0.0
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.core.heap_od import HeapOdPolicy
 from repro.core.policy import PolicyBinding, register_policy
 from repro.mem.extent import PageType
+from repro.units import plain_sum
 
 #: Everything HeteroOS will place in FastMem; page-table and DMA pages
 #: are excluded (negligible impact measured in Section 3.2).
@@ -126,7 +127,7 @@ class HeapIoSlabOdPolicy(HeapOdPolicy):
             self._budgets = {}
             self._budgeting_active = False
             return
-        scale = sum(weights.values())
+        scale = plain_sum(weights.values())
         self._budgets = {
             page_type: int(free * weight / scale)
             for page_type, weight in weights.items()

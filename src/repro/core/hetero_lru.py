@@ -24,7 +24,7 @@ from repro.core.policy import PolicyBinding, register_policy
 from repro.errors import OutOfMemoryError, ReproError
 from repro.guestos.vma import Vma
 from repro.mem.extent import ExtentState, PageExtent
-from repro.units import NS_PER_US
+from repro.units import NS_PER_US, plain_sum
 
 
 @register_policy("hetero-lru")
@@ -118,7 +118,7 @@ class HeteroLruPolicy(HeapIoSlabOdPolicy):
             active_pages = sum(e.pages for e in active)
             if active_pages > 0 and node.free_pages < node.total_pages * 0.5:
                 mean_density = (
-                    sum(e.temperature for e in active) / active_pages
+                    plain_sum(e.temperature for e in active) / active_pages
                 )
                 lru.cold_density_threshold = max(2.0, 0.35 * mean_density)
             lru.scan(epoch)
@@ -196,7 +196,7 @@ class HeteroLruPolicy(HeapIoSlabOdPolicy):
         # First-epoch temperature is one epoch's accesses; scale by 2 to
         # compare against steady-state EWMA densities (decay 0.5).
         incoming_density = (
-            2.0 * sum(e.temperature for e in missed) / missed_pages
+            2.0 * plain_sum(e.temperature for e in missed) / missed_pages
         )
         budget = min(missed_pages, node.total_pages // 8)
         cost = 0.0

@@ -626,6 +626,13 @@ class ProjectIndex:
             method = self.method_on(receiver, func.attr)
             if method is not None:
                 return method
+        # Class-qualified call: ``Vma.unchecked(...)``.
+        if isinstance(func.value, ast.Name) and module is not None:
+            owner = self.resolve_class_name(func.value.id, module)
+            if owner is not None:
+                method = self.method_on(owner, func.attr)
+                if method is not None:
+                    return method
         # Unique method name anywhere in the project.
         candidates = self.method_index.get(func.attr, [])
         if len(candidates) == 1:

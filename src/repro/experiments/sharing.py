@@ -18,7 +18,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.multi_vm import MultiVmSimulation, VmSpec
 from repro.sim.runner import build_config
 from repro.sim.stats import RunResult
-from repro.units import GIB, pages_of_bytes
+from repro.units import GIB, pages_of_bytes, plain_sum
 from repro.vmm.drf import WeightedDrf
 from repro.vmm.sharing import MaxMinSharing, SharingPolicy
 from repro.workloads.fig13 import make_graphchi_twitter, make_metis_big
@@ -121,10 +121,10 @@ def run_fig13(epochs: int = 160) -> list[dict]:
     # comparison in Section 5.5).
     total_row: dict = {"vm": "TOTAL-runtime-sec"}
     for scenario, results in scenarios.items():
-        total_row[scenario] = sum(
+        total_row[scenario] = plain_sum(
             r.runtime_sec for r in results.values()
         )
-    total_row["single-vm-coordinated"] = sum(
+    total_row["single-vm-coordinated"] = plain_sum(
         r.runtime_sec for r in singles.values()
     )
     rows.append(total_row)

@@ -26,8 +26,12 @@ one slice write per run.  A grant lists each such run as one
 :class:`FrameRange`, and freeing a range of whole, aligned top-order
 blocks is again one write per map: top-order blocks never coalesce, so
 a run is allocated and freed whole.  Every lower order is a plain
-``set``; those lists stay a few blocks long, so ``min(set)`` is cheap.
-Blocks are handed out lowest-start-first; the differential oracle in
+``set``; those lists stay a few blocks long (at most 41 in all of them
+at any grant of a static-placement pass), so ``min(set)`` is cheap, a
+one-block list is popped and a list a request covers is taken whole.
+What a lower block costs is the interpreter work around it, so the
+per-block paths are kept short.  Blocks are handed out
+lowest-start-first; the differential oracle in
 ``tests/`` pins every allocation against a plain set-and-bitmask
 reference allocator.
 """
@@ -159,8 +163,11 @@ class BuddyAllocator:
             source += 1
         if source < max_order:
             live = lists[source]
-            start = min(live)
-            live.discard(start)
+            if len(live) == 1:
+                start = live.pop()
+            else:
+                start = min(live)
+                live.remove(start)
         elif self._top_free:
             index = self._top.find(1)
             self._top[index] = 0
@@ -243,64 +250,74 @@ class BuddyAllocator:
         # internally computed orders).
         wrapper = self.__dict__.get("allocate_block")
         take = wrapper if wrapper is not None else self._take_block
-        mask = self._mask
-        base = self.base
         try:
-            while remaining > 0:
-                want_order = min(max_order, remaining.bit_length() - 1)
-                if want_order == max_order and self._top_free:
-                    if wrapper is None:
-                        # The dominant case: a large request peels off
-                        # top-order blocks, often contiguous ones.
-                        remaining -= self._take_top_runs(
-                            remaining >> max_order, append
-                        )
-                        continue
+            # Top-order blocks first: largest-first takes every one the
+            # request can use before any lower block, and no lower take
+            # refills the top order.
+            if remaining >> max_order and self._top_free:
+                if wrapper is None:
+                    # The dominant case: a large request peels off
+                    # top-order blocks, often contiguous ones.
+                    remaining -= self._take_top_runs(
+                        remaining >> max_order, append
+                    )
+                else:
                     # Sanitized: one wrapped block per call, joined to
                     # the run before it when contiguous, so the grant
-                    # has the shape _take_top_runs gives it.  Top-order
-                    # blocks lead the grant, so granted[-1] is a run.
-                    block = wrapper(max_order)
-                    remaining -= block.count
-                    if granted and granted[-1].end == block.start:
-                        run = granted[-1]
-                        granted[-1] = _unchecked(
-                            run.start, run.count + block.count
-                        )
-                    else:
-                        append(block)
-                    continue
-                # Prefer the largest available order not exceeding
-                # the need; when fragmentation leaves nothing small,
-                # split a larger block (_take_block handles the
-                # split).
-                order = min(want_order, max_order - 1)
+                    # has the shape _take_top_runs gives it.
+                    while remaining >> max_order and self._top_free:
+                        block = wrapper(max_order)
+                        remaining -= block.count
+                        if granted and granted[-1].end == block.start:
+                            run = granted[-1]
+                            granted[-1] = _unchecked(
+                                run.start, run.count + block.count
+                            )
+                        else:
+                            append(block)
+            mask = self._mask
+            base = self.base
+            while remaining:
+                # Prefer the largest available order not exceeding the
+                # need (below the top order, which is exhausted for
+                # whatever top-sized need is left); when fragmentation
+                # leaves nothing that small, split a larger block
+                # (_take_block handles the split).
+                want = remaining.bit_length() - 1
+                order = want if want < max_order else max_order - 1
                 while order >= 0 and not lists[order]:
                     order -= 1
-                if order < 0:
-                    order = want_order
-                elif wrapper is None:
-                    # Same-order hit, inlined.  Take as many blocks
-                    # of this order as the request and the list
-                    # allow in one batch: between same-order takes
-                    # nothing is freed and no split-down runs, so
-                    # higher lists stay empty and a block-at-a-time
-                    # loop would pick this same order every time
-                    # while remaining >= 1 << order.
-                    live = lists[order]
-                    count = 1 << order
-                    batch = remaining >> order
-                    if batch == 1:
-                        start = min(live)
-                        live.discard(start)
-                        starts = (start,)
-                    else:
-                        starts = sorted(live)[:batch]
+                if order < 0 or wrapper is not None:
+                    block = take(want if order < 0 else order)
+                    append(block)
+                    remaining -= block.count
+                    continue
+                # Same-order hit, inlined.  Take as many blocks of this
+                # order as the request and the list allow in one batch:
+                # between same-order takes nothing is freed and no
+                # split-down runs, so higher lists stay empty and a
+                # block-at-a-time loop would pick this same order every
+                # time while remaining >= 1 << order.  The lists hold a
+                # few blocks, so a one-block list or a whole-list batch
+                # is the common case.
+                live = lists[order]
+                count = 1 << order
+                ones = (
+                    _ONE_RUN[order] if order <= MAX_ORDER else b"\x01" * count
+                )
+                batch = remaining >> order
+                if len(live) == 1:
+                    start = live.pop()
+                elif batch == 1:
+                    start = min(live)
+                    live.remove(start)
+                else:
+                    starts = sorted(live)
+                    if batch < len(starts):
+                        del starts[batch:]
                         live.difference_update(starts)
-                    ones = (
-                        _ONE_RUN[order] if order <= MAX_ORDER
-                        else b"\x01" * count
-                    )
+                    else:
+                        live.clear()
                     for start in starts:
                         offset = start - base
                         mask[offset:offset + count] = ones
@@ -309,9 +326,11 @@ class BuddyAllocator:
                     self._free_frames -= taken
                     remaining -= taken
                     continue
-                block = take(order)
-                append(block)
-                remaining -= block.count
+                offset = start - base
+                mask[offset:offset + count] = ones
+                append(_unchecked(start, count))
+                self._free_frames -= count
+                remaining -= count
         except OutOfMemoryError:
             for block in granted:
                 self.free_span(block.start, block.count)
@@ -369,33 +388,35 @@ class BuddyAllocator:
         # own span), so partial failures leave the same state as
         # sequential free_span calls would.
         freed = 0
-        for index in range(first, len(ranges)):
-            frame_range = ranges[index]
+        index = first
+        for frame_range in ranges[first:] if first else ranges:
             start = frame_range.start
             offset = start - base
             if not 0 <= offset < total:
                 self._free_frames += freed
                 return index
+            index += 1
             count = frame_range.count
             if count <= 0:
                 self._free_frames += freed
                 raise AllocationError("free count must be positive")
-            if offset + count > total:
+            end = offset + count
+            if end > total:
                 self._free_frames += freed
                 raise AllocationError(
                     f"span [{start}, {start + count}) outside allocator"
                 )
-            if mask.find(b"\x00", offset, offset + count) != -1:
+            if mask.find(b"\x00", offset, end) != -1:
                 self._free_frames += freed
                 raise AllocationError(
                     f"double free within span [{start}, {start + count})"
                 )
             if not (offset | count) & top_mask:
                 # Whole, aligned top-order blocks: a run of a grant.
-                mask[offset:offset + count] = bytes(count)
-                index = offset >> max_order
+                mask[offset:end] = bytes(count)
                 blocks = count >> max_order
-                top[index:index + blocks] = b"\x01" * blocks
+                first_block = offset >> max_order
+                top[first_block:first_block + blocks] = b"\x01" * blocks
                 self._top_free += blocks
                 freed += count
                 continue
@@ -404,25 +425,31 @@ class BuddyAllocator:
                 # One naturally aligned block, below the top order (a
                 # top-sized one is a run above): clear the mask run and
                 # coalesce upward, exactly as _insert_span would.
-                mask[offset:offset + count] = (
+                mask[offset:end] = (
                     _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
                 )
                 freed += count
+                bucket = lists[order]
+                buddy = base + (offset ^ count)
+                if buddy not in bucket:
+                    # Most frees: the buddy is in use, nothing merges.
+                    bucket.add(start)
+                    continue
                 block = start
-                while order < max_order:
-                    bucket = lists[order]
-                    buddy = base + ((block - base) ^ (1 << order))
-                    if buddy not in bucket:
-                        break
+                while True:
                     bucket.remove(buddy)
                     if buddy < block:
                         block = buddy
                     order += 1
-                if order < max_order:
-                    lists[order].add(block)
-                else:
-                    top[(block - base) >> max_order] = 1
-                    self._top_free += 1
+                    if order == max_order:
+                        top[(block - base) >> max_order] = 1
+                        self._top_free += 1
+                        break
+                    bucket = lists[order]
+                    buddy = base + ((block - base) ^ (1 << order))
+                    if buddy not in bucket:
+                        bucket.add(block)
+                        break
             else:
                 self._free_frames += freed
                 freed = 0

@@ -28,7 +28,7 @@ from repro.guestos.percpu import PerCpuFreeLists
 from repro.guestos.slab import SlabAllocator
 from repro.guestos.swap import SwapDevice
 from repro.guestos.vma import AddressSpace
-from repro.mem.extent import ExtentState, PageExtent, PageType
+from repro.mem.extent import PAGE_TYPES, ExtentState, PageExtent, PageType
 from repro.mem.frames import FrameRange
 from repro.units import GIB, Ns, Pages, pages_of_bytes
 
@@ -63,7 +63,7 @@ class AllocStats:
 
 
 def _new_stats() -> dict[PageType, AllocStats]:
-    return {page_type: AllocStats() for page_type in PageType}
+    return {page_type: AllocStats() for page_type in PAGE_TYPES}
 
 
 @dataclass
@@ -71,7 +71,7 @@ class PageDistribution:
     """Cumulative pages allocated per type (Figure 4's data)."""
 
     allocated: dict[PageType, int] = field(
-        default_factory=lambda: {page_type: 0 for page_type in PageType}
+        default_factory=lambda: dict.fromkeys(PAGE_TYPES, 0)
     )
 
     @property
@@ -263,10 +263,11 @@ class GuestKernel:
             if extent.node_id in fast_nodes:
                 fast_pages += extent.pages
         self._record_allocation(page_type, pages, fast_pages)
-        for extent in extents:
-            if page_type.is_io:
+        if page_type.is_io:
+            for extent in extents:
                 self.page_cache.insert(extent, dirty=dirty)
-            elif dirty:
+        elif dirty:
+            for extent in extents:
                 extent.dirty = True
         return extents
 
@@ -281,12 +282,14 @@ class GuestKernel:
         if extent_ids is None:
             raise AllocationError(f"free of unknown region {region_id!r}")
         self.address_space.munmap(region_id)
+        extents = self.extents
+        page_cache = self.page_cache
         freed = 0
         for extent_id in extent_ids:
-            extent = self.extents[extent_id]
-            if extent.page_type.is_io and self.page_cache.is_resident(extent):
-                self.page_cache.writeback(extent)
-                self.page_cache.drop(extent)
+            extent = extents[extent_id]
+            if extent.page_type.is_io and page_cache.is_resident(extent):
+                page_cache.writeback(extent)
+                page_cache.drop(extent)
             freed += extent.pages
             self._destroy_extent(extent)
         return freed
@@ -870,10 +873,12 @@ class GuestKernel:
     def _record_allocation(
         self, page_type: PageType, pages: int, fast_pages: int
     ) -> None:
-        for window in (self.epoch_stats, self.cumulative_stats):
-            stats = window[page_type]
-            stats.requested_pages += pages
-            stats.fast_granted_pages += fast_pages
+        stats = self.epoch_stats[page_type]
+        stats.requested_pages += pages
+        stats.fast_granted_pages += fast_pages
+        stats = self.cumulative_stats[page_type]
+        stats.requested_pages += pages
+        stats.fast_granted_pages += fast_pages
         self.distribution.allocated[page_type] += pages
         # Page-table footprint: one PT page per 512 mapped pages.
         if page_type is not PageType.PAGE_TABLE:

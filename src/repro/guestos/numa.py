@@ -113,7 +113,7 @@ class MemoryNode:
         granted: list[FrameRange] = []
         remaining = pages
         for zone in self.zones_for(page_type):
-            take = min(remaining, zone.buddy.free_frames)
+            take = min(remaining, zone.buddy._free_frames)
             if take > 0:
                 granted.extend(zone.buddy.allocate_pages(take))
                 remaining -= take
@@ -125,7 +125,7 @@ class MemoryNode:
         """Free pages in zones eligible to serve ``page_type``."""
         free = 0
         for zone in self.zones_for(page_type):
-            free += zone.buddy.free_frames
+            free += zone.buddy._free_frames
         return free
 
     def free_ranges(self, ranges: list[FrameRange]) -> None:

@@ -29,6 +29,26 @@ class Vma:
     page_type: PageType
     region_id: str
 
+    @classmethod
+    def unchecked(
+        cls, start_vpn: int, pages: int, page_type: PageType, region_id: str
+    ) -> "Vma":
+        """Construct without the frozen-dataclass ``__init__``.
+
+        Every region allocation maps one VMA, and that ``__init__`` (a
+        guarded setattr per field) is most of its cost.  Direct
+        instance-dict writes bypass it, as :meth:`FrameRange.unchecked`
+        does; equality, hashing and immutability stay the dataclass's.
+        Sets every field, so keep it in step with the list above.
+        """
+        made = object.__new__(cls)
+        attrs = made.__dict__
+        attrs["start_vpn"] = start_vpn
+        attrs["pages"] = pages
+        attrs["page_type"] = page_type
+        attrs["region_id"] = region_id
+        return made
+
     @property
     def end_vpn(self) -> int:
         return self.start_vpn + self.pages
@@ -56,12 +76,7 @@ class AddressSpace:
             raise AllocationError("mmap of zero pages")
         if region_id in self.vmas:
             raise AllocationError(f"region {region_id!r} already mapped")
-        vma = Vma(
-            start_vpn=self.next_vpn,
-            pages=pages,
-            page_type=page_type,
-            region_id=region_id,
-        )
+        vma = Vma.unchecked(self.next_vpn, pages, page_type, region_id)
         self.next_vpn += pages
         self.vmas[region_id] = vma
         return vma

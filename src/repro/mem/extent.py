@@ -44,13 +44,21 @@ class PageType(enum.Enum):
     @property
     def is_io(self) -> bool:
         """Short-lived I/O pages released once the request completes."""
-        return self in (PageType.PAGE_CACHE, PageType.BUFFER_CACHE)
+        return self in IO_PAGE_TYPES
 
     @property
     def is_migratable(self) -> bool:
         """Linearly-mapped page-table and DMA pages cannot migrate
         (Section 4.1's exception list)."""
         return self not in (PageType.PAGE_TABLE, PageType.DMA)
+
+
+#: Every page type, in declaration order: iterating the ``Enum`` class
+#: runs its metaclass iterator, which a per-epoch loop should not pay.
+PAGE_TYPES = tuple(PageType)
+
+#: The I/O page types (:attr:`PageType.is_io`).
+IO_PAGE_TYPES = frozenset((PageType.PAGE_CACHE, PageType.BUFFER_CACHE))
 
 
 class ExtentState(enum.Enum):
@@ -89,7 +97,7 @@ class PageExtent:
     pages: Pages
     node_id: int
     frames: list[FrameRange] = field(default_factory=list)
-    extent_id: int = field(default_factory=lambda: next(_extent_ids))
+    extent_id: int = field(default_factory=_extent_ids.__next__)
     state: ExtentState = ExtentState.ACTIVE
     temperature: float = 0.0
     #: EWMA of per-epoch *write* counts (PAGE_RW-bit tracking, §4.3).

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ObservabilityError
+from repro.units import plain_sum
 
 #: Bumped whenever the JSONL sample schema changes shape.
 SAMPLE_FORMAT_VERSION = 1
@@ -172,7 +173,7 @@ class EpochSample:
     @property
     def stall_ns(self) -> float:
         """Total device stall this epoch."""
-        return sum(self.stall_ns_by_device.values())
+        return plain_sum(self.stall_ns_by_device.values())
 
     @property
     def fastmem_alloc_miss_ratio(self) -> float:

@@ -41,6 +41,7 @@ from repro.obs.bus import Telemetry
 from repro.obs.sample import SAMPLE_FORMAT_VERSION, EpochSample
 from repro.sim import fast
 from repro.sim.stats import RunResult, RunStats
+from repro.units import plain_sum
 from repro.vmm.domain import Domain
 from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.sharing import MaxMinSharing
@@ -166,7 +167,6 @@ class SimulationEngine:
         hypervisor: Hypervisor | None = None,
         domain: Domain | None = None,
         kernel: GuestKernel | None = None,
-        record_timeseries: bool = False,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.config = config
@@ -181,7 +181,6 @@ class SimulationEngine:
         self.timing = MemoryTimingModel(config.cpu)
         self.wear = WearTracker()
         self.rng = random.Random(config.seed)
-        self.record_timeseries = record_timeseries
         #: Frame-ownership shadow checker (SimConfig(sanitize=True)).
         self.sanitizer: FrameSanitizer | None = None
         if config.sanitize:
@@ -199,8 +198,6 @@ class SimulationEngine:
             hypervisor.balloon_backend.faults = self.faults
             hypervisor.channel(domain.domain_id).faults = self.faults
             hypervisor.tracker(domain.domain_id).faults = self.faults
-        #: Per-epoch samples when ``record_timeseries`` is set.
-        self.timeseries: list[dict] = []
         self.region_specs: dict[str, RegionSpec] = {}
         self.stats = RunStats()
         #: Telemetry bus; sampling happens only when one is attached and
@@ -294,8 +291,10 @@ class SimulationEngine:
                 demand, device_demands, derate
             )
 
-        epoch_traffic = sum(d.traffic_bytes for d in device_demands.values())
-        epoch_accesses = sum(
+        epoch_traffic = plain_sum(
+            d.traffic_bytes for d in device_demands.values()
+        )
+        epoch_accesses = plain_sum(
             reads + writes for reads, writes in demand.accesses.values()
         )
         self.stats.epochs += 1
@@ -337,31 +336,6 @@ class SimulationEngine:
                     epoch_traffic=epoch_traffic,
                     epoch_accesses=epoch_accesses,
                 )
-
-        if self.record_timeseries:
-            fast_pages = sum(
-                kernel.nodes[nid].used_pages for nid in kernel.fast_node_ids
-            )
-            fast_stall = sum(
-                self.timing.stall_ns(d, dd, self.workload.mlp)
-                for d, dd in device_demands.items()
-                if any(
-                    kernel.nodes[nid].device == d
-                    for nid in kernel.fast_node_ids
-                )
-            )
-            self.timeseries.append(
-                {
-                    "epoch": epoch,
-                    "runtime_ns": epoch_runtime_ns,
-                    "llc_misses": llc_misses,
-                    "fast_used_pages": fast_pages,
-                    "fast_stall_fraction": (
-                        fast_stall / stall_total if stall_total else 0.0
-                    ),
-                    "overhead_ns": overhead_ns + kernel_cost_ns,
-                }
-            )
 
     # ------------------------------------------------------------------
     # Phase bodies (the units STEP_PHASES certifies)
@@ -528,9 +502,11 @@ class SimulationEngine:
     # ------------------------------------------------------------------
 
     def _apply_frees(self, demand: EpochDemand) -> None:
+        kernel = self.kernel
+        regions = kernel.regions
         for region_id in demand.frees:
-            if self.kernel.has_region(region_id):
-                self.kernel.free_region(region_id)
+            if region_id in regions:
+                kernel.free_region(region_id)
             self.region_specs.pop(region_id, None)
 
     def _apply_allocs(self, demand: EpochDemand) -> None:

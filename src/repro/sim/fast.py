@@ -64,12 +64,15 @@ def _fast_apportion(cache, rows):
     oracle."""
     remaining = float(cache.config.capacity_bytes)
     cached_frac = [0.0] * len(rows)
-    # Densest first; sorted() is stable, so ties keep access order.
-    for index in sorted(
-        (index for index, row in enumerate(rows) if row[1] + row[2] > 0),
-        key=lambda index: (rows[index][1] + rows[index][2]) / rows[index][0],
-        reverse=True,
-    ):
+    # Each accessed row's density, once, keyed by row index in access
+    # order; densest first, and sorted() is stable, so ties keep access
+    # order.
+    density = {}
+    for index, row in enumerate(rows):
+        accesses = row[1] + row[2]
+        if accesses > 0:
+            density[index] = accesses / row[0]
+    for index in sorted(density, key=density.__getitem__, reverse=True):
         footprint = rows[index][0]
         take = min(remaining, float(footprint))
         cached_frac[index] = take / footprint

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.guestos.kernel import AllocStats
 from repro.mem.extent import PageType
-from repro.units import NS_PER_SEC
+from repro.units import NS_PER_SEC, plain_sum
 
 
 @dataclass
@@ -34,7 +34,7 @@ class RunStats:
 
     @property
     def total_stall_ns(self) -> float:
-        return sum(self.stall_ns_by_device.values())
+        return plain_sum(self.stall_ns_by_device.values())
 
     @property
     def mpki(self) -> float:

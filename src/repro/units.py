@@ -7,12 +7,15 @@ The simulator works in three currencies:
 * **nanoseconds** of virtual time for every cost the timing model charges.
 
 Keeping the conversions in one module avoids the classic off-by-1024 bug
-class and makes capacity arithmetic greppable.
+class and makes capacity arithmetic greppable.  :func:`plain_sum` is the
+one float total every result path uses.
 """
 
 from __future__ import annotations
 
-from typing import Annotated
+from functools import reduce
+from operator import add
+from typing import Annotated, Iterable
 
 # ----------------------------------------------------------------------
 # Dimension aliases (heteroflow seeds)
@@ -86,3 +89,14 @@ def gbps_to_bytes_per_ns(gbps: float) -> float:
 
 # NOTE: 1 GB/s = 1e9 bytes / 1e9 ns = exactly 1 byte/ns, so the conversion is
 # the identity.  The function exists so call sites state their intent.
+
+
+def plain_sum(values: Iterable[float]) -> float:
+    """Total ``values`` left to right with plain float addition.
+
+    Any float total that reaches a result uses this, not ``sum()``: from
+    Python 3.12 on, ``sum()`` of floats is compensated (Neumaier), which
+    moves the total's last bits, and with them the golden digests, on
+    that interpreter only.  Up to 3.11 the two agree bit for bit.
+    """
+    return reduce(add, values, 0)

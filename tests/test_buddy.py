@@ -2,6 +2,7 @@
 
 import gc
 import os
+import random
 
 import pytest
 
@@ -253,6 +254,114 @@ def test_sanitized_grant_has_the_same_shape():
     plain, sanitized = grants
     assert sanitized == plain
     assert plain[:2] == [FrameRange(0, TOP), FrameRange(2 * TOP, 4 * TOP)]
+
+
+# ----------------------------------------------------------------------
+# Lower-order takes: one-block lists, whole-list batches, splits
+# ----------------------------------------------------------------------
+
+
+def _lower_lists(buddy):
+    return [sorted(blocks) for blocks in buddy._free_lists]
+
+
+def test_one_block_list_is_taken_whole():
+    buddy = BuddyAllocator(0, 2 * TOP)
+    buddy.allocate_block(3)  # splits top block 0: one free block per order
+    assert _lower_lists(buddy)[3] == [8]
+    assert buddy.allocate_pages(8) == [FrameRange(8, 8)]
+    assert _lower_lists(buddy)[3] == []
+    assert not buddy.is_free(8) and not buddy.is_free(15)
+    assert buddy.free_frames == 2 * TOP - 16
+    buddy.check_invariants()
+
+
+def test_lowest_block_of_a_longer_list_is_taken():
+    buddy = BuddyAllocator(0, 16, max_order=3)
+    blocks = [buddy.allocate_block(0) for _ in range(16)]
+    for frame in (13, 5, 9):  # no two of them buddies
+        buddy.free_range(blocks[frame])
+    assert buddy.allocate_pages(1) == [FrameRange(5, 1)]
+    assert _lower_lists(buddy)[0] == [9, 13]
+    buddy.check_invariants()
+
+
+def test_request_covering_a_whole_list_takes_it_in_order():
+    buddy = BuddyAllocator(0, 16, max_order=3)
+    blocks = [buddy.allocate_block(0) for _ in range(16)]
+    for frame in (13, 5, 9):
+        buddy.free_range(blocks[frame])
+    # Nothing of order 1 is free, so all three order-0 blocks go in one
+    # batch, lowest first.
+    assert buddy.allocate_pages(3) == [
+        FrameRange(5, 1), FrameRange(9, 1), FrameRange(13, 1),
+    ]
+    assert _lower_lists(buddy) == [[], [], []]
+    assert buddy.free_frames == 0
+    buddy.check_invariants()
+
+
+def test_request_covering_part_of_a_list_takes_its_lowest_blocks():
+    buddy = BuddyAllocator(0, 16, max_order=3)
+    blocks = [buddy.allocate_block(0) for _ in range(16)]
+    for frame in (13, 5, 9):
+        buddy.free_range(blocks[frame])
+    assert buddy.allocate_pages(2) == [FrameRange(5, 1), FrameRange(9, 1)]
+    assert _lower_lists(buddy)[0] == [13]
+    buddy.check_invariants()
+
+
+def test_split_from_a_one_block_list():
+    buddy = BuddyAllocator(0, 2 * TOP)
+    buddy.allocate_block(9)  # leaves [512, 1024) as the one order-9 block
+    assert _lower_lists(buddy)[9] == [512]
+    assert buddy.allocate_pages(1) == [FrameRange(512, 1)]
+    lists = _lower_lists(buddy)
+    assert lists[9] == []
+    # The split freed the upper half at every order below 9.
+    assert lists[:9] == [[512 + (1 << order)] for order in range(9)]
+    buddy.check_invariants()
+
+
+def test_sanitized_buddy_grants_what_a_plain_one_grants():
+    """Every take goes through the sanitizer's allocate_block wrapper,
+    one block per call, yet a fragmented request mix gets the same
+    ranges, in the same order, as from an unwrapped allocator."""
+    rng = random.Random(5)
+    program = [
+        (rng.choice(("alloc", "alloc", "free", "fragment")),
+         rng.randrange(1, 3 * TOP))
+        for _ in range(300)
+    ]
+    outcomes = []
+    for sanitize in (False, True):
+        buddy = BuddyAllocator(0, 8 * TOP + 300)
+        sanitizer = FrameSanitizer()
+        if sanitize:
+            sanitizer.attach_buddy(buddy, owner="zone0")
+        held = []
+        trace = []
+        for op, count in program:
+            if op == "alloc":
+                if count > buddy.free_frames:
+                    continue
+                grant = buddy.allocate_pages(count)
+                trace.append(grant)
+                held.extend(grant)
+            elif held:
+                block = held.pop(count % len(held))
+                if op == "fragment" and block.count > 1:
+                    block, tail = block.split(1 + count % (block.count - 1))
+                    held.append(tail)
+                buddy.free_range(block)
+        buddy.check_invariants()
+        assert not sanitizer.reports
+        assert (sanitizer.events > 0) == sanitize
+        outcomes.append((trace, buddy.free_frames, _lower_lists(buddy)))
+    plain, sanitized = outcomes
+    assert sanitized == plain
+    # The mix reached lower-order list takes and splits, not only runs.
+    assert sum(len(grant) for grant in plain[0]) > 3 * len(plain[0])
 
 
 def _resident_mib() -> float:

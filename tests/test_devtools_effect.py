@@ -512,6 +512,39 @@ def test_certify_unassumed_opaque_call_blocks(tmp_path):
     )
 
 
+def test_certify_resolves_class_qualified_calls(tmp_path):
+    """``Record.build(...)`` is that class's method, though another class
+    defines a ``build`` too: the call is followed, not left opaque, and
+    the other ``build``'s write is not charged to the phase."""
+    files = {
+        "sim/engine.py": """\
+            STEP_PHASES = {
+                "policy": {
+                    "roots": ["Engine._policy_phase"],
+                    "writes": ["Engine.built"],
+                },
+            }
+
+            class Other:
+                def build(self, epoch):
+                    self.count = epoch
+
+            class Record:
+                @staticmethod
+                def build(epoch):
+                    return epoch + 1
+
+            class Engine:
+                def _policy_phase(self, epoch):
+                    self.built = Record.build(epoch)
+        """,
+    }
+    phase = certify(tmp_path, files)["phases"]["policy"]
+    assert phase["violations"] == []
+    assert phase["certified"]
+    assert phase["observed_writes"] == ["Engine.built"]
+
+
 def test_certify_missing_root_is_a_violation(tmp_path):
     files = {
         "sim/engine.py": """\

@@ -76,6 +76,22 @@ def _buddy_programs(draw):
     ("alloc", 12), ("fragment", 5), ("alloc", 20), ("release", 1),
     ("free", 1), ("alloc", 30), ("free", 0), ("fragment", 8), ("release", 0),
 ]))
+# Lower-order takes: a one-block list popped, the lowest of a longer
+# list, a whole list taken in one batch, and a split whose source list
+# holds one block.
+@example(base=0, max_order=3, case=(16, [
+    ("alloc", 1), ("alloc", 1), ("alloc", 1), ("alloc", 1), ("free", 1),
+    ("release", 1), ("alloc", 1), ("free", 1), ("alloc", 2),
+]))
+# Part of a three-block list taken in one batch, lowest blocks first.
+@example(base=0, max_order=3, case=(32, [("alloc", 1)] * 16 + [
+    ("release", 1), ("release", 4), ("release", 7), ("alloc", 2),
+    ("alloc", 1),
+]))
+# A split whose source list holds two blocks: the lower one splits.
+@example(base=0, max_order=3, case=(32, [("alloc", 2)] * 8 + [
+    ("release", 1), ("release", 2), ("alloc", 1),
+]))
 def test_buddy_conserves_frames(base, max_order, case):
     """The array-backed allocator and the reference allocator run the
     same program in lockstep: same grants, same exceptions, same free
@@ -326,16 +342,24 @@ def test_lru_page_accounting_consistent(ops):
 
 
 # ----------------------------------------------------------------------
-# NUMA node: batched frees across a SlowMem node's two zones
+# NUMA node: batched frees across a SlowMem node's two zones and within
+# a FastMem node's one
 # ----------------------------------------------------------------------
 
 _FREE_FAULTS = ("none", "double", "foreign", "zero", "zero-foreign")
 _NODE_BASE = 64
 
 
-def _slow_node(pages):
+#: The zones build_node gives each drawn tier.
+_NODE_ZONES = {
+    NodeTier.SLOW: [ZoneKind.DMA, ZoneKind.NORMAL],
+    NodeTier.FAST: [ZoneKind.UNIFIED],
+}
+
+
+def _node(tier, pages):
     device = NVM_PCM.with_capacity(pages * PAGE_SIZE)
-    return build_node(1, NodeTier.SLOW, device, base_frame=_NODE_BASE)
+    return build_node(1, tier, device, base_frame=_NODE_BASE)
 
 
 def _zone_state(node):
@@ -347,8 +371,10 @@ def _zone_state(node):
     ]
 
 
-@settings(max_examples=60, deadline=None)
+# Two tiers share the draws: 120 keeps about 60 for each.
+@settings(max_examples=120, deadline=None)
 @given(
+    tier=st.sampled_from(list(_NODE_ZONES)),
     pages=st.integers(min_value=32, max_value=1024),
     program=st.lists(
         st.one_of(
@@ -368,35 +394,52 @@ def _zone_state(node):
     ),
 )
 # DMA, NORMAL, DMA in one batch: the free leaves a zone and comes back.
-@example(pages=256, program=[
+@example(tier=NodeTier.SLOW, pages=256, program=[
     ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
     ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "none", 0)])
-@example(pages=256, program=[
+@example(tier=NodeTier.SLOW, pages=256, program=[
     ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
     ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "double", 2)])
-@example(pages=256, program=[
+@example(tier=NodeTier.SLOW, pages=256, program=[
     ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
     ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "foreign", 2)])
-@example(pages=256, program=[
+@example(tier=NodeTier.SLOW, pages=256, program=[
     ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
     ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "zero", 1)])
-@example(pages=256, program=[
+@example(tier=NodeTier.SLOW, pages=256, program=[
     ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
     ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "zero-foreign", 1)])
-def test_node_free_ranges_matches_reference_across_zones(pages, program):
+# The same batches on a FastMem node's one zone, which takes each
+# batch whole.
+@example(tier=NodeTier.FAST, pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "none", 0)])
+@example(tier=NodeTier.FAST, pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "double", 2)])
+@example(tier=NodeTier.FAST, pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "foreign", 2)])
+@example(tier=NodeTier.FAST, pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "zero", 1)])
+@example(tier=NodeTier.FAST, pages=256, program=[
+    ("alloc", PageType.DMA, 4), ("alloc", PageType.HEAP, 8),
+    ("alloc", PageType.DMA, 2), ("free", [0, 0, 0], "zero-foreign", 1)])
+def test_node_free_ranges_matches_reference_across_zones(tier, pages, program):
     """``MemoryNode.free_ranges`` and the reference node's per-range
-    frees run the same batches in lockstep on a two-zone SlowMem node:
-    same exception type and message at the same point, and the same
-    per-zone free count, largest free order and free map after every
-    call.  Batches interleave the zones' ranges and fragments, and may
-    carry a mid-batch double free, a foreign frame or a zero-count
-    range."""
-    node = _slow_node(pages)
+    frees run the same batches in lockstep on a two-zone SlowMem node
+    or a one-zone FastMem node: same exception type and message at the
+    same point, and the same per-zone free count, largest free order
+    and free map after every call.  Batches interleave the zones'
+    ranges and fragments, and may carry a mid-batch double free, a
+    foreign frame or a zero-count range."""
+    node = _node(tier, pages)
     with reference_guest():
-        reference = _slow_node(pages)
+        reference = _node(tier, pages)
     assert type(reference) is ReferenceNode
     assert all(type(zone.buddy) is ReferenceBuddy for zone in reference.zones)
-    assert [zone.kind for zone in node.zones] == [ZoneKind.DMA, ZoneKind.NORMAL]
+    assert [zone.kind for zone in node.zones] == _NODE_ZONES[tier]
     end = _NODE_BASE + pages
     held: list = []
     for op, *args in program:

@@ -1,11 +1,15 @@
-"""Sweep utility, Table 2 driver, per-epoch timeseries recording."""
+"""Sweep utility, Table 2 driver, per-epoch timeline."""
+
+import dataclasses
 
 import pytest
 
 from repro.cli import main
 from repro.core import make_policy
 from repro.experiments.sweep import TABLE2_DESCRIPTIONS, run_table2, sweep
+from repro.faults import FaultPlan, FaultSpec
 from repro.hw.throttle import ThrottleConfig
+from repro.obs.bus import Telemetry
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import build_config
 from repro.workloads.registry import ALL_APPS, make_workload
@@ -52,35 +56,39 @@ def test_cli_sweep_command(capsys):
 
 
 # ----------------------------------------------------------------------
-# Timeseries
+# Per-epoch timeline (telemetry bus)
 # ----------------------------------------------------------------------
 
-def test_timeseries_disabled_by_default():
-    engine = SimulationEngine(
-        build_config(fast_ratio=0.25), make_workload("nginx"),
-        make_policy("heap-od"),
-    )
-    engine.run(5)
-    assert engine.timeseries == []
+def _fast_stall_share(engine, sample):
+    """FastMem's share of one epoch's charged memory stall."""
+    fast = {
+        engine.kernel.nodes[node_id].device.name
+        for node_id in engine.kernel.fast_node_ids
+    }
+    stalls = sample.stall_ns_by_device
+    total = sum(stalls.values())
+    if not total:
+        return 0.0
+    return sum(stalls[name] for name in stalls if name in fast) / total
 
 
 def test_timeseries_records_each_epoch():
     engine = SimulationEngine(
         build_config(fast_ratio=0.25), make_workload("nginx"),
-        make_policy("heap-od"), record_timeseries=True,
+        make_policy("heap-od"), telemetry=Telemetry(),
     )
     result = engine.run(5)
-    assert len(engine.timeseries) == 5
-    assert [row["epoch"] for row in engine.timeseries] == list(range(5))
-    total = sum(row["runtime_ns"] for row in engine.timeseries)
+    timeline = result.timeline
+    assert [sample.epoch for sample in timeline] == list(range(5))
+    total = sum(sample.runtime_ns for sample in timeline)
     assert total == pytest.approx(result.stats.runtime_ns)
-    for row in engine.timeseries:
-        assert 0.0 <= row["fast_stall_fraction"] <= 1.0
-        assert row["fast_used_pages"] >= 0
+    for sample in timeline:
+        assert 0.0 <= _fast_stall_share(engine, sample) <= 1.0
+        assert sample.fast_used_pages >= 0
 
 
 def test_timeseries_shows_phase_shift():
-    """The share-shift workload feature is visible in the timeseries."""
+    """The share-shift workload feature is visible in the timeline."""
     from repro.mem.extent import PageType
     from repro.workloads.base import RegionSpec, StatisticalWorkload
 
@@ -97,11 +105,34 @@ def test_timeseries_shows_phase_shift():
     )
     config = build_config(fast_ratio=0.02, slow_gib=1.0)
     engine = SimulationEngine(
-        config, workload, make_policy("heap-od"), record_timeseries=True
+        config, workload, make_policy("heap-od"), telemetry=Telemetry()
     )
-    engine.run(10)
-    before = engine.timeseries[3]["fast_stall_fraction"]
-    after = engine.timeseries[8]["fast_stall_fraction"]
+    timeline = engine.run(10).timeline
+    before = _fast_stall_share(engine, timeline[3])
+    after = _fast_stall_share(engine, timeline[8])
     # The fast node held region 'a'; after the shift its stall share
     # collapses because the accesses moved to 'b' on SlowMem.
-    assert after != before
+    assert after < before
+
+
+def test_fast_stall_share_counts_the_derated_stall():
+    """Under a device derate every device's stall is charged against its
+    throttled shadow, and the timeline records the charged stall: with
+    all of redis's accesses on FastMem, FastMem carries all of it."""
+    plan = FaultPlan(
+        seed=1,
+        faults=(
+            FaultSpec(
+                "device-derate", latency_factor=3.0, bandwidth_factor=3.0
+            ),
+        ),
+    )
+    config = dataclasses.replace(build_config(fast_ratio=0.25), fault_plan=plan)
+    engine = SimulationEngine(
+        config, make_workload("redis"), make_policy("hetero-lru"),
+        telemetry=Telemetry(),
+    )
+    result = engine.run(6)
+    assert result.fault_counts == {"device-derate": 6}
+    shares = [_fast_stall_share(engine, sample) for sample in result.timeline]
+    assert shares == [1.0] * 6

@@ -1,11 +1,13 @@
 """VMAs/address space, split LRU, and swap device."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import AllocationError, ConfigurationError, OutOfMemoryError
 from repro.guestos.lru import SplitLru
 from repro.guestos.swap import SwapDevice
-from repro.guestos.vma import AddressSpace
+from repro.guestos.vma import AddressSpace, Vma
 from repro.mem.extent import ExtentState, PageExtent, PageType
 
 
@@ -19,6 +21,24 @@ def test_mmap_assigns_disjoint_ranges():
     b = mm.mmap("b", 50, PageType.PAGE_CACHE)
     assert a.end_vpn <= b.start_vpn
     assert mm.mapped_pages == 150
+
+
+def test_mmap_builds_the_same_vma_as_the_dataclass_init():
+    """mmap skips the frozen ``__init__`` (Vma.unchecked); the VMA it
+    returns must still equal, hash and stay frozen like one built the
+    ordinary way, with every field set."""
+    mm = AddressSpace()
+    first = mm.mmap("first", 7, PageType.SLAB)
+    vma = mm.mmap("heap", 100, PageType.HEAP)
+    built = Vma(
+        start_vpn=first.end_vpn, pages=100, page_type=PageType.HEAP,
+        region_id="heap",
+    )
+    assert vma == built
+    assert hash(vma) == hash(built)
+    assert vars(vma) == vars(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vma.pages = 1
 
 
 def test_mmap_duplicate_region_rejected():

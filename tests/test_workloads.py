@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.config import SimConfig
+from repro.core import make_policy
 from repro.errors import WorkloadError
 from repro.mem.extent import PageType
+from repro.sim.engine import SimulationEngine
+from repro.units import MIB
 from repro.workloads.base import (
     ChurnSpec,
     RegionSpec,
@@ -108,6 +112,40 @@ def test_access_shares_sum_to_total():
     for demand in workload.epochs(4):
         total = sum(r + w for r, w in demand.accesses.values())
         assert total == pytest.approx(1000.0)
+
+
+def test_access_shares_divide_by_the_left_to_right_total():
+    """Float totals on the result path add left to right, the same on
+    every interpreter: Python 3.12's compensated ``sum()`` would total
+    these shares, and then the epoch's accesses, 1.0000000000000002,
+    not 1.0, and change every region's accesses and the run's
+    ``total_accesses``."""
+    shares = (1.0, 1e-16, 1e-16)
+
+    def workload():
+        return simple_workload(
+            accesses_per_epoch=1.0,
+            resident=[
+                RegionSpec(f"r{index}", PageType.HEAP, 10, 0.5, share,
+                           write_fraction=0.0)
+                for index, share in enumerate(shares)
+            ],
+            churn=[],
+        )
+
+    total = 0.0
+    for share in shares:
+        total += share
+    assert total == 1.0
+    demand = next(iter(workload().epochs(1)))
+    assert [demand.accesses[f"test:r{index}"] for index in range(3)] == [
+        (share / total, 0.0) for share in shares
+    ]
+    config = SimConfig(
+        fast_capacity_bytes=16 * MIB, slow_capacity_bytes=64 * MIB
+    )
+    engine = SimulationEngine(config, workload(), make_policy("heap-od"))
+    assert engine.run(1).stats.total_accesses == total
 
 
 def test_active_epochs_limit_churn_accesses():
