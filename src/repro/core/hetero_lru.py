@@ -9,8 +9,11 @@ limitations the paper lists:
 2. *eager state monitoring* — active->inactive transitions of heap, I/O
    cache, and slab extents are observed every epoch and inactive FastMem
    extents are demoted to SlowMem immediately;
-3. *event-driven demotion* — I/O completion and unmap events demote the
-   affected FastMem pages at once instead of waiting for a scan.
+3. *event-driven demotion* — an I/O completion demotes the affected
+   FastMem pages at once instead of waiting for a scan.  (An unmap
+   needs no hook: ``GuestKernel.free_region`` returns the region's
+   pages to the allocator in the same call, so nothing is left to
+   demote.)
 
 Demotions are guest-local (no VMM round trip, simple remap + copy), so
 they are charged at a flat per-page cost far below Table 6's coordinated
@@ -22,8 +25,7 @@ from __future__ import annotations
 from repro.core.heap_io_slab_od import HeapIoSlabOdPolicy
 from repro.core.policy import PolicyBinding, register_policy
 from repro.errors import OutOfMemoryError, ReproError
-from repro.guestos.vma import Vma
-from repro.mem.extent import ExtentState, PageExtent
+from repro.mem.extent import PageExtent
 from repro.units import NS_PER_US, plain_sum
 
 
@@ -54,7 +56,6 @@ class HeteroLruPolicy(HeapIoSlabOdPolicy):
         for lru in kernel.lru.values():
             lru.inactive_after_epochs = self.inactive_after_epochs
         kernel.page_cache.add_io_complete_hook(self._on_io_complete)
-        kernel.address_space.add_unmap_hook(self._on_unmap)
 
     # ------------------------------------------------------------------
     # Eager event triggers
@@ -66,19 +67,6 @@ class HeteroLruPolicy(HeapIoSlabOdPolicy):
         kernel = self.kernel
         if extent.node_id in kernel.fast_node_ids and not extent.swapped:
             self._demote_queue.append(extent)
-
-    def _on_unmap(self, vma: Vma) -> None:
-        """Unmapped VMAs release their pages; nothing to demote (the
-        frames return to the allocator), but mark any survivors inactive
-        so a partial free cannot pin FastMem."""
-        kernel = self.kernel
-        if not kernel.has_region(vma.region_id):
-            return
-        for extent in kernel.region_extents(vma.region_id):
-            if not extent.swapped:
-                lru = kernel.lru[extent.node_id]
-                if lru.contains(extent):
-                    lru.deactivate(extent)
 
     # ------------------------------------------------------------------
     # Epoch work
@@ -115,11 +103,17 @@ class HeteroLruPolicy(HeapIoSlabOdPolicy):
             # node's mean active density yield their slots so denser
             # newcomers (from any subsystem) can claim them.
             active = lru.active_extents
-            active_pages = sum(e.pages for e in active)
+            active_pages = 0
+            for extent in active:
+                active_pages += extent.pages
             if active_pages > 0 and node.free_pages < node.total_pages * 0.5:
-                mean_density = (
-                    plain_sum(e.temperature for e in active) / active_pages
-                )
+                # From 0, left to right, as units.plain_sum adds (never
+                # sum(): 3.12's is compensated); a loop, as this runs
+                # every epoch.
+                temperature = 0
+                for extent in active:
+                    temperature += extent.temperature
+                mean_density = temperature / active_pages
                 lru.cold_density_threshold = max(2.0, 0.35 * mean_density)
             lru.scan(epoch)
             deficit = (

@@ -8,9 +8,8 @@ A :class:`PlacementPolicy` makes three kinds of decisions:
 * **epoch-time**: reclamation, hotness tracking, and migration work in
   :meth:`on_epoch_end`, whose returned nanoseconds are charged to the
   guest's virtual time as software-management overhead;
-* **event-time**: reactions to I/O completion and unmap events (the
-  HeteroOS-LRU eager triggers), wired into the kernel's hooks by
-  :meth:`bind`.
+* **event-time**: reactions to I/O completion (HeteroOS-LRU's eager
+  trigger), wired into the kernel's hooks by :meth:`bind`.
 """
 
 from __future__ import annotations

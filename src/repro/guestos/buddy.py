@@ -42,12 +42,9 @@ import mmap
 
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.mem.frames import FrameRange
+from repro.mem.frames import unchecked as _unchecked
 
 MAX_ORDER = 10  # Linux's default: blocks up to 2^10 = 1024 pages (4 MiB).
-
-# Hot-loop alias: a module-level binding skips the attribute lookup
-# that dominates at ~100ns-per-operation scale.
-_unchecked = FrameRange.unchecked
 #: Pre-built zero/one runs for freeing or allocating one buddy block
 #: per order, sparing a fresh ``bytes`` temporary per operation.
 _ZERO_RUN = tuple(bytes(1 << order) for order in range(MAX_ORDER + 1))
@@ -188,7 +185,7 @@ class BuddyAllocator:
         self._mask[offset:offset + count] = (
             _ONE_RUN[order] if order <= MAX_ORDER else b"\x01" * count
         )
-        return _unchecked(start, count)
+        return _unchecked((start, count))
 
     def _take_top_runs(self, blocks: int, append) -> int:
         """Take the ``blocks`` lowest free top-order blocks (at most as
@@ -213,7 +210,7 @@ class BuddyAllocator:
             offset = index << max_order
             frames = run << max_order
             mask[offset:offset + frames] = b"\x01" * frames
-            append(_unchecked(self.base + offset, frames))
+            append(_unchecked((self.base + offset, frames)))
             left -= run
             index = end
         self._top_free -= blocks
@@ -271,7 +268,7 @@ class BuddyAllocator:
                         if granted and granted[-1].end == block.start:
                             run = granted[-1]
                             granted[-1] = _unchecked(
-                                run.start, run.count + block.count
+                                (run.start, run.count + block.count)
                             )
                         else:
                             append(block)
@@ -321,14 +318,14 @@ class BuddyAllocator:
                     for start in starts:
                         offset = start - base
                         mask[offset:offset + count] = ones
-                        append(_unchecked(start, count))
+                        append(_unchecked((start, count)))
                     taken = len(starts) << order
                     self._free_frames -= taken
                     remaining -= taken
                     continue
                 offset = start - base
                 mask[offset:offset + count] = ones
-                append(_unchecked(start, count))
+                append(_unchecked((start, count)))
                 self._free_frames -= count
                 remaining -= count
         except OutOfMemoryError:

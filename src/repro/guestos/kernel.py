@@ -99,11 +99,13 @@ class GuestKernel:
         # The node topology is fixed for the kernel's lifetime (ballooning
         # hides frames, it never adds or removes nodes), so the ordered
         # id views consulted on every allocation are computed once.
-        self._fast_node_ids = sorted(
+        #: FastMem node ids, ascending.  Read-only.
+        self.fast_node_ids: list[int] = sorted(
             nid for nid, node in self.nodes.items() if node.is_fastmem
         )
-        self._fast_node_set = frozenset(self._fast_node_ids)
-        self._slow_node_ids = sorted(
+        self._fast_node_set = frozenset(self.fast_node_ids)
+        #: The other node ids, fastest tier first.  Read-only.
+        self.slow_node_ids: list[int] = sorted(
             (nid for nid, node in self.nodes.items() if not node.is_fastmem),
             key=lambda nid: self.nodes[nid].tier.rank,
         )
@@ -140,14 +142,6 @@ class GuestKernel:
     # Node topology helpers
     # ------------------------------------------------------------------
 
-    @property
-    def fast_node_ids(self) -> list[int]:
-        return self._fast_node_ids
-
-    @property
-    def slow_node_ids(self) -> list[int]:
-        return self._slow_node_ids
-
     def nodes_by_speed(self) -> list[int]:
         """All node ids, fastest tier first."""
         return self._nodes_by_speed
@@ -166,9 +160,15 @@ class GuestKernel:
     # ------------------------------------------------------------------
 
     def begin_epoch(self, epoch: int) -> None:
-        """Reset the per-epoch statistics window."""
+        """Reset the per-epoch statistics window.
+
+        The window's ``AllocStats`` are zeroed in place, so a reader of
+        :attr:`epoch_stats` must read it within the epoch.
+        """
         self.epoch = epoch
-        self.epoch_stats = _new_stats()
+        for stats in self.epoch_stats.values():
+            stats.requested_pages = 0
+            stats.fast_granted_pages = 0
         self.epoch_freed_fast_pages = 0
 
     def epoch_miss_ratios(self) -> dict[PageType, float]:
@@ -274,8 +274,8 @@ class GuestKernel:
     def free_region(self, region_id: str) -> Pages:
         """Release a region entirely; returns pages freed.
 
-        Fires the unmap hooks (HeteroOS-LRU's eager-demotion trigger) and
-        writes back any dirty I/O pages first — the page-state validity
+        Unmaps the region and writes back any dirty I/O pages before
+        their frames return to the allocator — the page-state validity
         checks of Section 4.1.
         """
         extent_ids = self.regions.pop(region_id, None)
@@ -325,7 +325,12 @@ class GuestKernel:
         :attr:`pending_cost_ns`); when no node has room, a refault storm
         penalty is charged instead, capped at one read per page.
         """
-        extents = self.region_extents(region_id)
+        extent_ids = self.regions.get(region_id)
+        if extent_ids is None:
+            raise AllocationError(f"unknown region {region_id!r}")
+        # A snapshot: a swap-in below may split an extent, inserting the
+        # (still swapped) tail into the region's id list.
+        extents = list(map(self.extents.__getitem__, extent_ids))
         total_pages = 0
         for extent in extents:
             total_pages += extent.pages

@@ -33,10 +33,13 @@ class NodeTier(enum.Enum):
     MEDIUM = "mediummem"
     SLOW = "slowmem"
 
-    @property
-    def rank(self) -> int:
-        """Lower rank = faster tier."""
-        return {"fastmem": 0, "mediummem": 1, "slowmem": 2}[self.value]
+    # Identity hashing (exact for singleton members, as for
+    # ``PageType``): tier-keyed maps sit on the balloon and VMM paths.
+    __hash__ = object.__hash__
+
+    def __init__(self, value: str) -> None:
+        #: Lower rank = faster tier (a constant per member).
+        self.rank = ("fastmem", "mediummem", "slowmem").index(value)
 
 
 @dataclass
@@ -57,11 +60,18 @@ class MemoryNode:
 
     @property
     def total_pages(self) -> int:
-        return sum(zone.total_pages for zone in self.zones)
+        # Loops, not generator totals: the policies read these per epoch.
+        total = 0
+        for zone in self.zones:
+            total += zone.total_pages
+        return total
 
     @property
     def free_pages(self) -> int:
-        return sum(zone.free_pages for zone in self.zones)
+        free = 0
+        for zone in self.zones:
+            free += zone.free_pages
+        return free
 
     @property
     def used_pages(self) -> int:
@@ -112,7 +122,10 @@ class MemoryNode:
         their page count, which may be fewer pages than asked."""
         granted: list[FrameRange] = []
         remaining = pages
-        for zone in self.zones_for(page_type):
+        zones = self._zones_for_cache.get(page_type)
+        if zones is None:
+            zones = self.zones_for(page_type)
+        for zone in zones:
             take = min(remaining, zone.buddy._free_frames)
             if take > 0:
                 granted.extend(zone.buddy.allocate_pages(take))
@@ -123,8 +136,13 @@ class MemoryNode:
 
     def free_pages_for(self, page_type: PageType) -> int:
         """Free pages in zones eligible to serve ``page_type``."""
+        # The memo read inline (a miss, or an unmemoised subclass, goes
+        # through zones_for): this runs for every allocation and move.
+        zones = self._zones_for_cache.get(page_type)
+        if zones is None:
+            zones = self.zones_for(page_type)
         free = 0
-        for zone in self.zones_for(page_type):
+        for zone in zones:
             free += zone.buddy._free_frames
         return free
 

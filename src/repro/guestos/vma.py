@@ -1,23 +1,20 @@
 """Virtual memory areas and the per-process address space.
 
-The guest's VMA list serves two purposes in HeteroOS: it is the source of
-the *tracking list* — "address ranges of contiguous memory regions that
-the VMM should track for hotness ... extract[ed] using the virtual memory
-area (VMA) structure" (Section 4.1) — and the unmap path is one of
-HeteroOS-LRU's eager-demotion triggers ("during an unmap operation,
-several continuous pages in a VMA region are released", Section 3.3).
+The guest's VMA list is the source of the *tracking list* — "address
+ranges of contiguous memory regions that the VMM should track for
+hotness ... extract[ed] using the virtual memory area (VMA) structure"
+(Section 4.1).  An unmap ("several continuous pages in a VMA region are
+released", Section 3.3) needs no demotion hook here: the kernel's
+``free_region`` unmaps the VMA and returns its pages to the allocator
+in the same call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.errors import AllocationError
 from repro.mem.extent import PageType
-
-#: Hook fired on munmap with the released VMA (HeteroOS-LRU's trigger).
-UnmapHook = Callable[["Vma"], None]
 
 
 @dataclass(frozen=True)
@@ -37,8 +34,8 @@ class Vma:
 
         Every region allocation maps one VMA, and that ``__init__`` (a
         guarded setattr per field) is most of its cost.  Direct
-        instance-dict writes bypass it, as :meth:`FrameRange.unchecked`
-        does; equality, hashing and immutability stay the dataclass's.
+        instance-dict writes bypass it; equality, hashing and
+        immutability stay the dataclass's.
         Sets every field, so keep it in step with the list above.
         """
         made = object.__new__(cls)
@@ -61,14 +58,10 @@ class AddressSpace:
     # heterolint: disable-next-line=magic-number — VPN base, not bytes
     next_vpn: int = 0x1000
     vmas: dict[str, Vma] = field(default_factory=dict)
-    _unmap_hooks: list[UnmapHook] = field(default_factory=list)
 
     @property
     def mapped_pages(self) -> int:
         return sum(vma.pages for vma in self.vmas.values())
-
-    def add_unmap_hook(self, hook: UnmapHook) -> None:
-        self._unmap_hooks.append(hook)
 
     def mmap(self, region_id: str, pages: int, page_type: PageType) -> Vma:
         """Map a new region; virtual addresses are bump-allocated."""
@@ -82,12 +75,10 @@ class AddressSpace:
         return vma
 
     def munmap(self, region_id: str) -> Vma:
-        """Unmap a region; fires the eager-demotion hooks."""
+        """Unmap a region; returns its VMA."""
         vma = self.vmas.pop(region_id, None)
         if vma is None:
             raise AllocationError(f"munmap of unmapped region {region_id!r}")
-        for hook in self._unmap_hooks:
-            hook(vma)
         return vma
 
     def find(self, vpn: int) -> Vma | None:

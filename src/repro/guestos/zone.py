@@ -26,6 +26,10 @@ class ZoneKind(enum.Enum):
     #: HeteroOS's single FastMem zone serving user and kernel pages alike.
     UNIFIED = "unified"
 
+    # Identity hashing (exact for singleton members, as for
+    # ``PageType``): ``MemoryNode.zones_for`` keys zones by kind.
+    __hash__ = object.__hash__
+
 
 #: Which zones may serve each page type, in preference order.
 _ZONE_PREFERENCE: dict[PageType, tuple[ZoneKind, ...]] = {

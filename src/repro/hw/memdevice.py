@@ -31,6 +31,11 @@ class MemoryKind(enum.Enum):
     GENERIC_FAST = "generic-fast"
     GENERIC_SLOW = "generic-slow"
 
+    # Identity hashing (exact for singleton members, as for
+    # ``PageType``): every ``MemoryDevice`` hash hashes its kind, and
+    # ``Enum.__hash__`` runs in Python.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class MemoryDevice:

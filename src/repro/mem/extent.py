@@ -41,24 +41,19 @@ class PageType(enum.Enum):
     # by identity, so equal members still hash equal.
     __hash__ = object.__hash__
 
-    @property
-    def is_io(self) -> bool:
-        """Short-lived I/O pages released once the request completes."""
-        return self in IO_PAGE_TYPES
-
-    @property
-    def is_migratable(self) -> bool:
-        """Linearly-mapped page-table and DMA pages cannot migrate
-        (Section 4.1's exception list)."""
-        return self not in (PageType.PAGE_TABLE, PageType.DMA)
+    def __init__(self, value: str) -> None:
+        # Constants set once per member, not properties: the policies
+        # read them per extent, and a property is a Python call.
+        #: Short-lived I/O pages released once the request completes.
+        self.is_io = value in ("page-cache", "buffer-cache")
+        #: Linearly-mapped page-table and DMA pages cannot migrate
+        #: (Section 4.1's exception list).
+        self.is_migratable = value not in ("pagetable", "dma")
 
 
 #: Every page type, in declaration order: iterating the ``Enum`` class
 #: runs its metaclass iterator, which a per-epoch loop should not pay.
 PAGE_TYPES = tuple(PageType)
-
-#: The I/O page types (:attr:`PageType.is_io`).
-IO_PAGE_TYPES = frozenset((PageType.PAGE_CACHE, PageType.BUFFER_CACHE))
 
 
 class ExtentState(enum.Enum):
@@ -67,6 +62,9 @@ class ExtentState(enum.Enum):
     ACTIVE = "active"
     INACTIVE = "inactive"
     UNEVICTABLE = "unevictable"
+
+    # Identity hashing, as for PageType.
+    __hash__ = object.__hash__
 
 
 _extent_ids = itertools.count(1)

@@ -9,44 +9,40 @@ inside the guest OS on top of frames granted by these pools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.units import Pages
 
 
-@dataclass(frozen=True)
-class FrameRange:
-    """A contiguous run of machine frames ``[start, start + count)``."""
+class FrameRange(tuple):
+    """A contiguous run of machine frames ``[start, start + count)``.
 
-    start: int
-    count: Pages
+    An immutable ``(start, count)`` pair: a tuple subclass with no
+    instance dict, whose fields are read-only views of its two items,
+    so equality and hashing are the tuple's and the buddy can build one
+    in C (:data:`unchecked`).
+    """
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.count <= 0:
+    __slots__ = ()
+
+    start = property(itemgetter(0), doc="First frame of the range.")
+    count = property(itemgetter(1), doc="Frames in the range.")
+
+    def __new__(cls, start: int, count: Pages) -> "FrameRange":
+        if start < 0 or count <= 0:
             raise AllocationError(
-                f"invalid frame range start={self.start} count={self.count}"
+                f"invalid frame range start={start} count={count}"
             )
+        return tuple.__new__(cls, (start, count))
 
-    @classmethod
-    def unchecked(cls, start: int, count: Pages) -> "FrameRange":
-        """Construct without ``__post_init__`` validation.
+    def __getnewargs__(self) -> tuple[int, Pages]:
+        # Pickle and copy rebuild through the validating __new__.
+        return tuple(self)
 
-        Reserved for allocators whose own invariants already guarantee
-        ``start >= 0`` and ``count > 0`` (the buddy split arithmetic in
-        ``repro.guestos.buddy`` produces only such pairs); the frozen
-        dataclass ``__init__`` is a measurable share of the allocation
-        hot path, and this bypasses it while keeping the type and its
-        equality/hash semantics identical.
-        """
-        made = object.__new__(cls)
-        # Direct instance-dict writes: the frozen-dataclass __setattr__
-        # guard only needs bypassing at construction, and this is the
-        # cheapest bypass (no descriptor dispatch).
-        attrs = made.__dict__
-        attrs["start"] = start
-        attrs["count"] = count
-        return made
+    def __repr__(self) -> str:
+        return f"FrameRange(start={self[0]}, count={self[1]})"
 
     @property
     def end(self) -> int:
@@ -65,6 +61,15 @@ class FrameRange:
             FrameRange(self.start, count),
             FrameRange(self.start + count, self.count - count),
         )
+
+
+#: ``unchecked((start, count))`` builds a :class:`FrameRange` without
+#: ``__new__``'s validation, entirely in C (no Python frame).  Reserved
+#: for allocators whose own invariants already guarantee ``start >= 0``
+#: and ``count > 0`` (the buddy split arithmetic in
+#: ``repro.guestos.buddy`` produces only such pairs); the type, equality
+#: and hashing are a validated range's.
+unchecked = partial(tuple.__new__, FrameRange)
 
 
 class FramePool:

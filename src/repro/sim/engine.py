@@ -21,7 +21,6 @@ Each epoch the engine:
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 
 from repro.config import SimConfig
 from repro.core.policy import PlacementPolicy, PolicyBinding
@@ -41,14 +40,10 @@ from repro.obs.bus import Telemetry
 from repro.obs.sample import SAMPLE_FORMAT_VERSION, EpochSample
 from repro.sim import fast
 from repro.sim.stats import RunResult, RunStats
-from repro.units import plain_sum
 from repro.vmm.domain import Domain
 from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.sharing import MaxMinSharing
 from repro.workloads.base import EpochDemand, RegionSpec, Workload
-
-#: Shared no-op context for profiling-off runs (no per-phase allocation).
-_NO_PHASE = nullcontext()
 
 #: Effect contract for every ``SimulationEngine.step`` phase, consumed
 #: statically by the heteroeffect certifier (``repro certify``) — it is
@@ -63,11 +58,7 @@ _NO_PHASE = nullcontext()
 #: (timing, sample) must stay certified.
 STEP_PHASES = {
     "demand": {
-        "roots": [
-            "SimulationEngine._apply_frees",
-            "SimulationEngine._apply_allocs",
-            "SimulationEngine._apply_touches",
-        ],
+        "roots": ["SimulationEngine._demand_phase"],
         "writes": ["SimulationEngine.region_specs"],
         "assume": {},
     },
@@ -105,6 +96,16 @@ STEP_PHASES = {
         },
     },
 }
+
+
+def _profiled(profiler, name: str, method):
+    """``method``, timed under ``name`` by ``profiler.phase``."""
+
+    def timed(*args, **kwargs):
+        with profiler.phase(name):
+            return method(*args, **kwargs)
+
+    return timed
 
 
 def build_single_vm(
@@ -204,6 +205,8 @@ class SimulationEngine:
         #: enabled — otherwise step() takes the exact untelemetered path.
         self.telemetry = telemetry
         self._sampling = telemetry is not None and telemetry.enabled
+        if self._sampling and telemetry.profiler is not None:
+            self._profile_phases(telemetry.profiler)
         policy.bind(
             PolicyBinding(
                 kernel=kernel, hypervisor=hypervisor, domain=domain,
@@ -251,12 +254,18 @@ class SimulationEngine:
             self.step(demand)
         return self.result()
 
-    def _phase(self, name: str):
-        """Profiler bracket for one engine phase; free when profiling is
-        off (shared null context, no allocation)."""
-        if self._sampling and self.telemetry.profiler is not None:
-            return self.telemetry.profiler.phase(name)
-        return _NO_PHASE
+    def _profile_phases(self, profiler) -> None:
+        """Time each ``STEP_PHASES`` phase under its name: the phase's
+        root method is wrapped, on this instance only, in
+        ``profiler.phase(name)``.  An engine built without a profiler
+        keeps the plain class methods, so ``step`` pays nothing for the
+        bracket."""
+        for name, phase in STEP_PHASES.items():
+            for root in phase["roots"]:
+                attribute = root.split(".")[1]
+                setattr(self, attribute, _profiled(
+                    profiler, name, getattr(self, attribute)
+                ))
 
     def step(self, demand: EpochDemand) -> None:
         """Advance one epoch."""
@@ -271,32 +280,28 @@ class SimulationEngine:
         kernel.begin_epoch(epoch)
         overhead_ns = self.policy.on_epoch_start(epoch)
 
-        with self._phase("demand"):
-            self._apply_frees(demand)
-            self._apply_allocs(demand)
-            self._apply_touches(demand)
-
-        with self._phase("cache"):
-            device_demands, llc_misses = self._memory_demands(demand)
+        self._demand_phase(demand)
+        device_demands, llc_misses = self._memory_demands(demand)
         channel = self.hypervisor.channel(self.domain.domain_id)
         channel.vmm_record_epoch(llc_misses, demand.instructions)
         self.policy.on_llc_sample(llc_misses, demand.instructions)
 
-        with self._phase("policy"):
-            overhead_ns += self._policy_phase(epoch)
+        overhead_ns += self._policy_phase(epoch)
         kernel_cost_ns = kernel.drain_pending_cost()
 
-        with self._phase("timing"):
-            cpu_ns, stall_total, epoch_stalls = self._timing_phase(
-                demand, device_demands, derate
-            )
+        cpu_ns, stall_total, epoch_stalls = self._timing_phase(
+            demand, device_demands, derate
+        )
 
-        epoch_traffic = plain_sum(
-            d.traffic_bytes for d in device_demands.values()
-        )
-        epoch_accesses = plain_sum(
-            reads + writes for reads, writes in demand.accesses.values()
-        )
+        # Both totals add from 0, left to right, as units.plain_sum
+        # does (never sum(): 3.12's is compensated); loops, as this
+        # runs every epoch.
+        epoch_traffic = 0
+        for device_demand in device_demands.values():
+            epoch_traffic += device_demand.traffic_bytes
+        epoch_accesses = 0
+        for reads, writes in demand.accesses.values():
+            epoch_accesses += reads + writes
         self.stats.epochs += 1
         self.stats.cpu_ns += cpu_ns
         self.stats.io_wait_ns += demand.io_wait_ns
@@ -323,23 +328,29 @@ class SimulationEngine:
                     )
 
         if self._sampling:
-            with self._phase("sample"):
-                self._sample_epoch(
-                    demand=demand,
-                    device_demands=device_demands,
-                    epoch_stalls=epoch_stalls,
-                    llc_misses=llc_misses,
-                    cpu_ns=cpu_ns,
-                    overhead_ns=overhead_ns,
-                    kernel_cost_ns=kernel_cost_ns,
-                    epoch_runtime_ns=epoch_runtime_ns,
-                    epoch_traffic=epoch_traffic,
-                    epoch_accesses=epoch_accesses,
-                )
+            self._sample_epoch(
+                demand=demand,
+                device_demands=device_demands,
+                epoch_stalls=epoch_stalls,
+                llc_misses=llc_misses,
+                cpu_ns=cpu_ns,
+                overhead_ns=overhead_ns,
+                kernel_cost_ns=kernel_cost_ns,
+                epoch_runtime_ns=epoch_runtime_ns,
+                epoch_traffic=epoch_traffic,
+                epoch_accesses=epoch_accesses,
+            )
 
     # ------------------------------------------------------------------
     # Phase bodies (the units STEP_PHASES certifies)
     # ------------------------------------------------------------------
+
+    def _demand_phase(self, demand: EpochDemand) -> None:
+        """The workload's frees, then its allocations, then its
+        accesses."""
+        self._apply_frees(demand)
+        self._apply_allocs(demand)
+        self._apply_touches(demand)
 
     def _policy_phase(self, epoch: int) -> float:
         """Policy epoch-end hook (LRU demotions, hotness scans,
@@ -364,7 +375,9 @@ class SimulationEngine:
         # accumulators and timelines are byte-stable across runs.
         stall_total = 0.0
         epoch_stalls: dict[str, float] = {}
-        for device in sorted(device_demands, key=topology_sort_key):
+        for device, device_demand in sorted(
+            device_demands.items(), key=lambda item: topology_sort_key(item[0])
+        ):
             timed = device
             if derate is not None:
                 # Transient degradation: stalls are computed against
@@ -379,7 +392,7 @@ class SimulationEngine:
                     capacity_bytes=device.capacity_bytes,
                 )
             stall = self.timing.stall_ns(
-                timed, device_demands[device], self.workload.mlp
+                timed, device_demand, self.workload.mlp
             )
             self.stats.add_stall(device.name, stall)
             epoch_stalls[device.name] = stall

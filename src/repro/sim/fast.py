@@ -138,7 +138,9 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
             ),)
         else:
             extents = [extent_map[eid] for eid in extent_ids]
-            pages = sum(extent.pages for extent in extents)
+            pages = 0
+            for extent in extents:
+                pages += extent.pages
             if pages == 0:
                 continue
             fractions = {}
@@ -190,7 +192,9 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
                 device,
                 write_misses * fraction * bytes_per_miss * 2.0,
             )
+    # Positional, in DEVICE_DEMAND_FIELDS order: ``contract-fast-mirror``
+    # pins its names to the dataclass's fields, a tier-1 test the order.
     return {
-        column[0]: DeviceDemand(**dict(zip(DEVICE_DEMAND_FIELDS, column[1:])))
+        column[0]: DeviceDemand(column[1], column[2], column[3])
         for column in columns.values()
     }, llc_misses

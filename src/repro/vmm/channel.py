@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ChannelError
 from repro.hw.counters import PerfCounters
-from repro.mem.extent import PageType
+from repro.mem.extent import PAGE_TYPES, PageType
 
 
 @dataclass
@@ -46,7 +46,7 @@ class CoordinationChannel:
         """Replace the tracking list (and optionally the exception list)."""
         self.tracking_regions = list(regions)
         if exception_types is not None:
-            forbidden = exception_types - set(PageType)
+            forbidden = exception_types.difference(PAGE_TYPES)
             if forbidden:
                 raise ChannelError(f"unknown page types: {forbidden}")
             self.exception_types = set(exception_types)

@@ -22,7 +22,7 @@ from typing import Iterator
 
 from repro.errors import WorkloadError
 from repro.mem.extent import PageType
-from repro.units import CACHE_LINE, plain_sum
+from repro.units import CACHE_LINE
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,11 @@ class StatisticalWorkload(Workload):
             share = spec.access_share / len(region_ids)
             for region_id in region_ids:
                 weights.append((region_id, share, spec.write_fraction))
-        total_weight = plain_sum(weight for _, weight, _ in weights)
+        # From 0, left to right, as units.plain_sum adds (never sum():
+        # 3.12's is compensated); a loop, as this runs every epoch.
+        total_weight = 0
+        for _, weight, _ in weights:
+            total_weight += weight
         if total_weight <= 0:
             return
         for region_id, weight, write_fraction in weights:

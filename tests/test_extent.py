@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import AllocationError
+from repro.guestos.numa import NodeTier
 from repro.mem.extent import ExtentState, PageExtent, PageType
 from repro.units import PAGE_SIZE
 
@@ -23,6 +24,22 @@ def test_page_type_migratability():
         PageType.NETWORK_BUFFER, PageType.BUFFER_CACHE,
     ):
         assert page_type.is_migratable
+
+
+def test_member_constants_match_their_definitions():
+    """The per-member flags are plain attributes set once per member;
+    each must equal the expression it replaced."""
+    for page_type in PageType:
+        assert page_type.is_io is (
+            page_type in (PageType.PAGE_CACHE, PageType.BUFFER_CACHE)
+        )
+        assert page_type.is_migratable is (
+            page_type not in (PageType.PAGE_TABLE, PageType.DMA)
+        )
+    for tier in NodeTier:
+        assert tier.rank == {
+            "fastmem": 0, "mediummem": 1, "slowmem": 2
+        }[tier.value]
 
 
 def test_extent_ids_unique():

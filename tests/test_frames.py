@@ -1,9 +1,12 @@
 """Frame ranges and the machine frame pool."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import AllocationError, OutOfMemoryError
-from repro.mem.frames import FramePool, FrameRange
+from repro.mem.frames import FramePool, FrameRange, unchecked
 
 
 # ----------------------------------------------------------------------
@@ -32,6 +35,43 @@ def test_range_split():
         FrameRange(10, 5).split(5)
     with pytest.raises(AllocationError):
         FrameRange(10, 5).split(0)
+
+
+def test_unchecked_builds_the_same_range():
+    built = unchecked((7, 3))
+    assert built == FrameRange(7, 3)
+    assert type(built) is FrameRange
+    assert hash(built) == hash(FrameRange(7, 3))
+    assert (built.start, built.count, built.end) == (7, 3, 10)
+
+
+def test_range_is_immutable():
+    r = FrameRange(10, 5)
+    with pytest.raises(AttributeError):
+        r.start = 11
+    with pytest.raises(AttributeError):
+        r.count = 1
+    with pytest.raises(AttributeError):
+        r.owner = "x"
+    assert r == FrameRange(10, 5)
+
+
+def test_range_pickles_and_copies_to_an_equal_range():
+    r = FrameRange(10, 5)
+    for copied in (
+        pickle.loads(pickle.dumps(r)),
+        copy.deepcopy(r),
+        copy.copy(r),
+    ):
+        assert copied == r
+        assert type(copied) is FrameRange
+    # The rebuild validates, as the constructor does.
+    with pytest.raises(AllocationError):
+        copy.deepcopy(unchecked((4, 0)))
+
+
+def test_range_repr_names_its_fields():
+    assert repr(FrameRange(10, 5)) == "FrameRange(start=10, count=5)"
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.core.policy import available_policies
+from repro.core.policy import available_policies, make_policy
 from repro.errors import ObservabilityError
 from repro.obs import (
     ChromeTraceSink,
@@ -31,8 +31,10 @@ from repro.obs import (
     json_line,
     load_timeline,
 )
+from repro.sim.engine import STEP_PHASES, SimulationEngine
 from repro.sim.parallel import ResultCache, make_spec, run_spec, run_specs
-from repro.sim.runner import run_experiment
+from repro.sim.runner import build_config, run_experiment
+from repro.workloads.registry import make_workload
 from repro.vmm.migration import MigrationEngine, MigrationReport
 
 APP = "redis"
@@ -362,6 +364,44 @@ def test_profiler_lands_in_jsonl_summary(tmp_path):
     _, _, summary = load_timeline(path)
     assert "profile" in summary
     assert summary["profile"]["demand"]["calls"] == EPOCHS
+
+
+#: The engine methods ``STEP_PHASES`` names as phase roots, which a
+#: profiled engine wraps on its instance.
+PHASE_METHODS = {
+    root.split(".")[1]
+    for phase in STEP_PHASES.values()
+    for root in phase["roots"]
+}
+
+
+def _engine(telemetry):
+    return SimulationEngine(
+        build_config(seed=7), make_workload(APP), make_policy("hetero-lru"),
+        telemetry=telemetry,
+    )
+
+
+def test_profiled_run_times_all_five_phases():
+    profiler = PhaseProfiler()
+    engine = _engine(Telemetry(profiler=profiler))
+    assert PHASE_METHODS <= set(vars(engine))
+    engine.run(EPOCHS)
+    report = profiler.report()
+    assert set(report) == set(STEP_PHASES)
+    for name, entry in report.items():
+        assert entry["calls"] == EPOCHS, name
+
+
+def test_unprofiled_engine_keeps_the_class_phase_methods():
+    for telemetry in (
+        None,
+        Telemetry(),
+        Telemetry(profiler=PhaseProfiler(), enabled=False),
+    ):
+        engine = _engine(telemetry)
+        engine.run(EPOCHS)
+        assert not PHASE_METHODS & set(vars(engine)), telemetry
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.hw.memdevice import NVM_PCM
 from repro.hw.throttle import ThrottleConfig, throttled_device
 from repro.core.coordinated import next_interval_ms
 from repro.mem.extent import PageExtent, PageType
-from repro.mem.frames import FramePool, FrameRange
+from repro.mem.frames import FramePool, FrameRange, unchecked
 from repro.units import MIB, PAGE_SIZE
 from repro.vmm.migration import MigrationCostModel
 
@@ -470,10 +470,10 @@ def test_node_free_ranges_matches_reference_across_zones(tier, pages, program):
             batch.insert(at, FrameRange(end + at, 1))
         elif fault == "zero":
             start = batch[at - 1].start if at > 0 else _NODE_BASE
-            batch.insert(at, FrameRange.unchecked(start, 0))
+            batch.insert(at, unchecked((start, 0)))
         elif fault == "zero-foreign":
             # Ownership is checked first: a foreign frame, not a bad count.
-            batch.insert(at, FrameRange.unchecked(end + at, 0))
+            batch.insert(at, unchecked((end + at, 0)))
         else:
             at = len(batch)
         got = _outcome(lambda: node.free_ranges(batch))

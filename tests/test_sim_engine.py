@@ -1,5 +1,9 @@
 """Simulation engine, config, stats, and runner."""
 
+import cProfile
+import os
+import pstats
+
 import pytest
 
 from repro.config import SimConfig
@@ -12,6 +16,7 @@ from repro.sim.runner import build_config, run_experiment
 from repro.sim.stats import RunResult, RunStats, gain_percent, slowdown_factor
 from repro.units import GIB, MIB
 from repro.workloads.base import RegionSpec, StatisticalWorkload
+from repro.workloads.registry import make_workload
 
 
 def tiny_workload(**overrides) -> StatisticalWorkload:
@@ -235,3 +240,35 @@ def test_run_experiment_accepts_names_and_instances():
 def test_run_experiment_unlimited_fast_for_fastmem_only():
     result = run_experiment("nginx", "fastmem-only", epochs=3)
     assert result.fastmem_miss_ratio() == 0.0
+
+
+# ----------------------------------------------------------------------
+# Call census
+# ----------------------------------------------------------------------
+
+def test_unprofiled_epochs_call_no_enum_hash_or_contextlib():
+    """The per-epoch path stays free of two kinds of Python-level call
+    that cost time and compute nothing: ``Enum.__hash__`` (the
+    simulator's enums key hot dicts and hash by identity) and
+    ``contextlib`` (``step`` brackets its phases only on an engine
+    built with a profiler)."""
+    engine = SimulationEngine(
+        build_config(seed=11), make_workload("redis"),
+        make_policy("hetero-lru"),
+    )
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        engine.run(12)
+    finally:
+        profile.disable()
+    offenders = sorted(
+        f"{path}:{line}:{name} x{calls}"
+        for (path, line, name), (_, calls, *_) in pstats.Stats(
+            profile
+        ).stats.items()
+        if (os.path.basename(path) == "enum.py" and name == "__hash__")
+        or os.path.basename(path) == "contextlib.py"
+    )
+    assert engine.stats.epochs == 12
+    assert not offenders

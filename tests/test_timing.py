@@ -1,11 +1,14 @@
 """Roofline memory timing model."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.hw.memdevice import DRAM
 from repro.hw.throttle import ThrottleConfig, throttled_device
 from repro.hw.timing import CpuConfig, DeviceDemand, MemoryTimingModel
+from repro.sim.fast import DEVICE_DEMAND_FIELDS
 
 
 def test_cpu_time():
@@ -85,3 +88,12 @@ def test_demand_merge():
     assert merged.read_misses == 11
     assert merged.write_misses == 22
     assert merged.traffic_bytes == 33
+
+
+def test_demand_columns_follow_the_field_order():
+    """The demand pass builds each ``DeviceDemand`` positionally from its
+    ``DEVICE_DEMAND_FIELDS`` columns, so the column tuple must list the
+    dataclass's fields in declaration order, not just the same names."""
+    assert DEVICE_DEMAND_FIELDS == tuple(
+        field.name for field in dataclasses.fields(DeviceDemand)
+    )
