@@ -34,11 +34,11 @@ from repro import (
     gain_percent,
     run_experiment,
 )
-from repro.experiments import report
-from repro import experiments
 
 
 def _figure_drivers() -> dict[str, Callable[[], list[dict]]]:
+    from repro import experiments
+
     names = [
         "table1", "table3", "table4", "table5", "table6",
         "fig1", "fig2", "fig3", "fig4", "fig6", "fig7", "fig8",
@@ -99,6 +99,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         print(f"faults   : {fired}")
     if args.breakdown:
+        from repro.experiments import report
         from repro.experiments.analysis import (
             allocation_breakdown,
             time_breakdown,
@@ -116,6 +117,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.experiments import report
+
     baseline = run_experiment(
         args.app, "slowmem-only", fast_ratio=args.ratio, epochs=args.epochs
     )
@@ -141,6 +144,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments import report
+
     drivers = _figure_drivers()
     targets = list(drivers) if args.name == "all" else [args.name]
     unknown = [t for t in targets if t not in drivers]
@@ -441,6 +446,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.errors import SweepError
+    from repro.experiments import report
     from repro.experiments.sweep import sweep
     from repro.sim import parallel
 
@@ -952,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a sweep-level Chrome trace (per-spec spans on "
         "worker lanes, cache/retry instants) viewable in "
         "ui.perfetto.dev; merge with per-run `repro trace` files via "
-        "repro.obs.merge_traces",
+        "repro.obs.flight.merge_traces",
     )
     sweep_parser.add_argument(
         "--live", action="store_true",

@@ -1,6 +1,6 @@
 """Developer tooling for the simulator: static analysis + runtime checkers.
 
-Three parts, sharing one rule-ID namespace (see docs/devtools.md):
+Five parts, sharing one rule-ID namespace (see docs/devtools.md):
 
 * :mod:`repro.devtools.lint` — **heterolint**, an AST rule engine that
   mechanically enforces the invariants DESIGN.md relies on (determinism,
@@ -9,50 +9,19 @@ Three parts, sharing one rule-ID namespace (see docs/devtools.md):
 * :mod:`repro.devtools.flow` — **heteroflow**, whole-program dimension
   inference, protocol typestate checking, and determinism taint over the
   project call graph, run as ``repro lint --deep``.  ``flow-`` rule ids.
+* :mod:`repro.devtools.effect` — **heteroeffect**, effect and race
+  analysis plus phase certification (``repro lint --effects``,
+  ``repro certify``).  ``effect-`` rule ids.
+* :mod:`repro.devtools.contract` — **heterocontract**, cross-layer
+  contract drift (``repro lint --contracts``).  ``contract-`` rule ids.
 * :mod:`repro.devtools.sanitizer` — **FrameSanitizer**, an ASan-style
   shadow-state checker for frame ownership (double-free, leak,
   use-after-free, migration ownership races), enabled with
   ``SimConfig(sanitize=True)`` or ``repro sanitize-check``.  ``san-``
   defect-class ids in SARIF output.
+
+The package itself re-exports nothing: import the submodule you need
+(``from repro.devtools.lint import lint_paths``).  The simulator
+imports only the sanitizer, and only under ``SimConfig(sanitize=True)``,
+so running an experiment never compiles the static analyzers.
 """
-
-from __future__ import annotations
-
-from repro.devtools.flow import (
-    Baseline,
-    BaselineEntry,
-    ProjectIndex,
-    deep_lint_paths,
-    deep_rule_metadata,
-    report_to_sarif,
-    sarif_json,
-)
-from repro.devtools.lint import (
-    Finding,
-    LintReport,
-    Rule,
-    all_rules,
-    lint_paths,
-    lint_source,
-    register,
-)
-from repro.devtools.sanitizer import FrameSanitizer, SanitizerReport
-
-__all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "Finding",
-    "LintReport",
-    "ProjectIndex",
-    "Rule",
-    "all_rules",
-    "deep_lint_paths",
-    "deep_rule_metadata",
-    "lint_paths",
-    "lint_source",
-    "register",
-    "report_to_sarif",
-    "sarif_json",
-    "FrameSanitizer",
-    "SanitizerReport",
-]

@@ -26,7 +26,8 @@ intra-run behaviour observable without perturbing it:
   :class:`~repro.obs.flight.SweepRecorder` that ``run_specs`` notifies
   (cache traffic, retries, per-spec wall-clock lanes, fault roll-ups),
   behind ``repro sweep --metrics/--trace-sweep/--live`` and
-  ``repro report``.
+  ``repro report``.  The package does not re-export these two: import
+  them from their submodules, so a single run never loads them.
 
 Determinism contract: telemetry observes, never steers.  A run with any
 combination of sinks produces a field-by-field identical
@@ -48,19 +49,6 @@ from repro.obs.diff import (
     diff_timelines,
     load_timeline,
 )
-from repro.obs.flight import (
-    SweepRecorder,
-    format_live_status,
-    merge_traces,
-    reconstruct_report,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    snapshot_delta,
-)
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.sample import EpochSample
 from repro.obs.sinks import (
@@ -73,23 +61,14 @@ from repro.obs.sinks import (
 
 __all__ = [
     "ChromeTraceSink",
-    "Counter",
     "EpochSample",
-    "Gauge",
-    "Histogram",
     "JsonlSink",
-    "MetricsRegistry",
     "PhaseProfiler",
     "Sink",
-    "SweepRecorder",
     "Telemetry",
     "TimelineDiff",
     "TimelineSink",
     "diff_timelines",
-    "format_live_status",
     "json_line",
     "load_timeline",
-    "merge_traces",
-    "reconstruct_report",
-    "snapshot_delta",
 ]

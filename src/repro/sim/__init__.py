@@ -1,28 +1,17 @@
-"""Simulation engines: single-VM epoch loop, multi-VM sharing, runner
-API, and the parallel/cached experiment execution layer."""
+"""Simulation engines: single-VM epoch loop, multi-VM sharing and the
+runner API.
+
+The package re-exports the run path only.  The parallel/cached
+experiment layer (:mod:`repro.sim.parallel`: ``ExperimentSpec``,
+``run_specs``, ``ResultCache``, ...) and trace record/replay
+(:mod:`repro.sim.trace`) are imported from their submodules, so a
+single run never loads the sweep layer.
+"""
 
 from repro.sim.stats import RunResult, RunStats, gain_percent, slowdown_factor
 from repro.sim.engine import SimulationEngine, build_custom_vm, build_single_vm
 from repro.sim.runner import run_experiment
 from repro.sim.multi_vm import MultiVmSimulation, VmSpec
-from repro.sim.parallel import (
-    ExperimentSpec,
-    ResultCache,
-    SpecFailure,
-    SpecOutcome,
-    make_spec,
-    results_or_raise,
-    run_cached,
-    run_spec,
-    run_specs,
-    source_fingerprint,
-)
-from repro.sim.trace import (
-    TraceWorkload,
-    load_trace,
-    record_trace,
-    save_trace,
-)
 
 __all__ = [
     "RunStats",
@@ -33,20 +22,6 @@ __all__ = [
     "build_single_vm",
     "build_custom_vm",
     "run_experiment",
-    "ExperimentSpec",
-    "ResultCache",
-    "SpecFailure",
-    "SpecOutcome",
-    "make_spec",
-    "results_or_raise",
-    "run_cached",
-    "run_spec",
-    "run_specs",
-    "source_fingerprint",
     "MultiVmSimulation",
     "VmSpec",
-    "TraceWorkload",
-    "record_trace",
-    "save_trace",
-    "load_trace",
 ]

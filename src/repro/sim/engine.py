@@ -21,10 +21,10 @@ Each epoch the engine:
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from repro.config import SimConfig
 from repro.core.policy import PlacementPolicy, PolicyBinding
-from repro.devtools.sanitizer import FrameSanitizer
 from repro.errors import OutOfMemoryError
 from repro.faults import FaultInjector
 from repro.guestos.balloon import TierReservation
@@ -44,6 +44,9 @@ from repro.vmm.domain import Domain
 from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.sharing import MaxMinSharing
 from repro.workloads.base import EpochDemand, RegionSpec, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.devtools.sanitizer import FrameSanitizer
 
 #: Effect contract for every ``SimulationEngine.step`` phase, consumed
 #: statically by the heteroeffect certifier (``repro certify``) — it is
@@ -185,6 +188,8 @@ class SimulationEngine:
         #: Frame-ownership shadow checker (SimConfig(sanitize=True)).
         self.sanitizer: FrameSanitizer | None = None
         if config.sanitize:
+            from repro.devtools.sanitizer import FrameSanitizer
+
             self.sanitizer = FrameSanitizer()
             self.sanitizer.attach_kernel(kernel)
         #: Fault injector (repro.faults); ``None`` — the overwhelmingly

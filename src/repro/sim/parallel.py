@@ -49,7 +49,15 @@ import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 try:  # advisory file locking (POSIX); absent on some platforms
     import fcntl
@@ -62,12 +70,16 @@ from repro.faults import FaultPlan
 from repro.hw.throttle import ThrottleConfig
 from repro.hw.topology import remote_dram
 from repro.obs.bus import Telemetry
-from repro.obs.flight import SweepRecorder
 from repro.obs.sample import EpochSample
 from repro.obs.sinks import json_line
+# At module level on purpose: the workers WorkerSupervisor forks inherit
+# the simulator instead of compiling it inside a timed sweep.
 from repro.sim.runner import build_config, run_experiment
 from repro.sim.stats import RunResult
 from repro.vmm.hotness import HotnessConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.flight import SweepRecorder
 
 __all__ = [
     "ExperimentSpec",
