@@ -1,10 +1,9 @@
 """Wall-clock pin for the full static-analysis stack.
 
-CI runs ``repro lint --deep --effects --contracts`` on every PR for
-two Python versions, so its runtime is part of the development loop.
-This bench times a cold run (parse + index + all analyses), a warm run
-(AST cache + persisted effect fixpoint hit), and the heterocontract
-pass alone, and archives everything to
+CI runs ``repro lint --deep --effects`` on every PR for two Python
+versions, so its runtime is part of the development loop.  This bench
+times a cold run (parse + index + all analyses) and a warm run (AST
+cache + persisted effect fixpoint hit), and archives everything to
 ``benchmarks/_results/BENCH_lint.json`` so regressions show up as a
 diff, not an anecdote.  The soft ceiling is generous — the point is
 catching an accidental quadratic blow-up in the effect fixpoint, not
@@ -58,24 +57,13 @@ def _timed_effects_only(cache_dir):
     return time.perf_counter() - start
 
 
-def test_bench_lint_deep_effects_contracts(tmp_path):
+def test_bench_lint_deep_effects(tmp_path):
     cache_dir = tmp_path / "cache"
-    cold_report, cold_sec = _timed_lint(
-        cache_dir, include_effects=True, include_contracts=True
-    )
-    warm_report, warm_sec = _timed_lint(
-        cache_dir, include_effects=True, include_contracts=True
-    )
-    contracts_report, contracts_sec = _timed_lint(
-        cache_dir,
-        include_shallow=False,
-        include_deep=False,
-        include_contracts=True,
-    )
+    cold_report, cold_sec = _timed_lint(cache_dir, include_effects=True)
+    warm_report, warm_sec = _timed_lint(cache_dir, include_effects=True)
 
     assert cold_report.findings == [], cold_report.format_human()
     assert warm_report.findings == []
-    assert contracts_report.findings == []
     assert cold_report.files_checked == warm_report.files_checked
 
     # Fixpoint persistence: a fresh cache pays the fixpoint, the second
@@ -89,11 +77,10 @@ def test_bench_lint_deep_effects_contracts(tmp_path):
     )
 
     payload = {
-        "benchmark": "repro lint --deep --effects --contracts src/repro",
+        "benchmark": "repro lint --deep --effects src/repro",
         "files": cold_report.files_checked,
         "cold_sec": round(cold_sec, 3),
         "warm_sec": round(warm_sec, 3),
-        "contracts_sec": round(contracts_sec, 3),
         "effects_cold_sec": round(effects_cold_sec, 3),
         "effects_warm_sec": round(effects_warm_sec, 3),
         "suppressed": len(cold_report.suppressed),
@@ -103,12 +90,11 @@ def test_bench_lint_deep_effects_contracts(tmp_path):
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     print(
-        f"\nlint --deep --effects --contracts: {payload['files']} files, "
-        f"cold {cold_sec:.2f}s, warm {warm_sec:.2f}s, "
-        f"contracts-only {contracts_sec:.2f}s, effect fixpoint "
+        f"\nlint --deep --effects: {payload['files']} files, "
+        f"cold {cold_sec:.2f}s, warm {warm_sec:.2f}s, effect fixpoint "
         f"{effects_cold_sec:.2f}s -> {effects_warm_sec:.2f}s warm"
     )
     assert cold_sec < COLD_CEILING_SEC, (
-        f"cold lint --deep --effects --contracts took {cold_sec:.1f}s; "
+        f"cold lint --deep --effects took {cold_sec:.1f}s; "
         f"ceiling is {COLD_CEILING_SEC:.0f}s"
     )

@@ -176,7 +176,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.errors import LintError
 
     if args.list_rules:
-        from repro.devtools.contract import contract_rule_metadata
         from repro.devtools.effect import effect_rule_metadata
 
         for rule_id, rule_cls in sorted(all_rules().items()):
@@ -185,8 +184,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"{rule_id} [deep]: {rationale}")
         for rule_id, rationale in sorted(effect_rule_metadata().items()):
             print(f"{rule_id} [effects]: {rationale}")
-        for rule_id, rationale in sorted(contract_rule_metadata().items()):
-            print(f"{rule_id} [contracts]: {rationale}")
         return 0
     rule_ids = args.rules.split(",") if args.rules else None
     changed = None
@@ -211,7 +208,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print("no changed Python files under the requested paths")
             return 0
     try:
-        if args.deep or args.effects or args.contracts:
+        if args.deep or args.effects:
             baseline = None
             baseline_path = args.baseline
             if baseline_path is None and os.path.exists(DEFAULT_BASELINE):
@@ -228,7 +225,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 cache_dir=args.cache_dir,
                 include_deep=args.deep,
                 include_effects=args.effects,
-                include_contracts=args.contracts,
             )
             if changed is not None:
                 from repro.devtools.flow import scope_to_changed
@@ -789,16 +785,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--effects", action="store_true",
-        help="also run the heteroeffect race/fork-safety rules "
-        "(effect-shared-write, effect-fork-unsafe, effect-rng-aliasing, "
-        "effect-order-dep); combinable with --deep",
-    )
-    lint_parser.add_argument(
-        "--contracts", action="store_true",
-        help="also run the heterocontract cross-layer drift rules "
-        "(contract-spec-field, contract-sample-sum, contract-fault-kind, "
-        "contract-obs-pure, contract-registry); combinable with "
-        "--deep/--effects",
+        help="also run the heteroeffect race/fork-safety and "
+        "observation-purity rules (effect-shared-write, "
+        "effect-fork-unsafe, effect-rng-aliasing, effect-order-dep, "
+        "effect-obs-pure); combinable with --deep",
     )
     lint_parser.add_argument(
         "--changed", action="store_true",

@@ -1,6 +1,6 @@
 """Developer tooling for the simulator: static analysis + runtime checkers.
 
-Five parts, sharing one rule-ID namespace (see docs/devtools.md):
+Four parts, sharing one rule-ID namespace (see docs/devtools.md):
 
 * :mod:`repro.devtools.lint` — **heterolint**, an AST rule engine that
   mechanically enforces the invariants DESIGN.md relies on (determinism,
@@ -9,11 +9,9 @@ Five parts, sharing one rule-ID namespace (see docs/devtools.md):
 * :mod:`repro.devtools.flow` — **heteroflow**, whole-program dimension
   inference, protocol typestate checking, and determinism taint over the
   project call graph, run as ``repro lint --deep``.  ``flow-`` rule ids.
-* :mod:`repro.devtools.effect` — **heteroeffect**, effect and race
-  analysis plus phase certification (``repro lint --effects``,
-  ``repro certify``).  ``effect-`` rule ids.
-* :mod:`repro.devtools.contract` — **heterocontract**, cross-layer
-  contract drift (``repro lint --contracts``).  ``contract-`` rule ids.
+* :mod:`repro.devtools.effect` — **heteroeffect**, effect, race and
+  observation-purity analysis plus phase certification (``repro lint
+  --effects``, ``repro certify``).  ``effect-`` rule ids.
 * :mod:`repro.devtools.sanitizer` — **FrameSanitizer**, an ASan-style
   shadow-state checker for frame ownership (double-free, leak,
   use-after-free, migration ownership races), enabled with
@@ -24,4 +22,10 @@ The package itself re-exports nothing: import the submodule you need
 (``from repro.devtools.lint import lint_paths``).  The simulator
 imports only the sanitizer, and only under ``SimConfig(sanitize=True)``,
 so running an experiment never compiles the static analyzers.
+
+Declarations that mirror each other across layers (spec fields and the
+cache key, sample fields and run totals, fault kinds and their sources,
+factories and registries) are pinned by plain tests on the live
+objects, next to the tests of each declaration; docs/devtools.md lists
+which test reads which pair.
 """

@@ -8,8 +8,10 @@ transitively writes, which RNG streams it draws from, where it
 iterates unordered containers while doing either, and which calls
 escape the analysis.  Two clients share the summaries:
 
-* the race/fork-safety **rules** (``repro lint --effects``,
-  ``effect-*`` rule ids) guard the forked sweep workers;
+* the **rules** (``repro lint --effects``, ``effect-*`` rule ids)
+  guard the forked sweep workers against races and fork hazards, and
+  the telemetry plane against writing the state it observes
+  (``effect-obs-pure``);
 * the phase **certifier** (``repro certify``) proves which
   ``SimulationEngine.step`` phases are free of cross-phase hidden
   state and writes the ``heteroeffect-ledger.json`` CI pins.
@@ -28,7 +30,6 @@ from repro.devtools.effect.certify import (
     ledger_json,
 )
 from repro.devtools.effect.rules import (
-    DEFAULT_WORKER_ENTRY_POINTS,
     EffectRules,
     effect_rule_metadata,
     worker_entry_points,
@@ -43,7 +44,6 @@ from repro.devtools.effect.summary import (
 
 __all__ = [
     "DEFAULT_LEDGER",
-    "DEFAULT_WORKER_ENTRY_POINTS",
     "EffectAnalysis",
     "EffectRules",
     "EffectSite",

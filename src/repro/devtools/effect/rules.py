@@ -1,8 +1,8 @@
-"""heteroeffect race/fork-safety rules.
+"""heteroeffect race, fork-safety and observation-purity rules.
 
-Four rules over the effect summaries, aimed at the parallel sweep
-path (``repro.sim.parallel`` forks worker processes) and the planned
-event kernel:
+Five rules over the effect summaries.  Four are aimed at the parallel
+sweep path (``repro.sim.parallel`` forks worker processes) and the
+planned event kernel:
 
 * ``effect-shared-write`` — a function reachable from a forked worker
   entry point writes a module global; parent and workers race on it
@@ -17,6 +17,12 @@ event kernel:
 * ``effect-order-dep`` — a loop over an unordered container whose body
   (transitively) draws RNG or writes shared state; iteration order
   becomes part of the result.
+
+The fifth guards the no-perturbation contract of the telemetry plane:
+
+* ``effect-obs-pure`` — a function in ``repro.obs`` (transitively)
+  writes a module global, forks, or writes an attribute of a class
+  defined outside ``repro.obs``; telemetry must observe, never steer.
 
 Findings carry the worker-entry reachability chain or the callee
 summary that produced them, so every report shows its interprocedural
@@ -34,17 +40,17 @@ from repro.devtools.flow.graph import FunctionInfo, ProjectIndex
 from repro.devtools.lint import Finding
 
 __all__ = [
-    "DEFAULT_WORKER_ENTRY_POINTS",
     "EffectRules",
     "effect_rule_metadata",
     "worker_entry_points",
 ]
 
-#: Used when the tree has no ``WORKER_ENTRY_POINTS`` marker of its own.
-DEFAULT_WORKER_ENTRY_POINTS = ("_worker_main",)
-
 #: Module (index-normalized) whose functions run inside forked workers.
 _WORKER_MODULE = "sim.parallel"
+
+#: Package (index-normalized) of the telemetry plane, which may write
+#: only the state of classes it defines.
+_OBS_PACKAGE = "obs"
 
 
 def effect_rule_metadata() -> "dict[str, str]":
@@ -69,13 +75,18 @@ def effect_rule_metadata() -> "dict[str, str]":
             "writing shared state makes the result depend on insertion "
             "order"
         ),
+        "effect-obs-pure": (
+            "nothing reachable from the observability plane may write "
+            "non-obs state (the no-perturbation contract): telemetry "
+            "observes, never steers"
+        ),
     }
 
 
 def worker_entry_points(index: ProjectIndex) -> "tuple[str, ...]":
-    """The worker-root function names: ``sim.parallel``'s own
-    ``WORKER_ENTRY_POINTS`` marker when present (read statically, no
-    import), else the defaults."""
+    """The worker-root function names: ``sim.parallel``'s
+    ``WORKER_ENTRY_POINTS`` marker (read statically, no import), or
+    none when the tree declares no such marker."""
     module = index.modules.get(_WORKER_MODULE)
     if module is not None:
         for node in module.ctx.tree.body:
@@ -93,16 +104,26 @@ def worker_entry_points(index: ProjectIndex) -> "tuple[str, ...]":
                     isinstance(item, str) for item in value
                 ):
                     return tuple(value)
-    return DEFAULT_WORKER_ENTRY_POINTS
+    return ()
+
+
+def _in_obs(module: str) -> bool:
+    return module == _OBS_PACKAGE or module.startswith(_OBS_PACKAGE + ".")
 
 
 class EffectRules:
-    """Run the four effect rules over one analysis."""
+    """Run the five effect rules over one analysis."""
 
     def __init__(self, analysis: EffectAnalysis) -> None:
         self.analysis = analysis
         self.index = analysis.index
         self._reachable = self._worker_reachable()
+        #: Simple names of the classes the telemetry plane may write.
+        self._obs_classes = {
+            cinfo.name
+            for cinfo in self.index.classes.values()
+            if _in_obs(cinfo.module)
+        }
 
     # ------------------------------------------------------------------
     # Worker reachability
@@ -149,6 +170,8 @@ class EffectRules:
             yield from self._check_fork_unsafe(info)
             yield from self._check_rng_aliasing(info)
             yield from self._check_order_dep(info)
+            if _in_obs(info.module):
+                yield from self._check_obs_pure(info)
 
     def _check_shared_write(
         self, info: FunctionInfo
@@ -253,6 +276,50 @@ class EffectRules:
                 f"loop over an unordered {desc} whose body {site.detail}; "
                 "iteration order becomes part of the result — sort the "
                 "iterable with an explicit key first",
+            )
+
+    def _check_obs_pure(
+        self, info: FunctionInfo
+    ) -> "Iterator[tuple[FunctionInfo, Finding]]":
+        summary = self.analysis.summaries[info.qualname]
+        sites = {
+            (site.kind, site.ident): site
+            for site in self.analysis.direct[info.qualname]
+        }
+        effects = [
+            ("global-write", ident, via, f"writes module global {ident!r}")
+            for ident, via in sorted(summary.global_writes.items())
+        ]
+        effects += [
+            ("fork", ident, via, f"calls {ident}()")
+            for ident, via in sorted(summary.forks.items())
+        ]
+        effects += [
+            ("attr-write", ident, via,
+             f"writes attribute {ident!r}, whose class is not defined "
+             "in repro.obs")
+            for ident, via in sorted(summary.attr_writes.items())
+            if ident.split(".", 1)[0] not in self._obs_classes
+        ]
+        for kind, ident, via, detail in effects:
+            # An effect absorbed from another obs function is reported
+            # there, once: at its direct site or at the function whose
+            # call leaves the plane.
+            if via.startswith(_OBS_PACKAGE + "."):
+                continue
+            chain = f" [via {via}]" if via else ""
+            site = sites.get((kind, ident))
+            yield info, Finding(
+                rule_id="effect-obs-pure",
+                path=info.ctx.relpath,
+                line=site.line if site else info.node.lineno,
+                col=site.col if site else info.node.col_offset,
+                message=(
+                    f"observability code {detail}{chain}; telemetry "
+                    "must observe, never steer — move the effect out of "
+                    "the obs plane"
+                ),
+                function=info.qualname,
             )
 
     # ------------------------------------------------------------------

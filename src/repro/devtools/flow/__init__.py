@@ -98,9 +98,8 @@ def deep_rule_metadata() -> "dict[str, str]":
 
 
 def combined_rule_metadata() -> "dict[str, str]":
-    """Shallow + deep + effect + contract rule ids -> rationale, for
-    SARIF rule tables."""
-    from repro.devtools.contract import contract_rule_metadata
+    """Shallow + deep + effect rule ids -> rationale, for SARIF rule
+    tables."""
     from repro.devtools.effect import effect_rule_metadata
 
     metadata = {
@@ -109,7 +108,6 @@ def combined_rule_metadata() -> "dict[str, str]":
     }
     metadata.update(deep_rule_metadata())
     metadata.update(effect_rule_metadata())
-    metadata.update(contract_rule_metadata())
     return metadata
 
 
@@ -158,9 +156,9 @@ def scope_to_changed(
 
     The deep analyses are whole-program, so a change in one file can
     surface a finding anchored in an *unchanged* caller (a dimension
-    mismatch at a call site, a contract consumer).  The closure is the
-    changed files plus every file holding a transitive caller of a
-    function they define — the reverse call-graph cone that a change
+    mismatch at a call site, a protocol step in a caller).  The closure
+    is the changed files plus every file holding a transitive caller of
+    a function they define — the reverse call-graph cone that a change
     can actually affect.
     """
     keep = set(changed)
@@ -219,24 +217,20 @@ def deep_lint_paths(
     include_shallow: bool = True,
     include_deep: bool = True,
     include_effects: bool = False,
-    include_contracts: bool = False,
     protocols: "tuple[ProtocolSpec, ...]" = CORE_PROTOCOLS,
 ) -> "tuple[LintReport, ProjectIndex]":
     """Run heteroflow (and, by default, the shallow heterolint rules)
     over every ``.py`` file under ``paths``.
 
-    ``include_effects`` adds the heteroeffect race/fork-safety rules
-    (``effect-*``); ``include_contracts`` adds the heterocontract
-    drift rules (``contract-*``); ``include_deep=False`` skips the
-    heteroflow analyses so ``--effects``/``--contracts`` can run
-    without ``--deep``.  When both effect and contract passes run they
-    share one (cache-restorable) :class:`EffectAnalysis`.  Returns the
-    combined report and the project index it was computed from.
-    Suppression comments apply to deep findings exactly as they do to
-    shallow ones; ``baseline``-accepted findings are moved to the
+    ``include_effects`` adds the heteroeffect race/fork-safety and
+    observation-purity rules (``effect-*``) over one (cache-restorable)
+    :class:`EffectAnalysis`; ``include_deep=False`` skips the
+    heteroflow analyses so ``--effects`` can run without ``--deep``.
+    Returns the combined report and the project index it was computed
+    from.  Suppression comments apply to deep findings exactly as they
+    do to shallow ones; ``baseline``-accepted findings are moved to the
     report's suppressed list.
     """
-    from repro.devtools.contract import contract_rule_metadata
     from repro.devtools.effect import effect_rule_metadata
 
     wanted = set(rule_ids) if rule_ids is not None else None
@@ -245,7 +239,6 @@ def deep_lint_paths(
             set(all_rules())
             | set(deep_rule_metadata())
             | set(effect_rule_metadata())
-            | set(contract_rule_metadata())
         )
         unknown = sorted(wanted - known)
         if unknown:
@@ -284,16 +277,11 @@ def deep_lint_paths(
         deep_pairs.extend(protocol_analysis.check())
         taint_analysis = TaintAnalysis(index)
         deep_pairs.extend(taint_analysis.check())
-    if include_effects or include_contracts:
+    if include_effects:
         from repro.devtools.effect import EffectRules, cached_effect_analysis
 
         analysis = cached_effect_analysis(index, cache_dir)
-        if include_effects:
-            deep_pairs.extend(EffectRules(analysis).check())
-        if include_contracts:
-            from repro.devtools.contract import ContractRules
-
-            deep_pairs.extend(ContractRules(index, analysis).check())
+        deep_pairs.extend(EffectRules(analysis).check())
 
     seen: "set[tuple]" = set()
     for ctx_info, finding in deep_pairs:

@@ -6,8 +6,8 @@ the offending line.  One run object per tool pass; every rule carries
 its identifier, rationale, and the shared rule-ID namespace documented
 in docs/devtools.md (bare kebab-case for shallow heterolint rules,
 ``flow-`` for heteroflow analyses, ``san-`` for FrameSanitizer defect
-classes, ``effect-`` for heteroeffect race/fork-safety rules,
-``contract-`` for heterocontract drift rules).
+classes, ``effect-`` for heteroeffect race, fork-safety and
+observation-purity rules).
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ _TOOL_INFO = {
         "heteroeffect",
         "interprocedural effect/race analysis and phase certification",
     ),
-    "contract": (
-        "heterocontract",
-        "cross-layer contract-drift analysis over mirrored declarations",
-    ),
 }
 
 
@@ -47,8 +43,6 @@ def _tool_key(rule_id: str) -> str:
         return "san"
     if rule_id.startswith("effect-"):
         return "effect"
-    if rule_id.startswith("contract-"):
-        return "contract"
     return "lint"
 
 

@@ -796,8 +796,8 @@ class MetricsConfinementRule(Rule):
     harness modules that feed/render them (``sim/parallel.py``,
     ``cli.py``, the ``serve/`` daemon).  A simulator or policy module
     importing the metrics registry is one step from steering results
-    with observations — the exact hole the ``contract-obs-pure``
-    no-perturbation contract exists to close."""
+    with observations — the exact hole the ``effect-obs-pure``
+    no-perturbation rule exists to close."""
 
     rule_id = "metrics-confinement"
     rationale = (

@@ -57,9 +57,9 @@ FAULT_KINDS: tuple[str, ...] = (
 )
 
 #: Which component each kind degrades (telemetry event ``source``).
-#: heterocontract anchor (``contract-fault-kind``): keys must mirror
-#: FAULT_KINDS exactly and every value must name a real project module
-#: (statically enforced by ``repro lint --contracts``).
+#: Keys mirror FAULT_KINDS exactly and every value names a real project
+#: module; ``tests/test_faults.py`` pins both, and makes every kind fire
+#: in a small run.
 KIND_SOURCES: dict[str, str] = {
     "channel-drop": "vmm.channel",
     "channel-duplicate": "vmm.channel",

@@ -33,15 +33,10 @@ Determinism contract: telemetry observes, never steers.  A run with any
 combination of sinks produces a field-by-field identical
 :class:`~repro.sim.stats.RunResult` (timeline aside) to the same run
 with no telemetry — asserted by ``tests/test_obs_telemetry.py``.
+``repro lint --effects`` checks the same statically (``effect-obs-pure``):
+code in this package writes no module global, forks nothing and writes
+no attribute of a class defined outside it.
 """
-
-#: heterocontract anchor (``contract-obs-pure``): attribute owners the
-#: observability plane may write even though they are not defined in
-#: ``repro.obs``.  Classes defined inside this package are always
-#: allowed; anything else must be listed here (``Class.attr`` idents,
-#: trailing ``*`` wildcards) with a justification in the surrounding
-#: comment.  Empty on purpose: telemetry observes, never steers.
-OBS_WRITE_ALLOWLIST: "tuple[str, ...]" = ()
 
 from repro.obs.bus import Telemetry
 from repro.obs.diff import (

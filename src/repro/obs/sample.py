@@ -58,11 +58,11 @@ _DICT_FIELDS = (
     "events",
 )
 
-#: heterocontract anchor (``contract-sample-sum``): sample fields that
-#: are NOT per-epoch contributions re-summing to a same-named
-#: RunStats/RunResult aggregate, with the reason.  Every other field
-#: must have its aggregate counterpart (statically enforced by
-#: ``repro lint --contracts``).
+#: Sample fields that are NOT per-epoch contributions re-summing to a
+#: same-named RunStats/RunResult aggregate, with the reason.  Every
+#: other field must have its aggregate counterpart:
+#: ``tests/test_obs_telemetry.py::test_timeline_sums_to_final_stats``
+#: re-sums every field not listed here.
 NON_ADDITIVE_FIELDS = {
     "epoch": "ordinal position in the timeline, not a contribution",
     "llc_misses_cumulative": (
@@ -107,9 +107,10 @@ NON_ADDITIVE_FIELDS = {
     ),
 }
 
-#: heterocontract anchor (``contract-sample-sum``, reverse direction):
 #: RunStats aggregates with no per-epoch sample counterpart, with the
-#: reason.
+#: reason; every other RunStats field must be sampled.
+#: ``tests/test_obs_telemetry.py`` reads both declarations
+#: (``test_sample_declarations_mirror_the_dataclasses``).
 UNSAMPLED_AGGREGATES = {
     "epochs": "the timeline length IS the epoch count",
     "dropped_allocation_pages": (

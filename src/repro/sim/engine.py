@@ -194,14 +194,16 @@ class SimulationEngine:
             self.sanitizer.attach_kernel(kernel)
         #: Fault injector (repro.faults); ``None`` — the overwhelmingly
         #: common case — means no plan was configured and every injection
-        #: site short-circuits on its ``faults is None`` check, keeping
-        #: the exact seed code path (the no-perturbation contract).
+        #: site short-circuits before its draw, keeping the exact seed
+        #: code path (the no-perturbation contract).  The VMM's migration
+        #: engine and balloon back-end serve every guest, so they hold
+        #: one injector per guest.
         self.faults: FaultInjector | None = None
         if config.fault_plan is not None and not config.fault_plan.empty:
             self.faults = FaultInjector(config.fault_plan)
             kernel.swap.faults = self.faults
-            hypervisor.migration_engine.faults = self.faults
-            hypervisor.balloon_backend.faults = self.faults
+            hypervisor.migration_engine.faults[kernel] = self.faults
+            hypervisor.balloon_backend.faults[domain.domain_id] = self.faults
             hypervisor.channel(domain.domain_id).faults = self.faults
             hypervisor.tracker(domain.domain_id).faults = self.faults
         self.region_specs: dict[str, RegionSpec] = {}

@@ -42,13 +42,13 @@ __all__ = [
 ]
 
 
-#: heterocontract anchor (``contract-fast-mirror``): the per-device
-#: demand columns :func:`fast_memory_demands` accumulates, one per
-#: :class:`~repro.hw.timing.DeviceDemand` field, in the order each
-#: ``DeviceDemand`` is built from.  Must stay a pure literal (it is read
-#: with ``ast.literal_eval``) and mirror the dataclass exactly — a
-#: DeviceDemand field without a column here would be silently dropped
-#: from every epoch's demand.
+#: The per-device demand columns :func:`fast_memory_demands`
+#: accumulates, one per :class:`~repro.hw.timing.DeviceDemand` field, in
+#: the order each ``DeviceDemand`` is built from.  It must mirror the
+#: dataclass exactly — a DeviceDemand field without a column here would
+#: be silently dropped from every epoch's demand;
+#: ``tests/test_timing.py::test_demand_columns_follow_the_field_order``
+#: pins the names and their order.
 DEVICE_DEMAND_FIELDS = ("read_misses", "write_misses", "traffic_bytes")
 
 
@@ -192,8 +192,8 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
                 device,
                 write_misses * fraction * bytes_per_miss * 2.0,
             )
-    # Positional, in DEVICE_DEMAND_FIELDS order: ``contract-fast-mirror``
-    # pins its names to the dataclass's fields, a tier-1 test the order.
+    # Positional, in DEVICE_DEMAND_FIELDS order, which a tier-1 test
+    # pins to the dataclass's fields, names and order.
     return {
         column[0]: DeviceDemand(column[1], column[2], column[3])
         for column in columns.values()

@@ -111,11 +111,11 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE_DIR"
 #: in sync with :meth:`WorkerSupervisor._spawn`.
 WORKER_ENTRY_POINTS = ("_worker_main",)
 
-#: heterocontract anchor (``contract-spec-field``): run inputs that are
-#: deliberately NOT part of the cache key, with the reason a reviewer
-#: should see.  Every non-spec ``run_spec`` parameter must appear here,
-#: and every entry must still name such a parameter (stale entries are
-#: findings too).
+#: Run inputs that are deliberately NOT part of the cache key, with the
+#: reason a reviewer should see.  Every non-spec ``run_spec`` parameter
+#: must appear here, and every entry must still name such a parameter
+#: (``tests/test_spec_hash.py``,
+#: ``test_spec_inputs_mirror_the_spec_fields``).
 CACHE_KEY_EXCLUDED = {
     "telemetry": (
         "observation never affects results (the PR 4 no-perturbation "

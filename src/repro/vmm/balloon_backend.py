@@ -35,9 +35,11 @@ class BalloonBackend:
         self._kernels: dict[int, "GuestKernel"] = {}
         self.reclaimed_pages = 0
         self.granted_pages = 0
-        #: Duck-typed :class:`repro.faults.FaultInjector`; ``None``
-        #: (the default) keeps the exact fault-free code path.
-        self.faults: object = None
+        #: Duck-typed :class:`repro.faults.FaultInjector` per guest, keyed
+        #: by domain id: one back-end serves every guest, and each guest
+        #: draws from its own plan.  Empty (the default) keeps the exact
+        #: fault-free code path.
+        self.faults: dict[int, object] = {}
 
     def register_domain(self, domain: Domain) -> None:
         if domain.domain_id in self.domains:
@@ -57,7 +59,8 @@ class BalloonBackend:
         self, domain_id: int, tier: NodeTier, pages: Pages, allow_fallback: bool
     ) -> dict[NodeTier, int]:
         requester = self._domain(domain_id)
-        if self.faults is not None and self.faults.fires("balloon-refuse") is not None:
+        faults = self.faults.get(domain_id) if self.faults else None
+        if faults is not None and faults.fires("balloon-refuse") is not None:
             # Transient refusal: the back-end answers with an empty
             # grant, exactly what a dry machine pool produces — the
             # front-end's shortfall handling (reclaim, swap, drop)

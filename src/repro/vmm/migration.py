@@ -121,9 +121,11 @@ class MigrationEngine:
     #: with kind "begin" | "commit" | "abort".  Duck-typed so telemetry
     #: (repro.obs, a higher layer) can attach without an import here.
     observer: "Callable[[str, MigrationReport], None] | None" = None
-    #: Duck-typed :class:`repro.faults.FaultInjector`; ``None`` (the
-    #: default) keeps the exact fault-free code path.
-    faults: object = None
+    #: Duck-typed :class:`repro.faults.FaultInjector` per guest, keyed by
+    #: the kernel whose extents move: one engine serves every guest, and
+    #: each guest draws from its own plan.  Empty (the default) keeps
+    #: the exact fault-free code path.
+    faults: "dict[GuestKernel, object]" = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Pass bracketing
@@ -190,10 +192,9 @@ class MigrationEngine:
         owns_pass = self.in_flight is None
         if owns_pass:
             self.begin_pass()
+        faults = self.faults.get(kernel) if self.faults else None
         abort_fault = (
-            self.faults.fires("migration-abort")
-            if self.faults is not None
-            else None
+            faults.fires("migration-abort") if faults is not None else None
         )
         batch = batch_pages or self.default_batch_pages
         move_ns, walk_ns = self.cost_model.per_page_costs(batch)

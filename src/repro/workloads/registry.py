@@ -22,10 +22,10 @@ _REGISTRY: dict[str, Callable[[], Workload]] = {
     "nginx": make_nginx,
 }
 
-#: heterocontract anchor (``contract-registry``): ``make_*`` workload
-#: factories deliberately NOT in the sweep registry, with the reason.
-#: Every other factory under ``workloads/`` must be registered above
-#: (statically enforced by ``repro lint --contracts``).
+#: ``make_*`` workload factories deliberately NOT in the sweep registry,
+#: with the reason.  Every other factory under ``workloads/`` must be
+#: registered above (``tests/test_workloads.py``,
+#: ``test_every_factory_is_registered_or_declared_unregistered``).
 UNREGISTERED_FACTORIES = {
     "make_synthetic": (
         "parameterized generator for ad-hoc experiments, not a named "

@@ -32,7 +32,6 @@ SETUP_IMPORTS = (
 RUN_PATH_EXCLUDES = (
     "repro.devtools.lint",
     "repro.devtools.flow",
-    "repro.devtools.contract",
     "repro.devtools.effect",
     "repro.sim.parallel",
     "repro.sim.trace",

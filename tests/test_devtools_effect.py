@@ -121,7 +121,9 @@ def test_shared_write_needs_worker_reachability(tmp_path):
 
 
 def test_worker_entry_marker_is_honored(tmp_path):
-    # A custom marker replaces the default entry-point names entirely.
+    # The marker alone names the worker roots: without it there are none.
+    unmarked = {"sim/parallel.py": "def _worker_main():\n    pass\n"}
+    assert worker_entry_points(build_index(tmp_path / "u", unmarked)) == ()
     files = dict(SHARED_WRITE_BAD)
     files["sim/parallel.py"] = """\
         from repro.sim.stats import record
@@ -328,6 +330,71 @@ def test_order_dep_fires_on_direct_draw_in_set_loop(tmp_path):
     assert "set()" in hits[0].message
 
 
+# ----------------------------------------------------------------------
+# effect-obs-pure
+# ----------------------------------------------------------------------
+
+OBS_GLOBAL_BAD = {
+    "obs/bus.py": """\
+        _EVENT_TOTAL = 0
+
+        def emit(record):
+            global _EVENT_TOTAL
+            _EVENT_TOTAL = _EVENT_TOTAL + 1
+    """,
+}
+
+OBS_ATTR_BAD = {
+    "sim/stats.py": """\
+        class RunStats:
+            def __init__(self):
+                self.epochs = 0
+
+        def bump(stats: RunStats):
+            stats.epochs = stats.epochs + 1
+    """,
+    "obs/sinks.py": """\
+        from repro.sim.stats import RunStats, bump
+
+        def write(stats: RunStats):
+            bump(stats)
+
+        def emit(stats: RunStats):
+            write(stats)
+    """,
+}
+
+OBS_GOOD = {
+    "obs/sinks.py": """\
+        class TimelineSink:
+            def __init__(self):
+                self.samples = []
+
+            def write(self, sample):
+                self.samples.append(sample)
+    """,
+}
+
+
+def test_obs_pure_fires_on_module_global_write(tmp_path):
+    hits = effects(tmp_path, OBS_GLOBAL_BAD, "effect-obs-pure")
+    assert [f.function for f in hits] == ["obs.bus.emit"]
+    assert "obs.bus:_EVENT_TOTAL" in hits[0].message
+
+
+def test_obs_pure_fires_on_non_obs_attribute_write(tmp_path):
+    hits = effects(tmp_path, OBS_ATTR_BAD, "effect-obs-pure")
+    # Reported once, where the call leaves the plane, not again in emit.
+    assert [f.function for f in hits] == ["obs.sinks.write"]
+    # Interprocedural evidence: the write sits in the non-obs callee.
+    assert "'RunStats.epochs'" in hits[0].message
+    assert "[via sim.stats.bump]" in hits[0].message
+
+
+def test_obs_pure_clean_on_writes_to_obs_classes(tmp_path):
+    assert not effects(tmp_path, OBS_GOOD, "effect-obs-pure")
+
+
 def test_effect_rule_metadata_namespace():
     metadata = effect_rule_metadata()
     assert set(metadata) == {
@@ -335,6 +402,7 @@ def test_effect_rule_metadata_namespace():
         "effect-fork-unsafe",
         "effect-rng-aliasing",
         "effect-order-dep",
+        "effect-obs-pure",
     }
     assert all(rule.startswith("effect-") for rule in metadata)
 

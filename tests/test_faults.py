@@ -13,8 +13,11 @@ The contracts under test (docs/resilience.md):
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import importlib
 import random
+from unittest import mock
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.core import available_policies, make_policy
 from repro.errors import ConfigurationError, SwapWriteError
 from repro.faults import (
     FAULT_KINDS,
+    KIND_SOURCES,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -31,10 +35,16 @@ from repro.guestos.swap import SwapDevice
 from repro.mem.extent import PageType
 from repro.obs import Telemetry
 from repro.sim.engine import SimulationEngine
+from repro.sim.multi_vm import MultiVmSimulation, VmSpec
+from repro.sim.parallel import make_spec, run_spec
 from repro.units import MIB
 from repro.vmm.channel import CoordinationChannel
 from repro.vmm.migration import MigrationEngine
+from repro.vmm.sharing import MaxMinSharing
 from repro.workloads.base import RegionSpec, StatisticalWorkload
+
+from test_failure_injection import overcommitted_workload, tiny_config
+from test_multi_vm import devices, vm, workload
 
 
 def pressured_workload(pages: int = 20_000) -> StatisticalWorkload:
@@ -290,7 +300,7 @@ def test_migration_abort_rolls_back_all_moves(kernel):
     kernel.begin_epoch(0)
     extents = kernel.allocate_region("warm", PageType.HEAP, 4096, [1])
     engine = MigrationEngine()
-    engine.faults = injector_of("migration-abort")
+    engine.faults[kernel] = injector_of("migration-abort")
     report = engine.migrate(extents, 0, kernel)
     # Everything copied, then copied back: all pages end up failed, the
     # cost is paid, the aborted pass never reaches the running totals.
@@ -303,11 +313,99 @@ def test_migration_abort_rolls_back_all_moves(kernel):
     kernel.check_invariants()
 
 
-def test_balloon_refuse_run_completes():
-    result, engine = run_once("hetero-coordinated",
-                              plan_of("balloon-refuse"), epochs=6)
-    assert result.stats.epochs == 6
-    engine.kernel.check_invariants()
+# ----------------------------------------------------------------------
+# Every kind fires, and a multi-VM guest counts its own faults
+# ----------------------------------------------------------------------
+
+
+def two_guests(plan, guest, device_mib=(32, 128)) -> MultiVmSimulation:
+    return MultiVmSimulation(
+        devices(*device_mib), [guest("a"), guest("b")],
+        sharing_policy=MaxMinSharing(), config=SimConfig(fault_plan=plan),
+    )
+
+
+def ballooning(name: str) -> VmSpec:
+    """Outgrows its FastMem reservation once."""
+    return vm(name, workload(name, pages=4000))
+
+
+def migrating(name: str) -> VmSpec:
+    """A VMM-exclusive guest whose hot pages outgrow FastMem."""
+    guest = vm(name, pressured_workload(6000), slow=(8192, 32768))
+    guest.policy = make_policy("vmm-exclusive")
+    return guest
+
+
+def test_balloon_refusals_count_on_the_refused_guest():
+    sim = two_guests(plan_of("balloon-refuse"), ballooning)
+    results = sim.run(6)
+    for name, engine in sim.engines.items():
+        # Probability 1: every request this guest made was refused, and
+        # only this guest's result counts them.
+        requests = engine.kernel.balloon.stats.requests
+        assert requests > 0, name
+        assert results[name].fault_counts == {"balloon-refuse": requests}
+        engine.kernel.check_invariants()
+
+
+def test_migration_aborts_count_on_the_migrating_guest():
+    sim = two_guests(plan_of("migration-abort"), migrating, (32, 512))
+    migration = sim.hypervisor.migration_engine
+    with mock.patch.object(
+        migration, "migrate", wraps=migration.migrate
+    ) as spy:
+        results = sim.run(10)
+    for name, engine in sim.engines.items():
+        # ``migrate(extents, target_node_id, kernel, ...)``
+        calls = sum(c.args[2] is engine.kernel for c in spy.call_args_list)
+        assert calls > 0, name
+        assert results[name].fault_counts == {"migration-abort": calls}
+        engine.kernel.check_invariants()
+
+
+def spec_run(app: str, policy: str):
+    return lambda plan: run_spec(make_spec(
+        app, policy, fast_ratio=0.125, epochs=8, faults=plan
+    )).fault_counts
+
+
+def overcommitted_run(plan: FaultPlan) -> dict:
+    config = dataclasses.replace(tiny_config(), fault_plan=plan)
+    engine = SimulationEngine(
+        config, overcommitted_workload(), make_policy("heap-od")
+    )
+    return engine.run(8).fault_counts
+
+
+def ballooning_run(plan: FaultPlan) -> dict:
+    counts: "collections.Counter" = collections.Counter()
+    for result in two_guests(plan, ballooning).run(6).values():
+        counts.update(result.fault_counts)
+    return counts
+
+
+#: Fault kind -> a small run that gives the kind a chance to fire.
+#: balloon-refuse needs a multi-VM run: a single-VM guest is reserved
+#: at its maximum, so its balloon never asks the back-end for pages.
+FIRING_RUNS = {
+    "channel-drop": spec_run("redis", "hetero-coordinated"),
+    "channel-duplicate": spec_run("redis", "hetero-coordinated"),
+    "migration-abort": spec_run("graphchi", "vmm-exclusive"),
+    "balloon-refuse": ballooning_run,
+    "device-derate": spec_run("redis", "hetero-coordinated"),
+    "scan-stale": spec_run("redis", "hetero-coordinated"),
+    "scan-lost": spec_run("redis", "hetero-coordinated"),
+    "swap-write-error": overcommitted_run,
+}
+
+
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_every_fault_kind_has_a_source_and_fires(kind):
+    assert set(FIRING_RUNS) == set(KIND_SOURCES) == set(FAULT_KINDS)
+    importlib.import_module(f"repro.{KIND_SOURCES[kind]}")
+    counts = FIRING_RUNS[kind](plan_of(kind))
+    assert counts.get(kind, 0) > 0, counts
 
 
 # ----------------------------------------------------------------------

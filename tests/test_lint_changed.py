@@ -157,7 +157,7 @@ def test_cli_changed_deep_runs(tmp_path, monkeypatch, capsys):
     assert (
         main(
             [
-                "lint", "--changed", "--deep", "--contracts",
+                "lint", "--changed", "--deep", "--effects",
                 str(root / "src" / "repro"),
             ]
         )

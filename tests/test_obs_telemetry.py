@@ -31,9 +31,16 @@ from repro.obs import (
     json_line,
     load_timeline,
 )
+from repro.obs.sample import (
+    _DICT_FIELDS,
+    _SCALAR_FIELDS,
+    NON_ADDITIVE_FIELDS,
+    UNSAMPLED_AGGREGATES,
+)
 from repro.sim.engine import STEP_PHASES, SimulationEngine
 from repro.sim.parallel import ResultCache, make_spec, run_spec, run_specs
 from repro.sim.runner import build_config, run_experiment
+from repro.sim.stats import RunResult, RunStats
 from repro.workloads.registry import make_workload
 from repro.vmm.migration import MigrationEngine, MigrationReport
 
@@ -84,20 +91,37 @@ def test_disabled_bus_is_a_no_op():
 # Property 2: per-epoch samples sum exactly to the final RunStats.
 # ---------------------------------------------------------------------------
 
-_EXACT_SUM_FIELDS = (
-    "runtime_ns",
-    "cpu_ns",
-    "io_wait_ns",
-    "policy_overhead_ns",
-    "kernel_cost_ns",
-    "instructions",
-    "llc_misses",
-    "traffic_bytes",
-    "total_accesses",
-)
+def field_names(cls) -> "set[str]":
+    return {field.name for field in dataclasses.fields(cls)}
+
+
+#: Every EpochSample field that re-sums to a same-named aggregate.
+ADDITIVE_FIELDS = sorted(field_names(EpochSample) - set(NON_ADDITIVE_FIELDS))
+
+#: Sampled as differences of the policy's cumulative totals, so these
+#: re-sum only to within rounding.
+CUMULATIVE_DELTA_FIELDS = ("scan_cost_ns", "migration_cost_ns")
+
+
+def test_sample_declarations_mirror_the_dataclasses():
+    sample, stats = field_names(EpochSample), field_names(RunStats)
+    assert sorted(_SCALAR_FIELDS + _DICT_FIELDS) == sorted(sample)
+    assert set(NON_ADDITIVE_FIELDS) <= sample, "stale entry"
+    assert set(UNSAMPLED_AGGREGATES) <= stats - sample, "stale entry"
+    assert stats - set(UNSAMPLED_AGGREGATES) <= sample, "unsampled total"
+    assert set(ADDITIVE_FIELDS) <= stats | field_names(RunResult)
+    for reasons in (NON_ADDITIVE_FIELDS, UNSAMPLED_AGGREGATES):
+        assert all(reason.strip() for reason in reasons.values())
 
 
 def resum(timeline, attr):
+    """``attr`` added in epoch order from 0, as the engine adds it."""
+    if isinstance(getattr(timeline[0], attr), dict):
+        totals: dict = {}
+        for sample in timeline:
+            for key, value in getattr(sample, attr).items():
+                totals[key] = totals.get(key, 0.0) + value
+        return totals
     total = 0.0
     for sample in timeline:
         total += getattr(sample, attr)
@@ -108,32 +132,15 @@ def resum(timeline, attr):
 def test_timeline_sums_to_final_stats(policy):
     _, traced, timeline = run_pair(policy)
     stats = traced.stats
-    for name in _EXACT_SUM_FIELDS:
-        assert resum(timeline, name) == getattr(stats, name), name
-    # Per-device stalls are exact too: same addition order per device.
-    stalls: dict = {}
-    for sample in timeline:
-        for device, ns in sample.stall_ns_by_device.items():
-            stalls[device] = stalls.get(device, 0.0) + ns
-    assert stalls == {
-        k: v for k, v in stats.stall_ns_by_device.items() if k in stalls
-    }
-    assert sum(stats.stall_ns_by_device.values()) == pytest.approx(
-        sum(stalls.values())
-    )
+    stats_fields = field_names(RunStats)
+    for name in ADDITIVE_FIELDS:
+        final = getattr(stats if name in stats_fields else traced, name)
+        if name in CUMULATIVE_DELTA_FIELDS:
+            assert resum(timeline, name) == pytest.approx(final), name
+        else:
+            assert resum(timeline, name) == final, name
     # Monotonic counters: last cumulative reading matches the final.
     assert timeline[-1].llc_misses_cumulative == stats.llc_misses
-    assert sum(s.pages_migrated for s in timeline) == traced.pages_migrated
-    assert sum(s.pages_demoted for s in timeline) == traced.pages_demoted
-    assert sum(s.swap_pages_out for s in timeline) == traced.swap_pages_out
-    assert sum(s.swap_pages_in for s in timeline) == traced.swap_pages_in
-    # Cumulative-delta costs re-sum approximately (subtraction deltas).
-    assert resum(timeline, "scan_cost_ns") == pytest.approx(
-        traced.scan_cost_ns
-    )
-    assert resum(timeline, "migration_cost_ns") == pytest.approx(
-        traced.migration_cost_ns
-    )
 
 
 def test_samples_carry_epoch_order_and_occupancy():

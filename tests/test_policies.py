@@ -1,9 +1,13 @@
 """Placement policies: registry, baselines, and the HeteroOS ladder."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import repro.core
 from conftest import make_kernel
 from repro.core import (
     CoordinatedPolicy,
@@ -14,6 +18,7 @@ from repro.core import (
     make_policy,
 )
 from repro.core.heap_io_slab_od import FASTMEM_ELIGIBLE
+from repro.core import policy as policy_module
 from repro.core.policy import PlacementPolicy, PolicyBinding, register_policy
 from repro.errors import ConfigurationError
 from repro.mem.extent import ExtentState, PageType
@@ -36,6 +41,18 @@ def test_registry_contains_all_paper_policies():
         "vmm-exclusive", "heap-od", "heap-io-slab-od", "hetero-lru",
         "hetero-coordinated",
     } <= names
+
+
+def test_every_policy_class_is_registered():
+    for info in pkgutil.iter_modules(repro.core.__path__):
+        importlib.import_module(f"repro.core.{info.name}")
+    registered = set(policy_module._REGISTRY.values())
+    pending = [PlacementPolicy]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__.startswith("repro.core."):
+                assert cls in registered or inspect.isabstract(cls), cls
 
 
 def test_make_policy_unknown_name():

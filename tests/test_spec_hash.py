@@ -10,14 +10,18 @@ specs collide (stability) and any single-field change separates
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 
 import pytest
 
-from repro.hw.throttle import DEFAULT_SLOWMEM
+from repro.faults import FaultPlan, FaultSpec
+from repro.hw.throttle import DEFAULT_SLOWMEM, ThrottleConfig
 from repro.sim.parallel import (
+    CACHE_KEY_EXCLUDED,
     ExperimentSpec,
     make_spec,
+    run_spec,
     source_fingerprint,
 )
 from repro.vmm.hotness import HotnessConfig
@@ -72,6 +76,52 @@ def test_any_field_change_changes_key(field):
     assert mutated.cache_key(FINGERPRINT) != base_spec().cache_key(
         FINGERPRINT
     ), f"changing {field} must produce a new cache key"
+
+
+def field_names(cls) -> "list[str]":
+    return [field.name for field in dataclasses.fields(cls)]
+
+
+def test_spec_inputs_mirror_the_spec_fields():
+    assert set(inspect.signature(make_spec).parameters) == set(
+        field_names(ExperimentSpec)
+    )
+    extras = set(inspect.signature(run_spec).parameters) - {"spec"}
+    assert extras == set(CACHE_KEY_EXCLUDED), "run inputs outside the key"
+    assert all(reason.strip() for reason in CACHE_KEY_EXCLUDED.values())
+
+
+def test_canonical_forms_key_every_field():
+    plan = FaultPlan(seed=3, faults=(FaultSpec("device-derate"),))
+    for value in (base_spec(faults=plan), plan, plan.faults[0]):
+        assert sorted(value.canonical()) == sorted(field_names(type(value)))
+
+
+def other_value(value):
+    """A different value the config's validation still accepts."""
+    if not value:
+        return 1
+    return value // 2 if isinstance(value, int) else value / 2
+
+
+#: (make_spec argument, a config value, one of its fields).
+CONFIG_FIELDS = [
+    ("throttle", ThrottleConfig(2.0, 2.0), name)
+    for name in field_names(ThrottleConfig)
+] + [("hotness", HotnessConfig(), name) for name in field_names(HotnessConfig)]
+
+
+@pytest.mark.parametrize(
+    "argument,config,field", CONFIG_FIELDS,
+    ids=[f"{argument}.{name}" for argument, _, name in CONFIG_FIELDS],
+)
+def test_any_config_field_change_changes_key(argument, config, field):
+    changed = dataclasses.replace(
+        config, **{field: other_value(getattr(config, field))}
+    )
+    assert base_spec(**{argument: changed}).cache_key(FINGERPRINT) != (
+        base_spec(**{argument: config}).cache_key(FINGERPRINT)
+    )
 
 
 def test_fingerprint_change_changes_key():

@@ -1,7 +1,12 @@
 """Workload framework and the six application models."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import repro.workloads
 from repro.config import SimConfig
 from repro.core import make_policy
 from repro.errors import WorkloadError
@@ -15,9 +20,11 @@ from repro.workloads.base import (
 )
 from repro.workloads.fig13 import make_graphchi_twitter, make_metis_big
 from repro.workloads.microbench import make_memlat, make_stream
+from repro.workloads import registry
 from repro.workloads.registry import (
     ALL_APPS,
     PLACEMENT_APPS,
+    UNREGISTERED_FACTORIES,
     available_workloads,
     make_workload,
     register_workload,
@@ -217,6 +224,25 @@ def test_registry_contents():
     }
     assert "nginx" not in PLACEMENT_APPS
     assert available_workloads() == sorted(ALL_APPS)
+
+
+def test_every_factory_is_registered_or_declared_unregistered():
+    factories = set()  # every module-level make_* of a workload module
+    for info in pkgutil.iter_modules(repro.workloads.__path__):
+        if info.name == "registry":
+            continue
+        module = importlib.import_module(f"repro.workloads.{info.name}")
+        factories.update(
+            name for name, value in vars(module).items()
+            if name.startswith("make_") and inspect.isfunction(value)
+            and value.__module__ == module.__name__
+        )
+    # ALL_APPS is the registry as shipped; tests may register more.
+    registered = {registry._REGISTRY[app].__name__ for app in ALL_APPS}
+    unregistered = set(UNREGISTERED_FACTORIES)
+    assert registered | unregistered == factories, "unlisted or stale"
+    assert not registered & unregistered
+    assert all(reason.strip() for reason in UNREGISTERED_FACTORIES.values())
 
 
 def test_make_workload_unknown():
