@@ -145,6 +145,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments import report
+    from repro.sim.parallel import default_cache, source_fingerprint
 
     drivers = _figure_drivers()
     targets = list(drivers) if args.name == "all" else [args.name]
@@ -156,8 +157,17 @@ def cmd_figure(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # With a result cache, a figure's rows are stored under its name and
+    # the source fingerprint, so an unchanged tree prints them again
+    # without running the driver.
+    cache = default_cache()
+    fingerprint = source_fingerprint() if cache is not None else ""
     for target in targets:
-        rows = drivers[target]()
+        rows = cache.lookup_figure(target, fingerprint) if cache else None
+        if rows is None:
+            rows = drivers[target]()
+            if cache is not None:
+                cache.store_figure(target, fingerprint, rows)
         print(report.format_table(rows, title=target))
         print()
     return 0

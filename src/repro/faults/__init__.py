@@ -240,9 +240,17 @@ def merge_fault_counts(
     return into
 
 
-def _stream_seed(plan_seed: int, kind: str) -> int:
-    """A stable per-kind stream seed (version/platform independent)."""
-    digest = hashlib.sha256(f"{plan_seed}:{kind}".encode("utf-8"))
+def _stream_seed(plan_seed: int, kind: str, domain_id: int = 1) -> int:
+    """A stable per-kind stream seed (version/platform independent).
+
+    Domain 1, the only guest of a single-VM run, seeds from the plan and
+    the kind alone; every later guest of a multi-VM run mixes its domain
+    id in, so guests sharing one plan draw different fault sequences.
+    """
+    text = f"{plan_seed}:{kind}"
+    if domain_id != 1:
+        text += f":{domain_id}"
+    digest = hashlib.sha256(text.encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big")
 
 
@@ -258,6 +266,8 @@ class FaultInjector:
     """
 
     plan: FaultPlan
+    #: The guest this injector serves (``Domain.domain_id``).
+    domain_id: int = 1
     epoch: int = 0
     #: kind -> times the fault actually fired.
     counts: dict[str, int] = field(default_factory=dict)
@@ -270,7 +280,7 @@ class FaultInjector:
             self._by_kind.setdefault(spec.kind, []).append(spec)
         for kind in self._by_kind:
             self._streams[kind] = random.Random(
-                _stream_seed(self.plan.seed, kind)
+                _stream_seed(self.plan.seed, kind, self.domain_id)
             )
 
     def advance_epoch(self, epoch: int) -> None:

@@ -200,7 +200,9 @@ class SimulationEngine:
         #: one injector per guest.
         self.faults: FaultInjector | None = None
         if config.fault_plan is not None and not config.fault_plan.empty:
-            self.faults = FaultInjector(config.fault_plan)
+            self.faults = FaultInjector(
+                config.fault_plan, domain_id=domain.domain_id
+            )
             kernel.swap.faults = self.faults
             hypervisor.migration_engine.faults[kernel] = self.faults
             hypervisor.balloon_backend.faults[domain.domain_id] = self.faults

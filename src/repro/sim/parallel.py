@@ -12,8 +12,9 @@ Figure 3.  This module makes the grid the unit of work:
   cached result can never outlive the code that produced it (the same
   invalidation approach as ``repro.devtools.flow.cache``).
 * :class:`ResultCache` — an on-disk memo of pickled
-  :class:`~repro.sim.stats.RunResult` payloads, one file per cache key.
-  Corrupt or stale entries degrade to misses, never errors.
+  :class:`~repro.sim.stats.RunResult` payloads and of the rows
+  ``repro figure`` printed, one file per cache key.  Corrupt or stale
+  entries degrade to misses, never errors.
 * :class:`WorkerSupervisor` — the one worker pool: persistent forked
   workers, each with its own pipe and at most one task, crash
   attribution and respawn, and a per-spec timeout enforced *inside*
@@ -480,7 +481,15 @@ def source_fingerprint(root: "str | Path | None" = None) -> str:
 
 
 class ResultCache:
-    """One pickled ``RunResult`` per cache key, under one directory.
+    """One pickled entry per cache key, under one directory.
+
+    Two kinds of entry share the directory, the format and one
+    loader/writer pair.  A *spec entry* holds the ``RunResult`` of one
+    :class:`ExperimentSpec` under :meth:`ExperimentSpec.cache_key`; a
+    *figure entry* holds the rows one ``repro figure`` driver returned,
+    under :meth:`figure_key`.  Each payload is ``{"version", "spec",
+    "result"}``, where ``spec`` is the spec's canonical form or
+    ``{"figure": name}``.
 
     Robustness contract: a corrupt, truncated, version-skewed, or
     colliding entry is a *miss* (and is deleted best-effort), never an
@@ -502,8 +511,8 @@ class ResultCache:
         self.directory = Path(directory)
         self.hits = 0
         self.misses = 0
-        #: Invalid entries deleted during lookups (version skew, key
-        #: collisions, spec mismatches) — flight-recorder fodder.
+        #: Invalid entries deleted during lookups (unreadable, version
+        #: skew, key collisions, spec mismatches) — flight-recorder fodder.
         self.evictions = 0
         #: Failed store attempts (read-only/full cache directory).
         self.store_failures = 0
@@ -535,7 +544,7 @@ class ResultCache:
             f"result cache at {self.directory} is not writable ({exc}); "
             "continuing without persisting results",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
     def path_for(self, key: str) -> Path:
@@ -545,6 +554,14 @@ class ResultCache:
         """The JSONL timeline sidecar accompanying one cache entry."""
         return self.directory / f"{key}.timeline.jsonl"
 
+    @staticmethod
+    def figure_key(name: str, fingerprint: str) -> str:
+        """The key of figure ``name``'s rows: SHA-256 over the figure
+        name + simulator source tree."""
+        digest = hashlib.sha256(f"figure:{name}".encode("utf-8"))
+        digest.update(fingerprint.encode("utf-8"))
+        return digest.hexdigest()
+
     def lookup(
         self,
         spec: ExperimentSpec,
@@ -552,25 +569,10 @@ class ResultCache:
         with_timeline: bool = False,
     ) -> "RunResult | None":
         key = spec.cache_key(fingerprint)
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+        result = self._load(key, spec.canonical(), RunResult)
+        if result is None:
             self.misses += 1
             return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != self.FORMAT_VERSION
-            or payload.get("spec") != spec.canonical()
-            or not isinstance(payload.get("result"), RunResult)
-        ):
-            self.misses += 1
-            self.evictions += 1
-            self._evict(path)
-            return None
-        result = payload["result"]
         if with_timeline:
             timeline = self._load_timeline(key)
             if timeline is None:
@@ -586,17 +588,70 @@ class ResultCache:
         self, spec: ExperimentSpec, fingerprint: str, result: RunResult
     ) -> None:
         """Best-effort atomic write; cache I/O failure is not an error."""
-        key = spec.cache_key(fingerprint)
-        path = self.path_for(key)
         timeline = result.timeline
+        if timeline is not None:
+            result = dataclasses.replace(result, timeline=None)
+        self._write(
+            spec.cache_key(fingerprint), spec.canonical(), result, timeline
+        )
+
+    def lookup_figure(
+        self, name: str, fingerprint: str
+    ) -> "list[dict] | None":
+        """The rows ``repro figure NAME`` stored from this source tree."""
+        rows = self._load(
+            self.figure_key(name, fingerprint), {"figure": name}, list
+        )
+        if rows is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return rows
+
+    def store_figure(
+        self, name: str, fingerprint: str, rows: "list[dict]"
+    ) -> None:
+        """Best-effort atomic write of one figure driver's rows."""
+        self._write(
+            self.figure_key(name, fingerprint), {"figure": name}, rows
+        )
+
+    def _load(self, key: str, identity: dict, kind: type) -> object:
+        """The result of entry ``key``, or ``None`` when it is absent or
+        invalid.  An invalid entry (unreadable, version-skewed, or naming
+        another spec or figure than ``identity``) is evicted."""
+        path = self.path_for(key)
+        try:
+            with open(path, "rb") as handle:
+                payload = pickle.load(handle)
+        except OSError:
+            return None
+        except (pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError, IndexError):
+            payload = None
+        if (
+            not isinstance(payload, dict)
+            or payload.get("version") != self.FORMAT_VERSION
+            or payload.get("spec") != identity
+            or not isinstance(payload.get("result"), kind)
+        ):
+            self.evictions += 1
+            self._evict(path)
+            return None
+        return payload["result"]
+
+    def _write(
+        self,
+        key: str,
+        identity: dict,
+        result: object,
+        timeline: "list[EpochSample] | None" = None,
+    ) -> None:
+        path = self.path_for(key)
         payload = {
             "version": self.FORMAT_VERSION,
-            "spec": spec.canonical(),
-            "result": (
-                dataclasses.replace(result, timeline=None)
-                if timeline is not None
-                else result
-            ),
+            "spec": identity,
+            "result": result,
         }
         tmp = path.with_suffix(f".tmp-{os.getpid()}")
         try:

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.engine import SimulationEngine
+from repro.sim.parallel import CACHE_DIR_ENV
 
 
 def test_list_command(capsys):
@@ -46,6 +48,36 @@ def test_figure_command_static(capsys):
     assert main(["figure", "table6"]) == 0
     out = capsys.readouterr().out
     assert "t_page_move_us" in out
+
+
+@pytest.mark.parametrize("name", ["fig6", "fig7", "fig13"])
+def test_warm_figure_builds_no_engine(name, tmp_path, monkeypatch, capsys):
+    """A second ``repro figure`` over a result cache prints the stored
+    rows; without a cache nothing is written."""
+    built = []
+    init = SimulationEngine.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(name)
+        init(self, *args, **kwargs)
+
+    def render() -> str:
+        built.clear()
+        assert main(["figure", name]) == 0
+        return capsys.readouterr().out
+
+    monkeypatch.setattr(SimulationEngine, "__init__", counted_init)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    uncached = render()
+    assert built and not any(tmp_path.iterdir())
+
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    cold = render()
+    assert built
+    warm = render()
+    assert not built
+    assert warm == cold == uncached
 
 
 def test_figure_command_unknown(capsys):

@@ -364,6 +364,27 @@ def test_migration_aborts_count_on_the_migrating_guest():
         engine.kernel.check_invariants()
 
 
+def test_guests_draw_their_own_fault_streams():
+    plan = plan_of("migration-abort", seed=5, probability=0.5)
+
+    def draws() -> dict:
+        sim = two_guests(plan, migrating, (32, 512))
+        return {
+            name: [engine.faults.fires("migration-abort") is not None
+                   for _ in range(32)]
+            for name, engine in sim.engines.items()
+        }
+
+    first = draws()
+    assert first["a"] != first["b"]
+    assert draws() == first
+    # Domain 1 keeps the single-VM stream (single-VM runs are unchanged).
+    alone = FaultInjector(plan)
+    assert first["a"] == [
+        alone.fires("migration-abort") is not None for _ in range(32)
+    ]
+
+
 def spec_run(app: str, policy: str):
     return lambda plan: run_spec(make_spec(
         app, policy, fast_ratio=0.125, epochs=8, faults=plan

@@ -11,7 +11,9 @@ rather than hung or poisoned sweeps.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import os
 import pickle
 import signal
@@ -20,8 +22,10 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.core.policy import available_policies
 from repro.errors import SweepError
+from repro.experiments import run_table6
 from repro.sim import parallel
 from repro.sim.parallel import (
     ExperimentSpec,
@@ -128,54 +132,106 @@ def test_cache_miss_then_hit_bit_identical(tmp_path):
     assert result_dict(cold[0].result) == result_dict(warm[0].result)
 
 
+class SpecEntry:
+    """A spec's cached ``RunResult``; ``run_specs`` fills it."""
+
+    #: A payload ``spec`` field and a value naming another entry.
+    other = ("app", "redis")
+
+    def __init__(self, policy: str) -> None:
+        self.spec = make_spec("nginx", policy, epochs=EPOCHS)
+
+    def fill(self, cache: ResultCache) -> bool:
+        """Run through the cache; whether the entry served the run."""
+        outcome = run_specs([self.spec], max_workers=1, cache=cache)[0]
+        assert outcome.ok
+        return outcome.source == "cache"
+
+    def key(self, fingerprint: str) -> str:
+        return self.spec.cache_key(fingerprint)
+
+    def store(self, cache: ResultCache, fingerprint: str) -> None:
+        cache.store(self.spec, fingerprint, run_spec(self.spec))
+
+    def lookup(self, cache: ResultCache, fingerprint: str):
+        return cache.lookup(self.spec, fingerprint)
+
+
+class FigureEntry:
+    """Table 6's cached rows; ``repro figure table6`` fills it."""
+
+    other = ("figure", "table5")
+    name = "table6"
+
+    def fill(self, cache: ResultCache) -> bool:
+        hits = cache.hits
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "default_cache", lambda: cache)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["figure", self.name]) == 0
+        return cache.hits > hits
+
+    def key(self, fingerprint: str) -> str:
+        return ResultCache.figure_key(self.name, fingerprint)
+
+    def store(self, cache: ResultCache, fingerprint: str) -> None:
+        cache.store_figure(self.name, fingerprint, run_table6())
+
+    def lookup(self, cache: ResultCache, fingerprint: str):
+        return cache.lookup_figure(self.name, fingerprint)
+
+
 def test_cache_corruption_degrades_to_miss(tmp_path):
-    cache = ResultCache(tmp_path)
-    spec = make_spec("nginx", "slowmem-only", epochs=EPOCHS)
     fingerprint = source_fingerprint()
-    run_specs([spec], max_workers=1, cache=cache)
-    path = cache.path_for(spec.cache_key(fingerprint))
-    assert path.exists()
-    path.write_bytes(b"not a pickle")
-    again = run_specs([spec], max_workers=1, cache=cache)
-    assert again[0].ok and again[0].source == "serial"
-    # The re-run repaired the entry.
-    repaired = ResultCache(tmp_path)
-    final = run_specs([spec], max_workers=1, cache=repaired)
-    assert final[0].source == "cache"
+    for entry in (SpecEntry("slowmem-only"), FigureEntry()):
+        label = type(entry).__name__
+        directory = tmp_path / label
+        cache = ResultCache(directory)
+        assert not entry.fill(cache), label
+        path = cache.path_for(entry.key(fingerprint))
+        assert path.exists(), label
+        valid = path.read_bytes()
+        path.write_bytes(b"not a pickle")
+        assert not entry.fill(cache), label
+        # The re-run repaired the entry.
+        assert entry.fill(ResultCache(directory)), label
+        # A truncated entry is a miss too, and is evicted.
+        path.write_bytes(valid[: len(valid) // 2])
+        assert entry.lookup(cache, fingerprint) is None, label
+        assert not path.exists(), label
 
 
 def test_cache_rejects_version_skew_and_wrong_spec(tmp_path):
-    cache = ResultCache(tmp_path)
-    spec = make_spec("nginx", "heap-od", epochs=EPOCHS)
     fingerprint = source_fingerprint()
-    result = run_spec(spec)
-    cache.store(spec, fingerprint, result)
-    key = spec.cache_key(fingerprint)
-    path = cache.path_for(key)
+    for entry in (SpecEntry("heap-od"), FigureEntry()):
+        label = type(entry).__name__
+        cache = ResultCache(tmp_path)
+        entry.store(cache, fingerprint)
+        path = cache.path_for(entry.key(fingerprint))
 
-    payload = pickle.loads(path.read_bytes())
-    payload["version"] = ResultCache.FORMAT_VERSION + 1
-    path.write_bytes(pickle.dumps(payload))
-    assert cache.lookup(spec, fingerprint) is None
-    assert not path.exists(), "skewed entry should be evicted"
+        payload = pickle.loads(path.read_bytes())
+        payload["version"] = ResultCache.FORMAT_VERSION + 1
+        path.write_bytes(pickle.dumps(payload))
+        assert entry.lookup(cache, fingerprint) is None, label
+        assert not path.exists(), f"{label}: skewed entry should be evicted"
 
-    # A colliding key holding a different spec's payload is a miss.
-    cache.store(spec, fingerprint, result)
-    payload = pickle.loads(path.read_bytes())
-    payload["spec"]["app"] = "redis"
-    path.write_bytes(pickle.dumps(payload))
-    assert cache.lookup(spec, fingerprint) is None
+        # A colliding key holding another entry's payload is a miss.
+        entry.store(cache, fingerprint)
+        payload = pickle.loads(path.read_bytes())
+        field, value = entry.other
+        payload["spec"][field] = value
+        path.write_bytes(pickle.dumps(payload))
+        assert entry.lookup(cache, fingerprint) is None, label
 
 
 def test_source_fingerprint_invalidates_cache(tmp_path):
-    cache = ResultCache(tmp_path)
-    spec = make_spec("nginx", "hetero-lru", epochs=EPOCHS)
-    result = run_spec(spec)
-    cache.store(spec, "fingerprint-a", result)
-    assert cache.lookup(spec, "fingerprint-a") is not None
-    assert cache.lookup(spec, "fingerprint-b") is None, (
-        "a source change must invalidate every cached result"
-    )
+    for entry in (SpecEntry("hetero-lru"), FigureEntry()):
+        cache = ResultCache(tmp_path)
+        entry.store(cache, "fingerprint-a")
+        assert entry.lookup(cache, "fingerprint-a") is not None
+        assert entry.lookup(cache, "fingerprint-b") is None, (
+            "a source change must invalidate every cached result"
+        )
 
 
 def test_run_cached_memoizes_and_persists(tmp_path, monkeypatch):

@@ -250,7 +250,9 @@ def test_make_workload_unknown():
         make_workload("doom")
 
 
-def test_register_custom_workload():
+def test_register_custom_workload(monkeypatch):
+    # A copy of the registry: later tests see the shipped set only.
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
     register_workload("custom-test", lambda: simple_workload(name="custom"))
     assert make_workload("custom-test").name == "custom"
     with pytest.raises(WorkloadError):
