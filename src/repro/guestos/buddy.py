@@ -7,8 +7,11 @@ the buddy block recursively.
 Two entry points matter to callers:
 
 * :meth:`allocate_pages` — decompose an arbitrary page count into buddy
-  blocks, falling back to smaller orders under fragmentation and rolling
-  back cleanly when the request cannot be satisfied.
+  blocks, largest first.  Each block comes from the smallest free order
+  that holds it, splitting a larger block when its own order's list is
+  empty, as Linux's ``__rmqueue_smallest`` does; only when nothing that
+  large is free does it fall back to smaller orders.  A request that
+  cannot be satisfied leaves the allocator unchanged.
 * :meth:`free_span` — return *any* previously-allocated range, including
   fragments produced by the per-CPU free lists.  A byte-per-frame free
   map makes double frees and frees of never-allocated frames hard
@@ -26,11 +29,15 @@ one slice write per run.  A grant lists each such run as one
 :class:`FrameRange`, and freeing a range of whole, aligned top-order
 blocks is again one write per map: top-order blocks never coalesce, so
 a run is allocated and freed whole.  Every lower order is a plain
-``set``; those lists stay a few blocks long (at most 41 in all of them
+``set``; those lists stay a few blocks long (at most 29 in all of them
 at any grant of a static-placement pass), so ``min(set)`` is cheap, a
 one-block list is popped and a list a request covers is taken whole.
 What a lower block costs is the interpreter work around it, so the
-per-block paths are kept short.  Blocks are handed out
+per-block paths are kept short, and splitting before scattering keeps
+their number down: while a top-order block stays free, a grant of r
+pages takes exactly one lower block per set bit of r mod 2**max_order,
+where taking smaller free blocks first would gather each need from
+several.  Blocks are handed out
 lowest-start-first; the differential oracle in
 ``tests/`` pins every allocation against a plain set-and-bitmask
 reference allocator.
@@ -225,9 +232,14 @@ class BuddyAllocator:
         range of ``k << max_order`` frames, so its ranges are not all
         power-of-two blocks; every lower-order block is its own range.
         The top-order runs come first, then the lower blocks in the
-        order they were taken.  Falls back to smaller orders under
-        fragmentation; on failure the partial allocation is rolled back
-        and the allocator is unchanged.
+        order they were taken.  Each lower need, the largest power of
+        two in what is left (capped below the top order), is served as
+        Linux's ``__rmqueue_smallest`` serves it: by the lowest block of
+        the smallest free order that holds it, split down when that
+        order is larger.  Only when no block that large is free does the
+        grant fall back to the largest smaller order, taking its lowest
+        blocks.  On failure the partial allocation is rolled back and
+        the allocator is unchanged.
         """
         if pages <= 0:
             raise AllocationError(f"page count must be positive: {pages}")
@@ -275,17 +287,29 @@ class BuddyAllocator:
             mask = self._mask
             base = self.base
             while remaining:
-                # Prefer the largest available order not exceeding the
-                # need (below the top order, which is exhausted for
-                # whatever top-sized need is left); when fragmentation
-                # leaves nothing that small, split a larger block
-                # (_take_block handles the split).
-                want = remaining.bit_length() - 1
-                order = want if want < max_order else max_order - 1
-                while order >= 0 and not lists[order]:
+                # The need's order, below the top order (which is
+                # exhausted for whatever top-sized need is left).  As
+                # Linux's __rmqueue_smallest does, the block comes from
+                # the smallest free order that holds the need: its own
+                # list, or else one _take_block split of the lowest
+                # block of the smallest larger order.
+                order = remaining.bit_length() - 1
+                if order >= max_order:
+                    order = max_order - 1
+                live = lists[order]
+                if not live and not (self._top_free or any(lists[order + 1:])):
+                    # Nothing that large is free: fall back to the
+                    # largest smaller order.  One exists, because a
+                    # grant never takes more than it still needs, so
+                    # remaining <= free frames throughout.
                     order -= 1
-                if order < 0 or wrapper is not None:
-                    block = take(want if order < 0 else order)
+                    while not lists[order]:
+                        order -= 1
+                    live = lists[order]
+                if not live or wrapper is not None:
+                    # The split, or any take while the sanitizer's
+                    # per-block wrapper is attached.
+                    block = take(order)
                     append(block)
                     remaining -= block.count
                     continue
@@ -294,10 +318,10 @@ class BuddyAllocator:
                 # between same-order takes nothing is freed and no
                 # split-down runs, so higher lists stay empty and a
                 # block-at-a-time loop would pick this same order every
-                # time while remaining >= 1 << order.  The lists hold a
-                # few blocks, so a one-block list or a whole-list batch
-                # is the common case.
-                live = lists[order]
+                # time while remaining >= 1 << order (only a capped
+                # need or a fallback asks for more than one).  The lists
+                # hold a few blocks, so a one-block list or a whole-list
+                # batch is the common case.
                 count = 1 << order
                 ones = (
                     _ONE_RUN[order] if order <= MAX_ORDER else b"\x01" * count

@@ -36,7 +36,6 @@ import repro.guestos.numa
 import repro.guestos.zone
 import repro.sim.fast
 from repro.errors import AllocationError, OutOfMemoryError
-from repro.guestos.buddy import MAX_ORDER
 from repro.guestos.lru import SplitLru
 from repro.guestos.numa import MemoryNode
 from repro.guestos.zone import zone_preference
@@ -45,10 +44,21 @@ from repro.hw.timing import DeviceDemand
 from repro.mem.frames import FrameRange
 from repro.units import PAGE_SIZE
 
+#: Largest block order, Linux's default as in the simulator's allocator
+#: (blocks up to 2**10 pages); stated here so that the reference takes
+#: nothing from the module it checks.
+MAX_ORDER = 10
+
 
 class ReferenceBuddy:
     """Classic binary buddy allocator with arbitrary-span frees: a
     big-integer free mask and a ``min(set)`` scan per block.
+
+    A grant picks each block on its own, largest need first, by
+    Linux's ``__rmqueue_smallest`` rule: the lowest block of the
+    smallest free order that holds the need, split down to it; only
+    when nothing that large is free, the lowest block of the largest
+    smaller order.
 
     Parameters
     ----------
@@ -121,7 +131,7 @@ class ReferenceBuddy:
                 f"no free block of order >= {order} "
                 f"({self._free_frames} frames free)"
             )
-        start = min(self._free_lists[source])
+        start = self._pick(self._free_lists[source])
         self._free_lists[source].discard(start)
         # Split down to the requested order, freeing the upper halves.
         while source > order:
@@ -133,6 +143,10 @@ class ReferenceBuddy:
         self._mask_clear(start, count)
         return FrameRange(start, count)
 
+    def _pick(self, starts: set[int]) -> int:
+        """The block a take hands out from a free list: the lowest."""
+        return min(starts)
+
     def allocate_pages(self, pages: int) -> list[FrameRange]:
         """Allocate ``pages`` frames as buddy blocks (largest-first).
 
@@ -140,9 +154,8 @@ class ReferenceBuddy:
         of consecutive, contiguous top-order blocks as one range, the
         shape the simulator's allocator grants.  The kernel code both
         sides share splits a range by position, so the shapes must agree
-        for the frames to.  Falls back to smaller orders under
-        fragmentation; on failure the partial allocation is rolled back
-        and the allocator is unchanged.
+        for the frames to.  On failure the partial allocation is rolled
+        back and the allocator is unchanged.
         """
         if pages <= 0:
             raise AllocationError(f"page count must be positive: {pages}")
@@ -154,15 +167,18 @@ class ReferenceBuddy:
         remaining = pages
         try:
             while remaining > 0:
-                want_order = min(self.max_order, remaining.bit_length() - 1)
-                order = want_order
-                # Prefer the largest available order not exceeding the
-                # need; when fragmentation leaves nothing small, split a
-                # larger block (allocate_block handles the split).
-                while order >= 0 and not self._free_lists[order]:
-                    order -= 1
-                if order < 0:
-                    order = want_order
+                want = min(self.max_order, remaining.bit_length() - 1)
+                # The need's own order, which allocate_block serves
+                # from the smallest free order that holds it; only when
+                # every free block is smaller, the largest free order.
+                free_orders = [
+                    order
+                    for order, starts in enumerate(self._free_lists)
+                    if starts
+                ]
+                order = want
+                if free_orders and max(free_orders) < want:
+                    order = max(free_orders)
                 block = self.allocate_block(order)
                 granted.append(block)
                 remaining -= block.count
@@ -384,9 +400,10 @@ class GuestLog:
         if not any(seen is engine for seen in self.engines):
             self.engines.append(engine)
 
-    def assert_reference(self, engine) -> None:
+    def assert_reference(self, engine, buddy=ReferenceBuddy) -> None:
         """``engine`` was stepped by the reference demand accounting and
-        its guest was built from reference zones, nodes and LRUs."""
+        its guest was built from reference zones (``buddy`` allocators),
+        nodes and LRUs."""
         assert any(seen is engine for seen in self.engines), (
             "engine never reached the reference demand accounting"
         )
@@ -396,7 +413,7 @@ class GuestLog:
             assert type(node) is ReferenceNode, type(node)
             assert node.zones
             for zone in node.zones:
-                assert type(zone.buddy) is ReferenceBuddy, type(zone.buddy)
+                assert type(zone.buddy) is buddy, type(zone.buddy)
         for lru in kernel.lru.values():
             assert type(lru) is ReferenceSplitLru, type(lru)
 
@@ -449,13 +466,15 @@ def _recording(compute, structures=()):
             setattr(module, name, original)
 
 
-def reference_guest():
+def reference_guest(buddy=ReferenceBuddy):
     """Build and step every guest inside the block from the reference
-    structures; yields a :class:`GuestLog` of the engines served."""
+    structures, with ``buddy`` (:class:`ReferenceBuddy` or a subclass)
+    as every zone's allocator; yields a :class:`GuestLog` of the
+    engines served."""
     return _recording(
         reference_memory_demands,
         (
-            (repro.guestos.zone, "BuddyAllocator", ReferenceBuddy),
+            (repro.guestos.zone, "BuddyAllocator", buddy),
             (repro.guestos.numa, "MemoryNode", ReferenceNode),
             (repro.guestos.kernel, "SplitLru", ReferenceSplitLru),
         ),

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
+from repro.core.policy import make_policy
 from repro.devtools.sanitizer import FrameSanitizer
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.experiments.sharing import run_fig13
 from repro.guestos.buddy import BuddyAllocator
 from repro.mem.frames import FrameRange
-from repro.sim.runner import run_experiment
+from repro.sim.runner import build_config, run_experiment
 
 
 def test_block_allocation_sizes():
@@ -409,3 +410,122 @@ def test_finished_runs_close_their_frame_maps(monkeypatch):
     built.clear()
     run_fig13(epochs=2)
     assert built and all(buddy._mask.closed for buddy in built)
+
+
+# ----------------------------------------------------------------------
+# Which block serves a need: the smallest free order that holds it
+# (Linux's __rmqueue_smallest), falling back only when none does
+# ----------------------------------------------------------------------
+
+
+def test_each_lower_need_is_one_block_while_a_top_block_is_free():
+    """While a top-order block stays free, a grant of r pages lists its
+    top-order runs, then one block per set bit of r mod 2**max_order,
+    largest first, however earlier grants and frees left the lower
+    lists."""
+    buddy = BuddyAllocator(0, 64 * TOP)
+    rng = random.Random(26)
+    held = []
+    for _ in range(60):
+        pages = rng.randrange(1, 3 * TOP)
+        grant = buddy.allocate_pages(pages)
+        runs = [r.count for r in grant if r.count % TOP == 0]
+        lower = [r.count for r in grant[len(runs):]]
+        assert sum(runs) == pages - pages % TOP
+        assert lower == [
+            1 << order for order in range(9, -1, -1) if pages >> order & 1
+        ]
+        assert buddy._top_free
+        held.append(grant)
+        if rng.random() < 0.6:
+            for block in held.pop(rng.randrange(len(held))):
+                buddy.free_range(block)
+    buddy.check_invariants()
+
+
+def _state(buddy, free_spans):
+    """A 4-top-block span with only ``free_spans`` free, each freed by
+    hand from one grant of the whole span."""
+    (whole,) = buddy.allocate_pages(buddy.total_frames)
+    assert whole == FrameRange(0, buddy.total_frames)
+    for start, count in free_spans:
+        buddy.free_span(start, count)
+    buddy.check_invariants()
+    return buddy
+
+
+def test_empty_need_list_splits_the_smallest_larger_block():
+    """Order 1 is empty while two order-0 blocks, two order-2 blocks and
+    a top block are free: a 2-page need splits the lower order-2 block,
+    not the two single frames, nor the top block."""
+    buddy = _state(BuddyAllocator(0, 32, max_order=3),
+                   [(1, 1), (6, 1), (12, 4), (20, 4), (24, 8)])
+    assert _lower_lists(buddy) == [[1, 6], [], [12, 20]]
+    assert buddy.allocate_pages(2) == [FrameRange(12, 2)]
+    assert _lower_lists(buddy) == [[1, 6], [14], [20]]
+    assert buddy._top_free == 1
+    buddy.check_invariants()
+
+
+def test_nothing_large_enough_falls_back_to_the_largest_smaller_blocks():
+    """With nothing of order >= 3 free, a 10-page need takes the two
+    lowest order-2 blocks; the 2 pages left split the third rather than
+    gathering the free single frame.  A request beyond the free frames
+    then changes nothing."""
+    buddy = _state(BuddyAllocator(0, 64, max_order=4),
+                   [(4, 4), (12, 4), (20, 4), (25, 1)])
+    assert _lower_lists(buddy) == [[25], [], [4, 12, 20], []]
+    assert buddy.allocate_pages(10) == [
+        FrameRange(4, 4), FrameRange(12, 4), FrameRange(20, 2),
+    ]
+    assert _lower_lists(buddy) == [[25], [22], [], []]
+    before = (_free_state(buddy), _lower_lists(buddy))
+    with pytest.raises(OutOfMemoryError):
+        buddy.allocate_pages(buddy.free_frames + 1)
+    assert (_free_state(buddy), _lower_lists(buddy)) == before
+    buddy.check_invariants()
+
+
+#: (lower-order blocks granted, ``_take_block`` splits) over 40 epochs
+#: of each cell.  The counts come from integer logic alone, so they
+#: repeat exactly on every Python version and hash seed; a change that
+#: lowers them records the new counts here.
+BLOCK_CENSUS = {
+    ("graphchi", "heap-io-slab-od", 1 / 4): (701, 183),
+    ("graphchi", "hetero-lru", 1 / 8): (1116, 77),
+}
+
+
+@pytest.mark.parametrize("app, policy_name, ratio", list(BLOCK_CENSUS))
+def test_block_census_stays_within_its_committed_counts(
+    monkeypatch, app, policy_name, ratio
+):
+    """A cost gate without timing: a change that scatters grants over
+    more lower-order blocks, or splits more often, fails here."""
+    counts = {"lower blocks": 0, "splits": 0}
+    allocate_pages = BuddyAllocator.allocate_pages
+    take_block = BuddyAllocator._take_block
+
+    def counted_allocate_pages(self, pages):
+        grant = allocate_pages(self, pages)
+        top = 1 << self.max_order
+        counts["lower blocks"] += sum(1 for r in grant if r.count < top)
+        return grant
+
+    def counted_take_block(self, order):
+        if order < self.max_order and not self._free_lists[order]:
+            counts["splits"] += 1
+        return take_block(self, order)
+
+    monkeypatch.setattr(BuddyAllocator, "allocate_pages",
+                        counted_allocate_pages)
+    monkeypatch.setattr(BuddyAllocator, "_take_block", counted_take_block)
+    policy = make_policy(policy_name)
+    config = build_config(
+        fast_ratio=ratio, unlimited_fast=policy.requires_unlimited_fast
+    )
+    run_experiment(app, policy, epochs=40, config=config)
+    lower, splits = BLOCK_CENSUS[app, policy_name, ratio]
+    assert counts["lower blocks"] <= lower, counts
+    assert counts["splits"] <= splits, counts
+    assert counts["lower blocks"] and counts["splits"]

@@ -18,6 +18,12 @@ policy, the fault/telemetry/sanitizer modes, multi-VM ballooning, and
 fails here before it can skew a figure.  Each reference run also
 checks that its guests really were built from the reference
 structures, so the oracle can never compare production with itself.
+
+The last tests pin what lets the allocator's block choice change
+without moving a result: run on a reference allocator that hands out
+the highest free block of each order, a guest ends on other frames
+with the same ``RunResult``, because results read page counts and
+never frame numbers.
 """
 
 from __future__ import annotations
@@ -30,7 +36,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_guest import placement, production_guest, reference_guest
+from reference_guest import (
+    ReferenceBuddy,
+    placement,
+    production_guest,
+    reference_guest,
+)
 from test_multi_vm import devices, late_grower_vms
 
 from repro.config import SimConfig
@@ -50,10 +61,10 @@ FAULT_PLAN = FaultPlan.from_dict(
 
 
 def _run(app, policy_name, reference, *, epochs, slow_gib=2.0, faults=None,
-         telemetry=False, sanitize=False):
+         telemetry=False, sanitize=False, buddy=ReferenceBuddy):
     """One single-VM run as its ``dataclasses.asdict`` result and final
-    :func:`placement`; ``reference`` runs it on the oracle's structures
-    (and checks that it did)."""
+    :func:`placement`; ``reference`` runs it on the oracle's structures,
+    with ``buddy`` as every zone's allocator (and checks that it did)."""
     policy = make_policy(policy_name)
     config = build_config(
         fast_ratio=0.25,
@@ -62,7 +73,7 @@ def _run(app, policy_name, reference, *, epochs, slow_gib=2.0, faults=None,
     )
     config.sanitize = sanitize
     bus = Telemetry() if telemetry else None
-    with reference_guest() if reference else production_guest() as log:
+    with reference_guest(buddy) if reference else production_guest() as log:
         result = run_experiment(
             app, policy, epochs=epochs, config=config, telemetry=bus,
             faults=faults,
@@ -70,7 +81,7 @@ def _run(app, policy_name, reference, *, epochs, slow_gib=2.0, faults=None,
     assert len(log.engines) == 1
     engine = log.engines[0]
     if reference:
-        log.assert_reference(engine)
+        log.assert_reference(engine, buddy)
     return dataclasses.asdict(result), placement(engine)
 
 
@@ -97,29 +108,32 @@ def test_modes_are_bit_identical(label, kwargs):
     assert production == reference, label
 
 
+def _balloon_run(sharing):
+    """Figure 13's lock-step guests, 6 epochs: the simulation and each
+    guest's ``dataclasses.asdict`` result and final :func:`placement`."""
+    sim = MultiVmSimulation(
+        devices(), late_grower_vms(), sharing_policy=sharing(),
+        config=SimConfig(),
+    )
+    results = sim.run(6)
+    return sim, {
+        name: (dataclasses.asdict(result), placement(sim.engines[name]))
+        for name, result in results.items()
+    }
+
+
 @pytest.mark.parametrize("sharing", [MaxMinSharing, WeightedDrf])
 def test_multi_vm_balloon_scenario_is_bit_identical(sharing):
     """Lock-step multi-VM guests (Figure 13's path) balloon, arbitrate
     and reclaim identically on both sides, and the reference side
     really builds reference zones, nodes and LRUs in every guest."""
-    def run():
-        sim = MultiVmSimulation(
-            devices(), late_grower_vms(), sharing_policy=sharing(),
-            config=SimConfig(),
-        )
-        results = sim.run(6)
-        return sim, {
-            name: (dataclasses.asdict(result), placement(sim.engines[name]))
-            for name, result in results.items()
-        }
-
     with reference_guest() as log:
-        sim, reference = run()
+        sim, reference = _balloon_run(sharing)
     assert len(sim.engines) > 1
     assert len(log.engines) == len(sim.engines)
     for engine in sim.engines.values():
         log.assert_reference(engine)
-    _, production = run()
+    _, production = _balloon_run(sharing)
     assert production == reference
 
 
@@ -174,3 +188,56 @@ def test_synthetic_workloads_are_bit_identical(
     production = _run(workload(), "hetero-lru", False,
                 epochs=4, slow_gib=1.0, faults=faults)
     assert production == reference
+
+
+class HighestFirstBuddy(ReferenceBuddy):
+    """The reference allocator handing out the highest block of each
+    chosen order instead of the lowest: the same page counts in every
+    grant, on other frames."""
+
+    def _pick(self, starts):
+        return max(starts)
+
+
+@pytest.mark.parametrize(
+    "app, policy_name, kwargs",
+    [("redis", name, dict(epochs=3)) for name in available_policies()]
+    + [
+        # Memory pressure: the guest swaps out ~0.5M pages and its
+        # grants fall back to smaller orders.
+        ("graphchi", "hetero-lru", dict(epochs=8, slow_gib=1.0)),
+        ("redis", "hetero-lru",
+         dict(epochs=4, sanitize=True, faults=FAULT_PLAN)),
+    ],
+    ids=[*available_policies(), "pressure", "sanitize+faults"],
+)
+def test_results_are_blind_to_which_frames_are_granted(
+    app, policy_name, kwargs
+):
+    """A result reads page counts, never frame numbers: a guest whose
+    allocator picks the highest free block of each order ends with
+    other frames and the same result, field for field.  A change that
+    lets a frame number into a result fails here."""
+    result, frames = _run(app, policy_name, True, buddy=HighestFirstBuddy,
+                          **kwargs)
+    production_result, production_frames = _run(app, policy_name, False,
+                                                 **kwargs)
+    assert result == production_result
+    assert frames != production_frames
+
+
+@pytest.mark.parametrize("sharing", [MaxMinSharing, WeightedDrf])
+def test_multi_vm_results_are_blind_to_which_frames_are_granted(sharing):
+    """Both guests of the balloon scenario balloon, arbitrate and end
+    with the same results whichever free blocks their allocators pick,
+    each on other frames."""
+    with reference_guest(HighestFirstBuddy) as log:
+        sim, highest = _balloon_run(sharing)
+    assert len(log.engines) == len(sim.engines) == 2
+    for engine in sim.engines.values():
+        log.assert_reference(engine, HighestFirstBuddy)
+    _, production = _balloon_run(sharing)
+    assert highest.keys() == production.keys()
+    for name, (result, frames) in production.items():
+        assert highest[name][0] == result
+        assert highest[name][1] != frames
