@@ -4,15 +4,15 @@ Every benchmark prints its reproduced table/figure (visible with ``-s``)
 and archives it under ``benchmarks/_results/`` so EXPERIMENTS.md can be
 assembled from actual runs.
 
-Experiment execution routes through :mod:`repro.sim.parallel`: the
-figure drivers share one process-wide result memo, so a full benchmark
-session simulates each distinct (app, policy, platform) point once no
-matter how many drivers revisit it (Figure 10 reuses Figure 9's runs,
-Table 4 reuses Figure 1's FastMem-only runs, ...).  The memo is cleared
-at session start so pytest-benchmark timings start cold; setting
-``REPRO_SWEEP_CACHE_DIR`` additionally persists results on disk across
-sessions (the CI sweep-cache does this — source changes self-invalidate
-via the cache key's source fingerprint).
+Each spec-grid table runs through :func:`repro.experiments.run_figure`:
+one :func:`~repro.sim.parallel.run_specs` call over the table's grid,
+on every CPU the session may use.  No run is kept in memory between
+benchmarks, so each one's timing starts cold unless
+``REPRO_SWEEP_CACHE_DIR`` is set; then every distinct (app, policy,
+platform) point is simulated once and read back from disk by every
+later table that needs it (Figure 10 reuses Figure 9's runs, ...), in
+this session and the next (the CI sweep-cache does this — source
+changes self-invalidate via the cache key's source fingerprint).
 """
 
 from __future__ import annotations
@@ -22,17 +22,8 @@ import pathlib
 import pytest
 
 from repro.experiments.report import format_table
-from repro.sim import parallel
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
-
-
-@pytest.fixture(autouse=True, scope="session")
-def experiment_memo():
-    """Session-wide run memo: cold at start, dropped at exit."""
-    parallel.clear_memo()
-    yield
-    parallel.clear_memo()
 
 
 @pytest.fixture

@@ -2,13 +2,13 @@
 
 from conftest import once
 
-from repro.experiments import run_fig10
+from repro.experiments import run_figure
 
 EPOCHS = 120
 
 
 def test_fig10_miss_ratio(benchmark, show):
-    rows = once(benchmark, run_fig10, epochs=EPOCHS)
+    rows = once(benchmark, run_figure, name="fig10", epochs=EPOCHS)
     show(rows, "Figure 10: FastMem allocation miss ratio at 1/8")
 
     by_app = {row["app"]: row for row in rows}

@@ -2,15 +2,13 @@
 
 from conftest import once
 
-from repro.experiments import run_fig11
-from repro.experiments.coordinated import clear_cache
+from repro.experiments import run_figure
 
 EPOCHS = 200
 
 
 def test_fig11_coordinated(benchmark, show):
-    clear_cache()
-    rows = once(benchmark, run_fig11, epochs=EPOCHS)
+    rows = once(benchmark, run_figure, name="fig11", epochs=EPOCHS)
     show(rows, "Figure 11: gains (%) over SlowMem-only")
 
     by_key = {(row["app"], row["ratio"]): row for row in rows}

@@ -2,15 +2,13 @@
 
 from conftest import once
 
-from repro.experiments import run_fig12
-from repro.experiments.coordinated import clear_cache
+from repro.experiments import run_figure
 
 EPOCHS = 200
 
 
 def test_fig12_migration_gains(benchmark, show):
-    clear_cache()
-    rows = once(benchmark, run_fig12, epochs=EPOCHS)
+    rows = once(benchmark, run_figure, name="fig12", epochs=EPOCHS)
     show(rows, "Figure 12: migration-only gains vs Heap-IO-Slab-OD")
 
     by_app = {row["app"]: row for row in rows}

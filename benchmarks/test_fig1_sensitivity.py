@@ -2,14 +2,14 @@
 
 from conftest import once
 
-from repro.experiments import run_fig1
+from repro.experiments import run_figure
 
 MEMORY_INTENSIVE = ("graphchi", "xstream", "metis")
 IO_DILUTED = ("leveldb", "nginx")
 
 
 def test_fig1_sensitivity(benchmark, show):
-    rows = once(benchmark, run_fig1, epochs=60)
+    rows = once(benchmark, run_figure, name="fig1", epochs=60)
     show(rows, "Figure 1: slowdown vs FastMem-only across throttle sweep")
 
     by_app = {row["app"]: row for row in rows}

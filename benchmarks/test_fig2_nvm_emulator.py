@@ -6,16 +6,16 @@ the application slowdown factor is lower for the same workloads."
 
 from conftest import once
 
-from repro.experiments import run_fig1, run_fig2
+from repro.experiments import run_figure
 
 
 def test_fig2_nvm_emulator(benchmark, show):
-    rows = once(benchmark, run_fig2, epochs=60)
+    rows = once(benchmark, run_figure, name="fig2", epochs=60)
     show(rows, "Figure 2: NVM-emulator (48MB LLC) sensitivity")
 
     small_llc = {
         row["app"]: row
-        for row in run_fig1(epochs=60, include_remote_numa=False)
+        for row in run_figure("fig1", epochs=60, include_remote_numa=False)
     }
     by_app = {row["app"]: row for row in rows}
     sweep = ["L:2,B:2", "L:5,B:5", "L:5,B:7", "L:5,B:9", "L:5,B:12"]

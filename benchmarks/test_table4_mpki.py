@@ -2,7 +2,7 @@
 
 from conftest import once
 
-from repro.experiments import run_table4
+from repro.experiments import run_figure
 
 #: The paper's measured MPKI values.
 PAPER_MPKI = {
@@ -16,7 +16,7 @@ PAPER_MPKI = {
 
 
 def test_table4_mpki(benchmark, show):
-    rows = once(benchmark, run_table4)
+    rows = once(benchmark, run_figure, name="table4")
     show(rows, "Table 4: application MPKI")
 
     measured = {row["app"]: row["mpki"] for row in rows}

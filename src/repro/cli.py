@@ -16,9 +16,8 @@ Usage::
     python -m repro report --cache-dir .sweep-cache \
         --metrics sweep.metrics.json     # post-hoc sweep summary
 
-The ``figure`` subcommand accepts ``table1 table3 table4 table5 table6
-fig1 fig2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13`` or
-``all``.
+The ``figure`` subcommand accepts any name in
+``repro.experiments.FIGURES``, or ``all``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable
 
 from repro import (
     available_policies,
@@ -34,17 +32,6 @@ from repro import (
     gain_percent,
     run_experiment,
 )
-
-
-def _figure_drivers() -> dict[str, Callable[[], list[dict]]]:
-    from repro import experiments
-
-    names = [
-        "table1", "table3", "table4", "table5", "table6",
-        "fig1", "fig2", "fig3", "fig4", "fig6", "fig7", "fig8",
-        "fig9", "fig10", "fig11", "fig12", "fig13",
-    ]
-    return {name: getattr(experiments, f"run_{name}") for name in names}
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -144,31 +131,34 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments import report
+    from repro.experiments import FIGURES, report, run_figures
     from repro.sim.parallel import default_cache, source_fingerprint
 
-    drivers = _figure_drivers()
-    targets = list(drivers) if args.name == "all" else [args.name]
-    unknown = [t for t in targets if t not in drivers]
+    targets = list(FIGURES) if args.name == "all" else [args.name]
+    unknown = [t for t in targets if t not in FIGURES]
     if unknown:
         print(
             f"unknown figure(s): {unknown}; choose from "
-            f"{sorted(drivers)} or 'all'",
+            f"{sorted(FIGURES)} or 'all'",
             file=sys.stderr,
         )
         return 2
     # With a result cache, a figure's rows are stored under its name and
     # the source fingerprint, so an unchanged tree prints them again
-    # without running the driver.
+    # without running anything; the figures that miss run together.
     cache = default_cache()
     fingerprint = source_fingerprint() if cache is not None else ""
+    tables = {
+        target: cache.lookup_figure(target, fingerprint) if cache else None
+        for target in targets
+    }
+    missing = [target for target, rows in tables.items() if rows is None]
+    for target, rows in run_figures(missing).items():
+        tables[target] = rows
+        if cache is not None:
+            cache.store_figure(target, fingerprint, rows)
     for target in targets:
-        rows = cache.lookup_figure(target, fingerprint) if cache else None
-        if rows is None:
-            rows = drivers[target]()
-            if cache is not None:
-                cache.store_figure(target, fingerprint, rows)
-        print(report.format_table(rows, title=target))
+        print(report.format_table(tables[target], title=target))
         print()
     return 0
 

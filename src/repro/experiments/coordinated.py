@@ -6,67 +6,65 @@
   migrating approach relative to the pure-placement Heap-IO-Slab-OD
   baseline, with the total pages migrated (millions).
 
-Both run through :func:`repro.sim.parallel.run_cached`, so their grid
-points share cache keys with Figures 9 and 10 (the baselines and
-HeteroOS-LRU are Figure 9 runs) and persist under
-``REPRO_SWEEP_CACHE_DIR``.
+Their runs are Figures 9 and 10's specs (the baselines and HeteroOS-LRU
+are Figure 9 runs): :func:`repro.experiments.run_figures` over all four
+simulates each once.
 """
 
 from __future__ import annotations
 
-from repro.experiments.placement import run_fig9
-from repro.sim.parallel import clear_memo, run_cached
-from repro.sim.stats import gain_percent
-from repro.workloads.registry import PLACEMENT_APPS
+from dataclasses import dataclass
+from functools import partial
+from typing import Mapping
 
-FIG11_POLICIES: tuple[str, ...] = (
-    "hetero-lru",
-    "vmm-exclusive",
-    "hetero-coordinated",
+from repro.experiments.placement import Fig9
+from repro.sim.parallel import ExperimentSpec, make_spec
+from repro.sim.stats import RunResult, gain_percent
+
+#: Figure 11: Figure 9's grid and rows with the migrating approaches as
+#: the series, at 1/4 and 1/8.
+Fig11 = partial(
+    Fig9,
+    ratios=(1 / 4, 1 / 8),
+    policies=("hetero-lru", "vmm-exclusive", "hetero-coordinated"),
 )
 
-FIG11_RATIOS: tuple[float, ...] = (1 / 4, 1 / 8)
 
-FIG12_APPS: tuple[str, ...] = ("graphchi", "redis", "leveldb")
-
-
-def run_fig11(
-    apps: tuple[str, ...] = PLACEMENT_APPS,
-    ratios: tuple[float, ...] = FIG11_RATIOS,
-    policies: tuple[str, ...] = FIG11_POLICIES,
-    epochs: int | None = None,
-) -> list[dict]:
-    """Gains (%) over SlowMem-only per (app, ratio, policy): Figure 9's
-    rows with the migrating approaches as the series."""
-    return run_fig9(apps, ratios, policies, epochs)
-
-
-def run_fig12(
-    apps: tuple[str, ...] = FIG12_APPS,
-    ratio: float = 1 / 4,
-    epochs: int | None = None,
-) -> list[dict]:
+@dataclass
+class Fig12:
     """Migration-only gains relative to Heap-IO-Slab-OD + pages moved.
 
     For HeteroOS policies, "migrations" include both promotions and the
     HeteroOS-LRU demotions (the paper's Figure 12 counts the evictions
     and migrations together).
     """
-    rows = []
-    for app in apps:
-        placement = run_cached(
-            app, "heap-io-slab-od", fast_ratio=ratio, epochs=epochs
-        )
-        row: dict = {"app": app}
-        for policy in ("vmm-exclusive", "hetero-lru", "hetero-coordinated"):
-            result = run_cached(app, policy, fast_ratio=ratio, epochs=epochs)
-            moved = result.pages_migrated + result.pages_demoted
-            row[f"{policy}_gain_pct"] = gain_percent(result, placement)
-            row[f"{policy}_migrated_millions"] = moved / 1e6
-        rows.append(row)
-    return rows
 
+    apps: tuple[str, ...] = ("graphchi", "redis", "leveldb")
+    ratio: float = 1 / 4
+    epochs: int | None = None
 
-def clear_cache() -> None:
-    """Drop memoized runs (the shared process-wide memo)."""
-    clear_memo()
+    #: Heap-IO-Slab-OD (the baseline) first, then the migrating series.
+    POLICIES = (
+        "heap-io-slab-od", "vmm-exclusive", "hetero-lru", "hetero-coordinated"
+    )
+
+    def grid(self) -> list[ExperimentSpec]:
+        return [
+            make_spec(app, policy, fast_ratio=self.ratio, epochs=self.epochs)
+            for app in self.apps
+            for policy in self.POLICIES
+        ]
+
+    def rows(self, results: Mapping[ExperimentSpec, RunResult]) -> list[dict]:
+        specs = iter(self.grid())
+        rows = []
+        for app in self.apps:
+            placement = results[next(specs)]
+            row: dict = {"app": app}
+            for policy in self.POLICIES[1:]:
+                result = results[next(specs)]
+                moved = result.pages_migrated + result.pages_demoted
+                row[f"{policy}_gain_pct"] = gain_percent(result, placement)
+                row[f"{policy}_migrated_millions"] = moved / 1e6
+            rows.append(row)
+        return rows

@@ -7,8 +7,12 @@ normalised to fractions, plus the total in millions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Mapping
+
 from repro.mem.extent import PageType
-from repro.sim.parallel import run_cached
+from repro.sim.parallel import ExperimentSpec, make_spec
+from repro.sim.stats import RunResult
 
 #: Figure 4's application order (left to right).
 FIG4_APPS: tuple[str, ...] = ("redis", "xstream", "graphchi", "metis", "leveldb")
@@ -23,20 +27,30 @@ FIG4_CLASSES: tuple[tuple[str, tuple[PageType, ...]], ...] = (
 )
 
 
-def run_fig4(
-    apps: tuple[str, ...] = FIG4_APPS, epochs: int | None = None
-) -> list[dict]:
+@dataclass
+class Fig4:
     """Page-type fractions + total pages (millions) per application."""
-    rows = []
-    for app in apps:
-        result = run_cached(app, "heap-io-slab-od", epochs=epochs)
-        total = result.total_pages_allocated
-        row: dict = {"app": app}
-        for label, page_types in FIG4_CLASSES:
-            pages = sum(
-                result.page_distribution.get(pt, 0) for pt in page_types
-            )
-            row[label] = pages / total if total else 0.0
-        row["total_millions"] = total / 1e6
-        rows.append(row)
-    return rows
+
+    apps: tuple[str, ...] = FIG4_APPS
+    epochs: int | None = None
+
+    def grid(self) -> list[ExperimentSpec]:
+        return [
+            make_spec(app, "heap-io-slab-od", epochs=self.epochs)
+            for app in self.apps
+        ]
+
+    def rows(self, results: Mapping[ExperimentSpec, RunResult]) -> list[dict]:
+        rows = []
+        for spec in self.grid():
+            result = results[spec]
+            total = result.total_pages_allocated
+            row: dict = {"app": spec.app}
+            for label, page_types in FIG4_CLASSES:
+                pages = sum(
+                    result.page_distribution.get(pt, 0) for pt in page_types
+                )
+                row[label] = pages / total if total else 0.0
+            row["total_millions"] = total / 1e6
+            rows.append(row)
+        return rows

@@ -10,7 +10,10 @@ NGinx is excluded as in the paper (<10% heterogeneity impact).
 
 from __future__ import annotations
 
-from repro.sim.parallel import ExperimentSpec, clear_memo, make_spec, run_cached
+from dataclasses import dataclass
+from typing import Mapping
+
+from repro.sim.parallel import ExperimentSpec, make_spec
 from repro.sim.stats import RunResult, gain_percent
 from repro.workloads.registry import PLACEMENT_APPS
 
@@ -22,83 +25,70 @@ FIG9_POLICIES: tuple[str, ...] = (
     "numa-preferred",
 )
 
-FIG9_RATIOS: tuple[float, ...] = (1 / 2, 1 / 4, 1 / 8)
+
+@dataclass
+class Fig9:
+    """Gains (%) over SlowMem-only per (app, ratio, policy); each app's
+    baselines run at 1/4.  Figure 11 is this grid over other series
+    (:data:`repro.experiments.coordinated.Fig11`)."""
+
+    apps: tuple[str, ...] = PLACEMENT_APPS
+    ratios: tuple[float, ...] = (1 / 2, 1 / 4, 1 / 8)
+    policies: tuple[str, ...] = FIG9_POLICIES
+    epochs: int | None = None
+
+    def grid(self) -> list[ExperimentSpec]:
+        points = [("slowmem-only", 1 / 4), ("fastmem-only", 1 / 4)]
+        points += [(p, ratio) for ratio in self.ratios for p in self.policies]
+        return [
+            make_spec(app, policy, fast_ratio=ratio, epochs=self.epochs)
+            for app in self.apps
+            for policy, ratio in points
+        ]
+
+    def rows(self, results: Mapping[ExperimentSpec, RunResult]) -> list[dict]:
+        specs = iter(self.grid())
+        rows = []
+        for app in self.apps:
+            slow, fast = results[next(specs)], results[next(specs)]
+            for ratio in self.ratios:
+                row: dict = {"app": app, "ratio": f"1/{round(1 / ratio)}"}
+                for policy in self.policies:
+                    row[policy] = gain_percent(results[next(specs)], slow)
+                row["fastmem-only"] = gain_percent(fast, slow)
+                rows.append(row)
+        return rows
 
 
-def fig9_grid_specs(
-    apps: tuple[str, ...] = PLACEMENT_APPS,
-    ratios: tuple[float, ...] = FIG9_RATIOS,
-    policies: tuple[str, ...] = FIG9_POLICIES,
-    epochs: int | None = None,
-) -> list[ExperimentSpec]:
-    """Figure 9's full grid (baselines included) as hashable specs.
-
-    This is the same set of runs :func:`run_fig9` performs, expressed
-    for :func:`repro.sim.parallel.run_specs` — the benchmark harness
-    fans it out across workers and the result cache; the spec fields
-    match :func:`_cached_run`'s calls exactly, so both paths share
-    cache keys.
-    """
-    specs = []
-    for app in apps:
-        specs.append(make_spec(app, "slowmem-only", fast_ratio=1 / 4,
-                               epochs=epochs))
-        specs.append(make_spec(app, "fastmem-only", fast_ratio=1 / 4,
-                               epochs=epochs))
-        for ratio in ratios:
-            for policy in policies:
-                specs.append(
-                    make_spec(app, policy, fast_ratio=ratio, epochs=epochs)
-                )
-    return specs
+def fig9_grid_specs(**params) -> list[ExperimentSpec]:
+    """Figure 9's grid, baselines included, over :class:`Fig9`'s fields
+    as keywords (the benchmark harness's sweep grid)."""
+    return Fig9(**params).grid()
 
 
-def _cached_run(
-    app: str, policy: str, ratio: float, epochs: int | None
-) -> RunResult:
-    """One grid point through the shared process-wide memo, so Figure 10
-    reuses Figure 9's runs (and any other driver's matching points)."""
-    return run_cached(app, policy, fast_ratio=ratio, epochs=epochs)
+@dataclass
+class Fig10:
+    """FastMem allocation miss ratio at the 1/8 capacity ratio: Figure
+    9's runs at one ratio."""
 
+    apps: tuple[str, ...] = PLACEMENT_APPS
+    ratio: float = 1 / 8
+    policies: tuple[str, ...] = FIG9_POLICIES
+    epochs: int | None = None
 
-def run_fig9(
-    apps: tuple[str, ...] = PLACEMENT_APPS,
-    ratios: tuple[float, ...] = FIG9_RATIOS,
-    policies: tuple[str, ...] = FIG9_POLICIES,
-    epochs: int | None = None,
-) -> list[dict]:
-    """Gains (%) over SlowMem-only per (app, ratio, policy)."""
-    rows = []
-    for app in apps:
-        slow = _cached_run(app, "slowmem-only", 1 / 4, epochs)
-        fast = _cached_run(app, "fastmem-only", 1 / 4, epochs)
-        for ratio in ratios:
-            row: dict = {"app": app, "ratio": f"1/{round(1 / ratio)}"}
-            for policy in policies:
-                result = _cached_run(app, policy, ratio, epochs)
-                row[policy] = gain_percent(result, slow)
-            row["fastmem-only"] = gain_percent(fast, slow)
+    def grid(self) -> list[ExperimentSpec]:
+        return [
+            make_spec(app, policy, fast_ratio=self.ratio, epochs=self.epochs)
+            for app in self.apps
+            for policy in self.policies
+        ]
+
+    def rows(self, results: Mapping[ExperimentSpec, RunResult]) -> list[dict]:
+        specs = iter(self.grid())
+        rows = []
+        for app in self.apps:
+            row: dict = {"app": app}
+            for policy in self.policies:
+                row[policy] = results[next(specs)].fastmem_miss_ratio()
             rows.append(row)
-    return rows
-
-
-def run_fig10(
-    apps: tuple[str, ...] = PLACEMENT_APPS,
-    ratio: float = 1 / 8,
-    policies: tuple[str, ...] = FIG9_POLICIES,
-    epochs: int | None = None,
-) -> list[dict]:
-    """FastMem allocation miss ratio at the 1/8 capacity ratio."""
-    rows = []
-    for app in apps:
-        row: dict = {"app": app}
-        for policy in policies:
-            result = _cached_run(app, policy, ratio, epochs)
-            row[policy] = result.fastmem_miss_ratio()
-        rows.append(row)
-    return rows
-
-
-def clear_cache() -> None:
-    """Drop memoized runs (used between benchmark sessions)."""
-    clear_memo()
+        return rows

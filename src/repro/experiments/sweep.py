@@ -3,8 +3,8 @@
 The paper's figures are fixed grids; downstream studies want arbitrary
 ones.  :func:`sweep` runs the cartesian product of applications ×
 policies × FastMem ratios × throttle settings and returns flat rows —
-the helper behind the CLI's ``sweep`` subcommand and Table 2's
-measured-metric reproduction.
+the helper behind the CLI's ``sweep`` subcommand.  Table 2's
+measured-metric reproduction (:class:`Table2`) lives here too.
 
 Execution goes through :mod:`repro.sim.parallel`: the grid expands into
 :class:`~repro.sim.parallel.ExperimentSpec`\\ s, duplicates collapse,
@@ -15,7 +15,8 @@ path (the engine is deterministic from ``SimConfig.seed``).
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from repro.hw.throttle import DEFAULT_SLOWMEM, ThrottleConfig
 from repro.sim.parallel import (
@@ -25,10 +26,9 @@ from repro.sim.parallel import (
     SweepJournal,
     make_spec,
     results_or_raise,
-    run_cached,
     run_specs,
 )
-from repro.sim.stats import gain_percent
+from repro.sim.stats import RunResult, gain_percent
 from repro.workloads.registry import ALL_APPS
 
 #: Table 2's application descriptions (for the table reproduction).
@@ -60,28 +60,32 @@ TABLE2_DESCRIPTIONS: dict[str, tuple[str, str]] = {
 }
 
 
-def run_table2(epochs: int | None = None) -> list[dict]:
+@dataclass
+class Table2:
     """Table 2: the applications, their metrics, and what this
     reproduction measures for each under HeteroOS-coordinated (1/4)."""
-    rows = []
-    for app in ALL_APPS:
-        description, metric = TABLE2_DESCRIPTIONS[app]
-        result = run_cached(
-            app, "hetero-coordinated", fast_ratio=0.25, epochs=epochs
-        )
-        rows.append(
-            {
-                "app": app,
+
+    epochs: int | None = None
+
+    def grid(self) -> list[ExperimentSpec]:
+        return [
+            make_spec(
+                app, "hetero-coordinated", fast_ratio=0.25, epochs=self.epochs
+            )
+            for app in ALL_APPS
+        ]
+
+    def rows(self, results: Mapping[ExperimentSpec, RunResult]) -> list[dict]:
+        rows = []
+        for spec in self.grid():
+            description, metric = TABLE2_DESCRIPTIONS[spec.app]
+            rows.append({
+                "app": spec.app,
                 "description": description,
                 "perf_metric": metric,
-                "measured": (
-                    result.runtime_sec
-                    if result.metric == "seconds"
-                    else result.metric_value
-                ),
-            }
-        )
-    return rows
+                "measured": results[spec].metric_value,
+            })
+        return rows
 
 
 def expand_grid(
@@ -100,24 +104,16 @@ def expand_grid(
     ``baseline_policy`` also listed in ``policies``) are collapsed by
     :func:`~repro.sim.parallel.run_specs` itself.
     """
-    specs = []
-    for throttle in throttles:
-        for ratio in ratios:
-            for app in apps:
-                specs.append(
-                    make_spec(
-                        app, baseline_policy, fast_ratio=ratio,
-                        throttle=throttle, epochs=epochs, seed=seed,
-                    )
-                )
-                for policy in policies:
-                    specs.append(
-                        make_spec(
-                            app, policy, fast_ratio=ratio,
-                            throttle=throttle, epochs=epochs, seed=seed,
-                        )
-                    )
-    return specs
+    return [
+        make_spec(
+            app, policy, fast_ratio=ratio, throttle=throttle, epochs=epochs,
+            seed=seed,
+        )
+        for throttle in throttles
+        for ratio in ratios
+        for app in apps
+        for policy in (baseline_policy, *policies)
+    ]
 
 
 def sweep(

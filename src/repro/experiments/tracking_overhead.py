@@ -14,14 +14,18 @@ millions of pages; the sweep here configures the tracker the same way.
 Every configuration — tracker parameters included — is expressed as an
 :class:`~repro.sim.parallel.ExperimentSpec` (``policy_args`` carry the
 scan/migrate knobs, ``hotness`` the tracker config), so the sweep's runs
-memoize and cache like any other grid point; the scan/migration costs
+fan out and cache like any other grid point; the scan/migration costs
 are read back from the :class:`~repro.sim.stats.RunResult`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Mapping
+
 from repro.hw.throttle import ThrottleConfig
-from repro.sim.parallel import run_cached
+from repro.sim.parallel import ExperimentSpec, make_spec
+from repro.sim.stats import RunResult
 from repro.vmm.hotness import HotnessConfig
 
 #: HeteroVisor-faithful tracker: hair-trigger classification and the full
@@ -40,49 +44,47 @@ HETEROVISOR_TRACKER = HotnessConfig(
 _MIGRATE_BUDGET_PAGES = 2048
 
 
-def run_fig8(
-    app: str = "graphchi",
-    interval_epochs: tuple[int, ...] = (1, 2, 3, 4, 5),
-    epochs: int = 160,
-) -> list[dict]:
+@dataclass
+class Fig8:
     """Overhead (%) and pages migrated vs. scan interval (1 epoch=100ms)."""
-    # No SlowMem emulation: both tiers are plain DRAM (L:1,B:1).
-    no_emulation = ThrottleConfig(1, 1)
-    baseline = run_cached(
-        app, "slowmem-only", fast_ratio=0.25, throttle=no_emulation,
-        epochs=epochs,
-    )
-    rows = []
-    for interval in interval_epochs:
-        result = run_cached(
-            app,
-            "vmm-exclusive",
-            fast_ratio=0.25,
-            throttle=no_emulation,
-            epochs=epochs,
-            policy_args={
-                "scan_interval_epochs": interval,
-                "scan_batch_pages": HETEROVISOR_TRACKER.scan_batch_pages,
-                "migrate_budget_pages": _MIGRATE_BUDGET_PAGES,
-            },
-            hotness=HETEROVISOR_TRACKER,
+
+    app: str = "graphchi"
+    interval_epochs: tuple[int, ...] = (1, 2, 3, 4, 5)
+    epochs: int = 160
+
+    def grid(self) -> list[ExperimentSpec]:
+        """The untracked baseline, then VMM-exclusive at each interval."""
+        # No SlowMem emulation: both tiers are plain DRAM (L:1,B:1).
+        platform = dict(
+            fast_ratio=0.25, throttle=ThrottleConfig(1, 1), epochs=self.epochs
         )
-        tracked_cost_ns = result.scan_cost_ns + result.migration_cost_ns
-        rows.append(
-            {
+        return [make_spec(self.app, "slowmem-only", **platform)] + [
+            make_spec(
+                self.app,
+                "vmm-exclusive",
+                policy_args={
+                    "scan_interval_epochs": interval,
+                    "scan_batch_pages": HETEROVISOR_TRACKER.scan_batch_pages,
+                    "migrate_budget_pages": _MIGRATE_BUDGET_PAGES,
+                },
+                hotness=HETEROVISOR_TRACKER,
+                **platform,
+            )
+            for interval in self.interval_epochs
+        ]
+
+    def rows(self, results: Mapping[ExperimentSpec, RunResult]) -> list[dict]:
+        baseline, *tracked = self.grid()
+        runtime_ns = results[baseline].stats.runtime_ns
+        rows = []
+        for interval, spec in zip(self.interval_epochs, tracked):
+            result = results[spec]
+            scan, move = result.scan_cost_ns, result.migration_cost_ns
+            rows.append({
                 "interval_ms": interval * 100,
-                "tracking_overhead_pct": (
-                    100.0 * result.scan_cost_ns / baseline.stats.runtime_ns
-                ),
-                "migration_overhead_pct": (
-                    100.0
-                    * result.migration_cost_ns
-                    / baseline.stats.runtime_ns
-                ),
-                "total_overhead_pct": (
-                    100.0 * tracked_cost_ns / baseline.stats.runtime_ns
-                ),
+                "tracking_overhead_pct": 100.0 * scan / runtime_ns,
+                "migration_overhead_pct": 100.0 * move / runtime_ns,
+                "total_overhead_pct": 100.0 * (scan + move) / runtime_ns,
                 "pages_migrated_millions": result.pages_migrated / 1e6,
-            }
-        )
-    return rows
+            })
+        return rows

@@ -2,8 +2,8 @@
 
 Every figure/table driver runs a (workload x policy x platform) grid,
 and many grid points recur across drivers — ``fastmem-only`` at the
-default platform alone is re-simulated by Table 4, Figure 1, and
-Figure 3.  This module makes the grid the unit of work:
+default platform alone recurs in Table 4, Figure 1, and Figure 3.
+This module makes the grid the unit of work:
 
 * :class:`ExperimentSpec` — a frozen, hashable description of one run
   (everything :func:`repro.sim.runner.run_experiment` needs).  Its
@@ -25,10 +25,9 @@ Figure 3.  This module makes the grid the unit of work:
   and polls for outcomes.  Worker crashes and timeouts surface as
   structured :class:`SpecFailure`\\ s on the returned
   :class:`SpecOutcome`\\ s — a dead worker never hangs a sweep, and
-  a crash fails only the spec that caused it.
-* :func:`run_cached` — the in-process memoized entry point the
-  experiment drivers share, layered over the same spec/cache machinery
-  (set ``REPRO_SWEEP_CACHE_DIR`` to persist across processes).
+  a crash fails only the spec that caused it.  The figure drivers
+  (:func:`repro.experiments.run_figures`), ``repro sweep`` and the
+  benchmarks all run their grids through it.
 
 Determinism contract: the engine derives all randomness from
 ``SimConfig.seed``, so one spec produces a bit-identical
@@ -89,11 +88,9 @@ __all__ = [
     "SpecOutcome",
     "SweepJournal",
     "WorkerSupervisor",
-    "clear_memo",
     "default_cache",
     "make_spec",
     "results_or_raise",
-    "run_cached",
     "run_spec",
     "run_specs",
     "source_fingerprint",
@@ -706,14 +703,6 @@ class ResultCache:
             path.unlink()
         except OSError:
             pass
-
-
-def _resolve_cache(
-    cache: "ResultCache | str | Path | None",
-) -> "ResultCache | None":
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
 
 
 def default_cache() -> "ResultCache | None":
@@ -1420,9 +1409,11 @@ def run_specs(
     (when ``cache`` is given) skip simulation entirely.  Cache misses
     all go to one :class:`WorkerSupervisor`, started on the first miss
     and kept across retry rounds: ``max_workers`` above 1 forks that
-    many workers (a crash fails only the spec that caused it);
-    ``max_workers=1``, ``max_workers=None`` on a single-core host, or a
-    platform without ``fork`` run the same code path inline.  ``timeout_sec``
+    many workers (a crash fails only the spec that caused it), and
+    ``None`` one per CPU this process may use (its affinity mask, where
+    the platform has one); ``max_workers=1``, ``None`` in a process
+    pinned to one CPU, or a platform without ``fork`` run the same code
+    path inline.  ``timeout_sec``
     bounds each spec's wall-clock budget (enforced in the executing
     process via ``SIGALRM`` where available).  ``progress`` is invoked
     as ``progress(outcome, done, total)`` after every grid point.
@@ -1454,7 +1445,9 @@ def run_specs(
     (``tests/test_sweep_recorder.py``).
     """
     ordered = list(specs)
-    resolved_cache = _resolve_cache(cache)
+    resolved_cache = cache
+    if cache is not None and not isinstance(cache, ResultCache):
+        resolved_cache = ResultCache(cache)
     if resolved_cache is not None and not resolved_cache.writable():
         warnings.warn(
             f"sweep cache directory {resolved_cache.directory} is not "
@@ -1484,7 +1477,9 @@ def run_specs(
     for index, spec in enumerate(ordered):
         pending.setdefault(spec, []).append(index)
 
-    if max_workers is None:
+    if max_workers is None and hasattr(os, "sched_getaffinity"):
+        max_workers = len(os.sched_getaffinity(0))
+    elif max_workers is None:
         max_workers = os.cpu_count() or 1
     if recorder is not None:
         recorder.sweep_started(
@@ -1640,71 +1635,3 @@ def run_specs(
     if recorder is not None:
         recorder.sweep_finished(cache=resolved_cache)
     return [outcomes[i] for i in range(len(ordered))]
-
-
-# ----------------------------------------------------------------------
-# Process-wide memoized runner (the experiment drivers' entry point)
-# ----------------------------------------------------------------------
-
-_MEMO: "dict[ExperimentSpec, RunResult]" = {}
-
-
-def run_cached(
-    app: str,
-    policy: str,
-    fast_ratio: float = 0.25,
-    epochs: "int | None" = None,
-    slow_gib: float = 8.0,
-    throttle: "tuple[float, float] | ThrottleConfig | None" = None,
-    llc_mib: int = 16,
-    seed: int = 7,
-    slow_device: "str | None" = None,
-    policy_args: "Mapping | None" = None,
-    hotness: "HotnessConfig | Mapping | None" = None,
-    faults: "FaultPlan | Mapping | None" = None,
-    cache: "ResultCache | str | Path | None" = None,
-) -> RunResult:
-    """Memoized :func:`run_spec`: the shared driver entry point.
-
-    Results are memoized in-process by spec, so drivers that revisit a
-    grid point (Figure 9's baselines, Figure 10 reusing Figure 9's
-    runs, Table 4 vs. Figure 1's FastMem-only run) simulate it once per
-    process.  When ``cache`` is given — or ``REPRO_SWEEP_CACHE_DIR`` is
-    set — results also persist across processes.
-    """
-    spec = make_spec(
-        app,
-        policy,
-        fast_ratio=fast_ratio,
-        epochs=epochs,
-        slow_gib=slow_gib,
-        throttle=throttle,
-        llc_mib=llc_mib,
-        seed=seed,
-        slow_device=slow_device,
-        policy_args=policy_args,
-        hotness=hotness,
-        faults=faults,
-    )
-    memoized = _MEMO.get(spec)
-    if memoized is not None:
-        return memoized
-    resolved_cache = _resolve_cache(cache) or default_cache()
-    fingerprint = ""
-    if resolved_cache is not None:
-        fingerprint = source_fingerprint()
-        cached = resolved_cache.lookup(spec, fingerprint)
-        if cached is not None:
-            _MEMO[spec] = cached
-            return cached
-    result = run_spec(spec)
-    _MEMO[spec] = result
-    if resolved_cache is not None:
-        resolved_cache.store(spec, fingerprint, result)
-    return result
-
-
-def clear_memo() -> None:
-    """Drop the in-process memo (benchmark sessions call this between
-    timed drivers so cold timings stay cold)."""
-    _MEMO.clear()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import experiments
 from repro.cli import build_parser, main
 from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import CACHE_DIR_ENV
@@ -78,6 +79,29 @@ def test_warm_figure_builds_no_engine(name, tmp_path, monkeypatch, capsys):
     warm = render()
     assert not built
     assert warm == cold == uncached
+
+
+def test_figure_all_runs_every_grid_in_one_run_specs_call(monkeypatch):
+    """``repro figure all`` hands the union of its grids to one
+    ``run_specs`` call: 273 requests for 204 distinct specs, which
+    ``run_specs`` simulates once each, on every CPU the process may
+    use.  The call is stopped before anything runs."""
+    calls = []
+
+    class Stop(Exception):
+        pass
+
+    def recording_run_specs(specs, **kwargs):
+        calls.append((list(specs), kwargs))
+        raise Stop
+
+    monkeypatch.setattr(experiments, "run_specs", recording_run_specs)
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    with pytest.raises(Stop):
+        main(["figure", "all"])
+    [(specs, kwargs)] = calls
+    assert (len(specs), len(set(specs))) == (273, 204)
+    assert kwargs == {"max_workers": None, "cache": None}
 
 
 def test_figure_command_unknown(capsys):

@@ -42,16 +42,18 @@ from reference_guest import (
     production_guest,
     reference_guest,
 )
-from test_multi_vm import devices, late_grower_vms
+from test_multi_vm import devices, late_grower_vms, vm, workload
 
 from repro.config import SimConfig
 from repro.core.policy import available_policies, make_policy
 from repro.faults import FaultPlan
+from repro.mem.extent import PageType
 from repro.obs.bus import Telemetry
 from repro.sim.multi_vm import MultiVmSimulation
 from repro.sim.runner import build_config, run_experiment
 from repro.vmm.drf import WeightedDrf
 from repro.vmm.sharing import MaxMinSharing
+from repro.workloads.base import ChurnSpec
 from repro.workloads.synthetic import make_synthetic
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -108,11 +110,27 @@ def test_modes_are_bit_identical(label, kwargs):
     assert production == reference, label
 
 
+def _churning_neighbour_vms():
+    """:func:`late_grower_vms` with a small neighbour that also frees:
+    two churn flows return blocks of lower orders, so its later grants
+    have blocks of several orders to choose from, and a change in which
+    one the allocator takes moves :func:`placement`."""
+    grower, _ = late_grower_vms()
+    churning = workload("small", pages=512)
+    churning.churn = [
+        ChurnSpec("heap-churn", PageType.HEAP, 300, 2, reuse=0.5,
+                  access_share=0.3),
+        ChurnSpec("cache-churn", PageType.PAGE_CACHE, 77, 3, reuse=0.5,
+                  access_share=0.2),
+    ]
+    return [grower, vm("small", churning)]
+
+
 def _balloon_run(sharing):
     """Figure 13's lock-step guests, 6 epochs: the simulation and each
     guest's ``dataclasses.asdict`` result and final :func:`placement`."""
     sim = MultiVmSimulation(
-        devices(), late_grower_vms(), sharing_policy=sharing(),
+        devices(), _churning_neighbour_vms(), sharing_policy=sharing(),
         config=SimConfig(),
     )
     results = sim.run(6)

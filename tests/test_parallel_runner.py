@@ -25,7 +25,8 @@ import pytest
 from repro.cli import main
 from repro.core.policy import available_policies
 from repro.errors import SweepError
-from repro.experiments import run_table6
+from repro.experiments import run_figure, run_table6
+from repro.experiments.placement import fig9_grid_specs
 from repro.sim import parallel
 from repro.sim.parallel import (
     ExperimentSpec,
@@ -234,21 +235,47 @@ def test_source_fingerprint_invalidates_cache(tmp_path):
         )
 
 
-def test_run_cached_memoizes_and_persists(tmp_path, monkeypatch):
-    monkeypatch.setenv(parallel.CACHE_DIR_ENV, str(tmp_path))
-    parallel.clear_memo()
-    try:
-        first = parallel.run_cached("nginx", "heap-od", epochs=EPOCHS)
-        assert first is parallel.run_cached("nginx", "heap-od", epochs=EPOCHS)
-        # Same grid point, new process (simulated by clearing the memo):
-        # served from the REPRO_SWEEP_CACHE_DIR disk cache, bit-identical.
-        parallel.clear_memo()
-        reloaded = parallel.run_cached("nginx", "heap-od", epochs=EPOCHS)
-        assert reloaded is not first
-        assert result_dict(reloaded) == result_dict(first)
-        assert list(tmp_path.glob("*.pickle")), "no cache file written"
-    finally:
-        parallel.clear_memo()
+def test_run_figure_persists_only_through_the_result_cache(
+    tmp_path, monkeypatch
+):
+    """``run_figure`` keeps no run in memory.  With
+    ``REPRO_SWEEP_CACHE_DIR`` set it writes one entry per distinct spec
+    (and no figure entry), and a second call simulates nothing; unset,
+    every call simulates its grid again."""
+    simulated = []
+
+    def counting_run_spec(spec, *args, **kwargs):
+        simulated.append(spec)
+        return run_spec(spec, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_spec", counting_run_spec)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0}, raising=False
+    )
+    # SlowMem-only is both the baseline and a series: 4 requests, 3 runs.
+    params = dict(
+        apps=("nginx",), ratios=(0.25,),
+        policies=("heap-od", "slowmem-only"), epochs=EPOCHS,
+    )
+    distinct = set(fig9_grid_specs(**params))
+    assert len(distinct) == 3
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv(parallel.CACHE_DIR_ENV, str(cache_dir))
+    first = run_figure("fig9", **params)
+    assert len(simulated) == len(distinct) and set(simulated) == distinct
+    fingerprint = source_fingerprint()
+    assert sorted(path.name for path in cache_dir.glob("*.pickle")) == sorted(
+        f"{spec.cache_key(fingerprint)}.pickle" for spec in distinct
+    )
+    simulated.clear()
+    assert run_figure("fig9", **params) == first
+    assert simulated == []
+
+    monkeypatch.delenv(parallel.CACHE_DIR_ENV)
+    for _ in range(2):
+        simulated.clear()
+        assert run_figure("fig9", **params) == first
+        assert len(simulated) == len(distinct)
 
 
 # ----------------------------------------------------------------------
@@ -297,17 +324,29 @@ def scratch_workloads():
         registry._REGISTRY.pop(name, None)
 
 
-def test_max_workers_one_never_forks(monkeypatch):
-    """A serial sweep runs inline: it never spawns a worker process."""
+@pytest.mark.parametrize("max_workers", [1, None])
+def test_max_workers_one_never_forks(monkeypatch, max_workers):
+    """A serial sweep runs inline: it never spawns a worker process.
+    ``None`` counts the CPUs this process may use, so a process pinned
+    to one CPU runs inline however many the host has."""
 
     def _boom(self):  # pragma: no cover - defensive
         raise AssertionError("serial path spawned a worker process")
 
     monkeypatch.setattr(WorkerSupervisor, "_spawn", _boom)
-    outcomes = run_specs(
-        [make_spec("nginx", "hetero-lru", epochs=EPOCHS)], max_workers=1
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0}, raising=False
     )
-    assert outcomes[0].ok and outcomes[0].source == "serial"
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    outcomes = run_specs(
+        [
+            make_spec("nginx", "hetero-lru", epochs=EPOCHS),
+            make_spec("nginx", "heap-od", epochs=EPOCHS),
+        ],
+        max_workers=max_workers,
+    )
+    assert [o.source for o in outcomes] == ["serial", "serial"]
+    assert all(o.ok for o in outcomes)
 
 
 @needs_fork

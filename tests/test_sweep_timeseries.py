@@ -6,7 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.core import make_policy
-from repro.experiments.sweep import TABLE2_DESCRIPTIONS, run_table2, sweep
+from repro.experiments import run_figure
+from repro.experiments.sweep import TABLE2_DESCRIPTIONS, sweep
 from repro.faults import FaultPlan, FaultSpec
 from repro.hw.throttle import ThrottleConfig
 from repro.obs.bus import Telemetry
@@ -38,7 +39,7 @@ def test_sweep_baseline_gains_are_zero_for_baseline_policy():
 
 def test_table2_covers_all_apps():
     assert set(TABLE2_DESCRIPTIONS) == set(ALL_APPS)
-    rows = run_table2(epochs=4)
+    rows = run_figure("table2", epochs=4)
     assert len(rows) == len(ALL_APPS)
     for row in rows:
         assert row["measured"] > 0
