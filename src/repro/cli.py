@@ -165,8 +165,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.devtools.flow import (
-        DEFAULT_BASELINE,
-        Baseline,
         combined_rule_metadata,
         deep_lint_paths,
         deep_rule_metadata,
@@ -176,27 +174,16 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.errors import LintError
 
     if args.list_rules:
-        from repro.devtools.effect import effect_rule_metadata
-
         for rule_id, rule_cls in sorted(all_rules().items()):
             print(f"{rule_id}: {rule_cls.rationale}")
         for rule_id, rationale in sorted(deep_rule_metadata().items()):
             print(f"{rule_id} [deep]: {rationale}")
-        for rule_id, rationale in sorted(effect_rule_metadata().items()):
-            print(f"{rule_id} [effects]: {rationale}")
         return 0
     rule_ids = args.rules.split(",") if args.rules else None
     changed = None
     if args.changed:
         from repro.devtools.flow import changed_python_files
 
-        if args.write_baseline:
-            print(
-                "repro lint: --changed and --write-baseline conflict "
-                "(a scoped run would drop baseline entries)",
-                file=sys.stderr,
-            )
-            return 2
         changed = changed_python_files(args.paths)
         if changed is None:
             print(
@@ -208,37 +195,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print("no changed Python files under the requested paths")
             return 0
     try:
-        if args.deep or args.effects:
-            baseline = None
-            baseline_path = args.baseline
-            if baseline_path is None and os.path.exists(DEFAULT_BASELINE):
-                baseline_path = DEFAULT_BASELINE
-            if baseline_path is not None and not args.write_baseline:
-                baseline = Baseline.load(baseline_path)
-            # Deep analyses are whole-program: even under --changed the
+        if args.deep:
+            # The deep pass is whole-program: even under --changed the
             # full tree is parsed (cache-warm), then findings are scoped
             # to the changed files' reverse call-graph closure.
             report, index = deep_lint_paths(
-                args.paths,
-                rule_ids=rule_ids,
-                baseline=baseline,
-                cache_dir=args.cache_dir,
-                include_deep=args.deep,
-                include_effects=args.effects,
+                args.paths, rule_ids=rule_ids, cache_dir=args.cache_dir
             )
             if changed is not None:
                 from repro.devtools.flow import scope_to_changed
 
                 report = scope_to_changed(report, index, changed)
-            if args.write_baseline:
-                target = args.baseline or DEFAULT_BASELINE
-                Baseline.from_findings(report.findings).save(target)
-                print(
-                    f"wrote {len(report.findings)} entr"
-                    f"{'y' if len(report.findings) == 1 else 'ies'} to "
-                    f"{target} (fill in the justifications)"
-                )
-                return 0
         elif changed is not None:
             report = lint_paths(
                 sorted(str(path) for path in changed), rule_ids=rule_ids
@@ -765,36 +732,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--deep", action="store_true",
-        help="also run the heteroflow whole-program analyses "
-        "(dimension inference, protocol typestate, determinism taint)",
-    )
-    lint_parser.add_argument(
-        "--baseline", default=None,
-        help="accepted-findings baseline file (default: "
-        "heteroflow-baseline.json when present; --deep only)",
-    )
-    lint_parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit "
-        "(--deep only)",
+        help="also run the whole-program pass: determinism taint "
+        "(flow-unordered-flow) and the heteroeffect race, fork-safety "
+        "and observation-purity rules (effect-*)",
     )
     lint_parser.add_argument(
         "--cache-dir", default=None,
-        help="directory for the parsed-AST cache (--deep only; "
-        "default: no cache)",
-    )
-    lint_parser.add_argument(
-        "--effects", action="store_true",
-        help="also run the heteroeffect race/fork-safety and "
-        "observation-purity rules (effect-shared-write, "
-        "effect-fork-unsafe, effect-rng-aliasing, effect-order-dep, "
-        "effect-obs-pure); combinable with --deep",
+        help="directory for the parsed-AST and effect-fixpoint cache "
+        "(--deep only; default: no cache)",
     )
     lint_parser.add_argument(
         "--changed", action="store_true",
         help="scope the run to files git reports as changed or "
-        "untracked; deep passes still analyze the whole tree but only "
-        "report findings in the changed files' reverse call-graph "
+        "untracked; the deep pass still analyzes the whole tree but "
+        "only reports findings in the changed files' reverse call-graph "
         "closure (pre-commit mode)",
     )
     lint_parser.set_defaults(func=cmd_lint)

@@ -6,12 +6,12 @@ Four parts, sharing one rule-ID namespace (see docs/devtools.md):
   mechanically enforces the invariants DESIGN.md relies on (determinism,
   the ``ReproError`` hierarchy, ``repro.units`` constants, layering, ...).
   Bare kebab-case rule ids.
-* :mod:`repro.devtools.flow` — **heteroflow**, whole-program dimension
-  inference, protocol typestate checking, and determinism taint over the
-  project call graph, run as ``repro lint --deep``.  ``flow-`` rule ids.
+* :mod:`repro.devtools.flow` — **heteroflow**, the project call graph
+  and the one whole-program pass, ``repro lint --deep``: determinism
+  taint (``flow-`` rule ids) plus heteroeffect's rules.
 * :mod:`repro.devtools.effect` — **heteroeffect**, effect, race and
-  observation-purity analysis plus phase certification (``repro lint
-  --effects``, ``repro certify``).  ``effect-`` rule ids.
+  observation-purity analysis (part of ``repro lint --deep``) plus
+  phase certification (``repro certify``).  ``effect-`` rule ids.
 * :mod:`repro.devtools.sanitizer` — **FrameSanitizer**, an ASan-style
   shadow-state checker for frame ownership (double-free, leak,
   use-after-free, migration ownership races), enabled with

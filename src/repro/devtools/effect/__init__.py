@@ -8,7 +8,7 @@ transitively writes, which RNG streams it draws from, where it
 iterates unordered containers while doing either, and which calls
 escape the analysis.  Two clients share the summaries:
 
-* the **rules** (``repro lint --effects``, ``effect-*`` rule ids)
+* the **rules** (part of ``repro lint --deep``, ``effect-*`` rule ids)
   guard the forked sweep workers against races and fork hazards, and
   the telemetry plane against writing the state it observes
   (``effect-obs-pure``);

@@ -27,7 +27,7 @@ The fifth guards the no-perturbation contract of the telemetry plane:
 Findings carry the worker-entry reachability chain or the callee
 summary that produced them, so every report shows its interprocedural
 evidence.  They reuse heterolint's :class:`Finding` shape, so
-suppression comments, the baseline file, and SARIF output all apply.
+suppression comments and SARIF output apply.
 """
 
 from __future__ import annotations

@@ -1,27 +1,21 @@
-"""heteroflow — whole-program dimension, typestate, and taint analysis.
+"""heteroflow — the whole-program pass behind ``repro lint --deep``.
 
-heterolint (PR 1) checks one file at a time; heteroflow parses all of
+heterolint sees one file at a time; heteroflow parses all of
 ``src/repro`` once, builds a project symbol table and call graph
-(:mod:`~repro.devtools.flow.graph`), and runs three interprocedural
-analyses over it:
+(:mod:`~repro.devtools.flow.graph`), and runs the checks that need it:
 
-* **dimension inference** (:mod:`~repro.devtools.flow.dims`) — seeds
-  ns/bytes/pages/instructions/epochs from :mod:`repro.units` aliases,
-  constants, and naming conventions, propagates them through
-  assignments, returns, and call arguments, and flags mixed-dimension
-  arithmetic (``flow-dim-mix``/``-assign``/``-arg``/``-return``);
-* **protocol typestate** (:mod:`~repro.devtools.flow.protocols`) —
-  declarative finite-state contracts: access-bit clear needs a charged
-  TLB flush, migration passes commit or abort, hidden balloon spans are
-  surrendered or revealed, freed regions stay untouched
-  (``flow-protocol-*``);
 * **determinism taint** (:mod:`~repro.devtools.flow.taint`) — unordered
   dict/set iteration tracked through return values and call chains into
-  placement decisions (``flow-unordered-flow``).
+  placement decisions (``flow-unordered-flow``);
+* heteroeffect's race, fork-safety and observation-purity rules
+  (``effect-*``, :mod:`repro.devtools.effect`) over an effect fixpoint
+  computed on the same index.
 
-Run it as ``python -m repro lint --deep``; findings reuse heterolint's
-:class:`~repro.devtools.lint.Finding` type, suppression comments, and
-exit codes, plus a committed baseline file for accepted findings.
+Parsed ASTs and the effect fixpoint persist in an optional on-disk
+cache (:mod:`~repro.devtools.flow.cache`).  Findings reuse heterolint's
+:class:`~repro.devtools.lint.Finding` type, suppression comments and
+exit codes; :mod:`~repro.devtools.flow.sarif` writes any report as
+SARIF 2.1.0.
 """
 
 from __future__ import annotations
@@ -29,20 +23,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.flow.baseline import DEFAULT_BASELINE, Baseline, BaselineEntry
 from repro.devtools.flow.cache import load_contexts, store_contexts
-from repro.devtools.flow.dims import DIMENSIONS, DimensionAnalysis
 from repro.devtools.flow.graph import ProjectIndex
-from repro.devtools.flow.protocols import (
-    CORE_PROTOCOLS,
-    ProtocolAnalysis,
-    ProtocolSpec,
-)
 from repro.devtools.flow.sarif import report_to_sarif, sarif_json
 from repro.devtools.flow.taint import TaintAnalysis
 from repro.devtools.lint import (
     FileContext,
-    Finding,
     LintReport,
     _make_rules,
     all_rules,
@@ -51,12 +37,6 @@ from repro.devtools.lint import (
 from repro.errors import LintError
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "DEFAULT_BASELINE",
-    "DIMENSIONS",
-    "CORE_PROTOCOLS",
-    "ProtocolSpec",
     "ProjectIndex",
     "changed_python_files",
     "deep_lint_paths",
@@ -68,46 +48,28 @@ __all__ = [
 
 
 def deep_rule_metadata() -> "dict[str, str]":
-    """Every deep rule id -> one-line rationale (the ``flow-`` half of
-    the namespace documented in docs/devtools.md)."""
+    """Every rule id of the whole-program pass -> one-line rationale:
+    the determinism taint and heteroeffect's ``effect-*`` rules."""
+    from repro.devtools.effect import effect_rule_metadata
+
     metadata = {
-        "flow-dim-mix": (
-            "adding/comparing values of different dimensions (ns, bytes, "
-            "pages, instructions, epochs) corrupts every downstream number"
-        ),
-        "flow-dim-assign": (
-            "a name/annotation declares one dimension but the assigned "
-            "value carries another"
-        ),
-        "flow-dim-arg": (
-            "a call passes a value of one dimension into a parameter "
-            "declared as another (the page-count-into-bytes-API bug)"
-        ),
-        "flow-dim-return": (
-            "a function annotated to return one dimension returns another"
-        ),
         "flow-unordered-flow": (
             "unordered dict/set iteration reaching a placement decision "
             "through the call graph makes the victim an accident of "
             "allocation history"
         ),
     }
-    for spec in CORE_PROTOCOLS:
-        metadata[spec.protocol_id] = spec.description
+    metadata.update(effect_rule_metadata())
     return metadata
 
 
 def combined_rule_metadata() -> "dict[str, str]":
-    """Shallow + deep + effect rule ids -> rationale, for SARIF rule
-    tables."""
-    from repro.devtools.effect import effect_rule_metadata
-
+    """Shallow + deep rule ids -> rationale, for SARIF rule tables."""
     metadata = {
         rule_id: rule_cls.rationale
         for rule_id, rule_cls in all_rules().items()
     }
     metadata.update(deep_rule_metadata())
-    metadata.update(effect_rule_metadata())
     return metadata
 
 
@@ -154,12 +116,12 @@ def scope_to_changed(
 ) -> LintReport:
     """Drop findings outside the changed-file closure, in place.
 
-    The deep analyses are whole-program, so a change in one file can
-    surface a finding anchored in an *unchanged* caller (a dimension
-    mismatch at a call site, a protocol step in a caller).  The closure
-    is the changed files plus every file holding a transitive caller of
-    a function they define — the reverse call-graph cone that a change
-    can actually affect.
+    The deep pass is whole-program, so a change in one file can surface
+    a finding anchored in an *unchanged* caller (unordered values that
+    a changed helper now returns, a worker-reachable write a changed
+    callee now makes).  The closure is the changed files plus every
+    file holding a transitive caller of a function they define — the
+    reverse call-graph cone that a change can actually affect.
     """
     keep = set(changed)
     frontier = [
@@ -212,34 +174,23 @@ def _parse_all(
 def deep_lint_paths(
     paths: "Iterable[str | Path]",
     rule_ids: "Iterable[str] | None" = None,
-    baseline: "Baseline | None" = None,
     cache_dir: "str | Path | None" = None,
     include_shallow: bool = True,
-    include_deep: bool = True,
-    include_effects: bool = False,
-    protocols: "tuple[ProtocolSpec, ...]" = CORE_PROTOCOLS,
 ) -> "tuple[LintReport, ProjectIndex]":
-    """Run heteroflow (and, by default, the shallow heterolint rules)
-    over every ``.py`` file under ``paths``.
+    """Run the whole-program pass (and, by default, the shallow
+    heterolint rules) over every ``.py`` file under ``paths``.
 
-    ``include_effects`` adds the heteroeffect race/fork-safety and
-    observation-purity rules (``effect-*``) over one (cache-restorable)
-    :class:`EffectAnalysis`; ``include_deep=False`` skips the
-    heteroflow analyses so ``--effects`` can run without ``--deep``.
-    Returns the combined report and the project index it was computed
-    from.  Suppression comments apply to deep findings exactly as they
-    do to shallow ones; ``baseline``-accepted findings are moved to the
-    report's suppressed list.
+    The pass is the determinism taint plus the heteroeffect rules over
+    one (cache-restorable) :class:`EffectAnalysis`.  Returns the
+    combined report and the project index it was computed from.
+    Suppression comments apply to deep findings exactly as they do to
+    shallow ones.
     """
-    from repro.devtools.effect import effect_rule_metadata
+    from repro.devtools.effect import EffectRules, cached_effect_analysis
 
     wanted = set(rule_ids) if rule_ids is not None else None
     if wanted is not None:
-        known = (
-            set(all_rules())
-            | set(deep_rule_metadata())
-            | set(effect_rule_metadata())
-        )
+        known = set(all_rules()) | set(deep_rule_metadata())
         unknown = sorted(wanted - known)
         if unknown:
             raise LintError(f"unknown rule(s): {', '.join(unknown)}")
@@ -264,24 +215,12 @@ def deep_lint_paths(
                         shallow_lines.add((finding.path, finding.line))
                     if ctx.suppressed(finding):
                         report.suppressed.append(finding)
-                    elif baseline is not None and baseline.accepts(finding):
-                        report.suppressed.append(finding)
                     else:
                         report.findings.append(finding)
 
-    deep_pairs = []
-    if include_deep:
-        dimension_analysis = DimensionAnalysis(index)
-        deep_pairs.extend(dimension_analysis.check())
-        protocol_analysis = ProtocolAnalysis(index, specs=protocols)
-        deep_pairs.extend(protocol_analysis.check())
-        taint_analysis = TaintAnalysis(index)
-        deep_pairs.extend(taint_analysis.check())
-    if include_effects:
-        from repro.devtools.effect import EffectRules, cached_effect_analysis
-
-        analysis = cached_effect_analysis(index, cache_dir)
-        deep_pairs.extend(EffectRules(analysis).check())
+    deep_pairs = list(TaintAnalysis(index).check())
+    analysis = cached_effect_analysis(index, cache_dir)
+    deep_pairs.extend(EffectRules(analysis).check())
 
     seen: "set[tuple]" = set()
     for ctx_info, finding in deep_pairs:
@@ -301,10 +240,7 @@ def deep_lint_paths(
             # The shallow unordered-placement rule already reported this
             # line; one finding per defect.
             continue
-        ctx = ctx_info.ctx
-        if ctx.suppressed(finding):
-            report.suppressed.append(finding)
-        elif baseline is not None and baseline.accepts(finding):
+        if ctx_info.ctx.suppressed(finding):
             report.suppressed.append(finding)
         else:
             report.findings.append(finding)

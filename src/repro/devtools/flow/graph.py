@@ -378,6 +378,13 @@ class ProjectIndex:
     # Resolution
     # ------------------------------------------------------------------
 
+    def _in_project(self, dotted: str) -> bool:
+        """Whether a dotted import target lies under the indexed tree."""
+        top = dotted.split(".")[0]
+        return top == "repro" or any(
+            name.split(".")[0] == top for name in self.modules
+        )
+
     def resolve_dotted(self, dotted: str) -> "FunctionInfo | ClassInfo | ModuleInfo | None":
         """A dotted import target -> indexed module/class/function."""
         dotted = normalize_dotted(dotted)
@@ -620,6 +627,11 @@ class ProjectIndex:
                     return self.functions.get(
                         f"{owner.name}.{func.attr}".strip(".")
                     )
+                if owner is None and not self._in_project(dotted):
+                    # A name imported from outside the project
+                    # (``json.load``) is no project method, however
+                    # unique its method name is here.
+                    return None
         # Typed receiver: self, annotated parameter, annotated field.
         receiver = self._receiver_class(info, func.value)
         if receiver is not None:

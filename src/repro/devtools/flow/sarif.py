@@ -5,7 +5,7 @@ which turns a CI lint failure from a log line into a review comment on
 the offending line.  One run object per tool pass; every rule carries
 its identifier, rationale, and the shared rule-ID namespace documented
 in docs/devtools.md (bare kebab-case for shallow heterolint rules,
-``flow-`` for heteroflow analyses, ``san-`` for FrameSanitizer defect
+``flow-`` for heteroflow's taint, ``san-`` for FrameSanitizer defect
 classes, ``effect-`` for heteroeffect race, fork-safety and
 observation-purity rules).
 """
@@ -27,7 +27,7 @@ SARIF_SCHEMA_URI = (
 #: Tool metadata per rule-ID namespace.
 _TOOL_INFO = {
     "lint": ("heterolint", "simulator-specific single-file AST rules"),
-    "flow": ("heteroflow", "whole-program dimension/typestate/taint analysis"),
+    "flow": ("heteroflow", "whole-program determinism taint analysis"),
     "san": ("framesan", "runtime frame-ownership sanitizer"),
     "effect": (
         "heteroeffect",

@@ -56,7 +56,7 @@ class Finding:
     col: int
     message: str
     #: Qualified name of the enclosing function (deep findings only);
-    #: the stable anchor baseline entries match against.
+    #: JSON and SARIF output carry it.
     function: str = ""
 
     def format(self) -> str:

@@ -33,7 +33,7 @@ Determinism contract: telemetry observes, never steers.  A run with any
 combination of sinks produces a field-by-field identical
 :class:`~repro.sim.stats.RunResult` (timeline aside) to the same run
 with no telemetry — asserted by ``tests/test_obs_telemetry.py``.
-``repro lint --effects`` checks the same statically (``effect-obs-pure``):
+``repro lint --deep`` checks the same statically (``effect-obs-pure``):
 code in this package writes no module global, forks nothing and writes
 no attribute of a class defined outside it.
 """

@@ -102,7 +102,7 @@ __all__ = [
 CACHE_DIR_ENV = "REPRO_SWEEP_CACHE_DIR"
 
 #: The function every forked worker runs.  The heteroeffect race rules
-#: (``repro lint --effects``) read this marker statically and treat
+#: (``repro lint --deep``) read this marker statically and treat
 #: everything call-reachable from it (``_run_one``, ``run_spec``, the
 #: simulator) as shared with the parent process: module-global writes
 #: there are races, module-global OS handles are fork-unsafe.  Keep it

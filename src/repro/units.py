@@ -18,20 +18,20 @@ from operator import add
 from typing import Annotated, Iterable
 
 # ----------------------------------------------------------------------
-# Dimension aliases (heteroflow seeds)
+# Dimension aliases
 # ----------------------------------------------------------------------
 #
 # Lightweight ``Annotated`` aliases naming the simulator's five
 # currencies.  They cost nothing at runtime (``Annotated[float, ...]``
-# behaves exactly like ``float``) but they make signatures
-# self-documenting and give ``repro lint --deep`` its dimension seeds:
-# a ``Pages`` value flowing into a ``Bytes`` parameter is a finding.
+# behaves exactly like ``float``); they document which unit a
+# signature or field carries.  A unit slip on a result path moves the
+# golden corpus's cell and figure digests, which is what catches it.
 
-Ns = Annotated[float, "heteroflow-dim:ns"]
-Bytes = Annotated[int, "heteroflow-dim:bytes"]
-Pages = Annotated[int, "heteroflow-dim:pages"]
-Instructions = Annotated[float, "heteroflow-dim:instructions"]
-Epochs = Annotated[int, "heteroflow-dim:epochs"]
+Ns = Annotated[float, "ns"]
+Bytes = Annotated[int, "bytes"]
+Pages = Annotated[int, "pages"]
+Instructions = Annotated[float, "instructions"]
+Epochs = Annotated[int, "epochs"]
 
 KIB: int = 1024
 MIB: int = 1024 * KIB

@@ -44,10 +44,7 @@ def make_tree(tmp_path, files):
 
 def effects(tmp_path, files, rule_id=None):
     report, _index = deep_lint_paths(
-        [make_tree(tmp_path, files)],
-        include_shallow=False,
-        include_deep=False,
-        include_effects=True,
+        [make_tree(tmp_path, files)], rule_ids=effect_rule_metadata()
     )
     if rule_id is None:
         return report.findings
@@ -420,10 +417,7 @@ def test_suppression_comment_applies_to_effect_findings(tmp_path):
         """,
     }
     report, _index = deep_lint_paths(
-        [make_tree(tmp_path, files)],
-        include_shallow=False,
-        include_deep=False,
-        include_effects=True,
+        [make_tree(tmp_path, files)], rule_ids=effect_rule_metadata()
     )
     assert not report.findings
     assert any(
@@ -750,8 +744,11 @@ def test_cli_certify_without_marker_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["certify", str(root)]) == 2
 
 
-def test_cli_lint_effects_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_lint_effects_flag(tmp_path, capsys):
+    # The effect rules run in the one deep pass; `--effects` is gone.
     root = make_tree(tmp_path, SHARED_WRITE_BAD)
-    assert main(["lint", "--effects", str(root)]) == 1
+    with pytest.raises(SystemExit):
+        main(["lint", "--effects", str(root)])
+    capsys.readouterr()
+    assert main(["lint", "--deep", str(root)]) == 1
     assert "effect-shared-write" in capsys.readouterr().out

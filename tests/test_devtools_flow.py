@@ -1,6 +1,6 @@
-"""heteroflow: one failing + one passing fixture per analysis, plus
-interprocedural credit, baseline, suppression, SARIF, cache, and CLI
-coverage.
+"""heteroflow: failing and passing fixtures for the determinism taint,
+plus the machinery of the one deep pass — suppression, rule
+selection, the AST cache, SARIF output and the CLI.
 
 Every fixture is a tiny project tree written under ``tmp_path`` with a
 ``repro``-named root so module names resolve the same way they do for
@@ -16,10 +16,9 @@ import textwrap
 import pytest
 
 from repro.cli import main
+from repro.devtools.effect import effect_rule_metadata
 from repro.devtools.flow import (
-    Baseline,
-    BaselineEntry,
-    CORE_PROTOCOLS,
+    ProjectIndex,
     combined_rule_metadata,
     deep_lint_paths,
     deep_rule_metadata,
@@ -51,284 +50,78 @@ def deep(tmp_path, files, rule_id=None, **kwargs):
     return [f for f in report.findings if f.rule_id == rule_id]
 
 
-# ----------------------------------------------------------------------
-# Dimension inference
-# ----------------------------------------------------------------------
-
-MIX_BAD = """\
-    from repro.units import Bytes, Ns
-
-    def total(latency_ns: Ns, traffic: Bytes) -> float:
-        return latency_ns + traffic
+#: A set ranked by max() in a decision package: one flow-unordered-flow.
+TAINT_BAD = """\
+    def pick(extents):
+        candidates = {e for e in extents}
+        return max(candidates)
 """
 
-MIX_GOOD = """\
-    from repro.units import Ns
-
-    def total(cpu_ns: Ns, stall_ns: Ns) -> float:
-        return cpu_ns + stall_ns
+TAINT_GOOD = """\
+    def pick(extents):
+        candidates = {e for e in extents}
+        ranked = sorted(candidates)
+        return max(ranked)
 """
 
+#: A module global written on the forked-worker path: one
+#: effect-shared-write.
+SHARED_WRITE = {
+    "sim/parallel.py": """\
+        from repro.sim.stats import record
 
-def test_dim_mix_fires_on_ns_plus_bytes(tmp_path):
-    hits = deep(tmp_path, {"core/t.py": MIX_BAD}, rule_id="flow-dim-mix")
-    assert len(hits) == 1
-    assert "ns" in hits[0].message and "bytes" in hits[0].message
+        WORKER_ENTRY_POINTS = ("run_spec",)
 
+        def run_spec(spec):
+            return record(spec)
+    """,
+    "sim/stats.py": """\
+        _MEMO = {}
 
-def test_dim_mix_allows_like_dimensions(tmp_path):
-    assert not deep(tmp_path, {"core/t.py": MIX_GOOD}, rule_id="flow-dim-mix")
-
-
-def test_dim_mix_fires_on_comparison(tmp_path):
-    src = """\
-        from repro.units import Ns, Pages
-
-        def over(budget_ns: Ns, used_pages: Pages) -> bool:
-            return used_pages > budget_ns
-    """
-    assert deep(tmp_path, {"core/t.py": src}, rule_id="flow-dim-mix")
-
-
-def test_dim_arg_fires_on_pages_into_ns_parameter(tmp_path):
-    src = """\
-        from repro.units import Ns, Pages
-
-        def charge(cost_ns: Ns) -> None:
-            pass
-
-        def bad(pages: Pages) -> None:
-            charge(pages)
-    """
-    hits = deep(tmp_path, {"core/t.py": src}, rule_id="flow-dim-arg")
-    assert len(hits) == 1
-    assert "charge" in hits[0].message
-
-
-def test_dim_arg_clean_with_units_conversion(tmp_path):
-    # pages * PAGE_SIZE converts to bytes, so passing it to a Bytes
-    # parameter is exactly right.
-    src = """\
-        from repro.units import PAGE_SIZE, Bytes, Pages
-
-        def account(num_bytes: Bytes) -> None:
-            pass
-
-        def good(pages: Pages) -> None:
-            account(pages * PAGE_SIZE)
-    """
-    assert not deep(tmp_path, {"core/t.py": src}, rule_id="flow-dim-arg")
-
-
-def test_dim_return_fires_and_propagates_through_calls(tmp_path):
-    src = """\
-        from repro.units import Ns, Pages
-
-        def wrong(pages: Pages) -> Ns:
-            return pages
-    """
-    assert deep(tmp_path, {"core/t.py": src}, rule_id="flow-dim-return")
-
-
-def test_dim_assign_fires_on_name_convention_seed(tmp_path):
-    # No alias imports at all: the _ns / _pages naming convention is
-    # enough to seed both sides.
-    src = """\
-        def f(scan_pages):
-            cost_ns = scan_pages
-            return cost_ns
-    """
-    assert deep(tmp_path, {"core/t.py": src}, rule_id="flow-dim-assign")
-
-
-def test_dim_literals_are_compatible_with_everything(tmp_path):
-    src = """\
-        from repro.units import Ns
-
-        def f(cost_ns: Ns) -> float:
-            return cost_ns + 5.0
-    """
-    assert not deep(tmp_path, {"core/t.py": src})
-
-
-def test_dim_inferred_return_crosses_functions(tmp_path):
-    # helper() has no annotation; its pages return dim is inferred and
-    # the mismatch is caught at the call in the *caller*.
-    src = """\
-        from repro.units import Ns, Pages
-
-        def helper(pages: Pages):
-            return pages
-
-        def charge(cost_ns: Ns) -> None:
-            pass
-
-        def bad() -> None:
-            charge(helper(4))
-    """
-    assert deep(tmp_path, {"core/t.py": src}, rule_id="flow-dim-arg")
+        def record(spec):
+            _MEMO[spec] = 1
+            return _MEMO
+    """,
+}
 
 
 # ----------------------------------------------------------------------
-# Protocol typestate
+# Call graph
 # ----------------------------------------------------------------------
 
-SCAN_BAD = """\
-    class Scanner:
-        def scan(self, extents, tlb):
-            for extent in extents:
-                extent.clear_hardware_bits()
-"""
 
-SCAN_GOOD = """\
-    class Scanner:
-        def scan(self, extents, tlb):
-            for extent in extents:
-                extent.clear_hardware_bits()
-            tlb.flush()
-"""
+def test_unique_method_name_never_resolves_a_foreign_call(tmp_path):
+    # ``load`` is defined once in the project, so a call on a project
+    # object resolves to it by name; ``json.load`` must not.
+    root = make_tree(
+        tmp_path,
+        {
+            "sim/journal.py": """\
+                class Journal:
+                    def load(self):
+                        return {}
 
-SCAN_HELPER = """\
-    class Scanner:
-        def scan(self, extents, tlb):
-            for extent in extents:
-                extent.clear_hardware_bits()
-            self._finish(tlb)
+                JOURNAL = Journal()
+            """,
+            "obs/read.py": """\
+                import json
 
-        def _finish(self, tlb):
-            tlb.flush()
-"""
+                from repro.sim.journal import JOURNAL
 
+                def read(handle):
+                    return json.load(handle)
 
-def test_protocol_scan_fires_without_flush(tmp_path):
-    hits = deep(tmp_path, {"vmm/s.py": SCAN_BAD}, rule_id="flow-protocol-scan")
-    assert len(hits) == 1
-    assert hits[0].function.endswith("Scanner.scan")
-
-
-def test_protocol_scan_clean_with_flush(tmp_path):
-    assert not deep(
-        tmp_path, {"vmm/s.py": SCAN_GOOD}, rule_id="flow-protocol-scan"
+                def read_shared():
+                    return JOURNAL.load()
+            """,
+        },
     )
-
-
-def test_protocol_scan_credits_helper_that_completes(tmp_path):
-    # Interprocedural: _finish() flushes, so scan() is credited.
-    assert not deep(
-        tmp_path, {"vmm/s.py": SCAN_HELPER}, rule_id="flow-protocol-scan"
-    )
-
-
-def test_protocol_migration_pairing(tmp_path):
-    src = """\
-        class Engine:
-            def bad(self):
-                self.begin_pass()
-
-            def committed(self):
-                self.begin_pass()
-                self.commit_pass()
-
-            def aborted(self):
-                self.begin_pass()
-                self.abort_pass()
-    """
-    hits = deep(
-        tmp_path, {"vmm/m.py": src}, rule_id="flow-protocol-migration"
-    )
-    assert len(hits) == 1
-    assert hits[0].function.endswith("Engine.bad")
-
-
-def test_protocol_migration_credits_closing_caller(tmp_path):
-    # The helper opens the pass; every caller closes it, so neither is
-    # reported.  A second helper nobody completes still fires.
-    src = """\
-        class Engine:
-            def start(self):
-                self.begin_pass()
-
-            def run(self):
-                self.start()
-                self.commit_pass()
-
-        class Leaky:
-            def start(self):
-                self.begin_pass()
-
-            def run(self):
-                self.start()
-    """
-    hits = deep(
-        tmp_path, {"vmm/m.py": src}, rule_id="flow-protocol-migration"
-    )
-    assert len(hits) == 1
-    assert "Leaky" in hits[0].function
-
-
-def test_protocol_balloon_hidden_span_must_be_resolved(tmp_path):
-    src = """\
-        class Backend:
-            def bad(self, kernel, domain):
-                kernel.hide_pages(0, 64)
-
-            def good(self, kernel, domain):
-                kernel.hide_pages(0, 64)
-                domain.surrender(None, 64)
-    """
-    hits = deep(
-        tmp_path, {"vmm/b.py": src}, rule_id="flow-protocol-balloon"
-    )
-    assert len(hits) == 1
-    assert hits[0].function.endswith("Backend.bad")
-
-
-def test_protocol_region_use_after_free(tmp_path):
-    src = """\
-        def bad(kernel):
-            kernel.free_region("r")
-            kernel.touch_region("r", 1.0)
-
-        def realloc_is_fine(kernel):
-            kernel.free_region("r")
-            kernel.allocate_region("r", None, 4, [0])
-            kernel.touch_region("r", 1.0)
-    """
-    hits = deep(
-        tmp_path, {"core/k.py": src}, rule_id="flow-protocol-region"
-    )
-    assert len(hits) == 1
-    assert hits[0].function.endswith("bad")
-
-
-def test_protocol_frames_touch_before_allocate(tmp_path):
-    src = """\
-        def bad(kernel):
-            kernel.touch_region("r", 1.0)
-            kernel.allocate_region("r", None, 4, [0])
-
-        def good(kernel):
-            kernel.allocate_region("r", None, 4, [0])
-            kernel.touch_region("r", 1.0)
-    """
-    hits = deep(
-        tmp_path, {"core/k.py": src}, rule_id="flow-protocol-frames"
-    )
-    assert len(hits) == 1
-    assert hits[0].function.endswith("bad")
-
-
-def test_protocol_keys_distinguish_regions(tmp_path):
-    # Freeing one region and touching a *different* one is not a
-    # use-after-free.
-    src = """\
-        def fine(kernel):
-            kernel.free_region("a")
-            kernel.touch_region("b", 1.0)
-    """
-    assert not deep(
-        tmp_path, {"core/k.py": src}, rule_id="flow-protocol-region"
-    )
+    index = ProjectIndex.build([root])
+    callees = lambda qualname: [
+        callee for _call, callee in index.call_edges[qualname]
+    ]
+    assert callees("obs.read.read") == []
+    assert callees("obs.read.read_shared") == ["sim.journal.Journal.load"]
 
 
 # ----------------------------------------------------------------------
@@ -337,13 +130,8 @@ def test_protocol_keys_distinguish_regions(tmp_path):
 
 
 def test_taint_direct_set_into_max(tmp_path):
-    src = """\
-        def pick(extents):
-            candidates = {e for e in extents}
-            return max(candidates)
-    """
     assert deep(
-        tmp_path, {"core/p.py": src}, rule_id="flow-unordered-flow"
+        tmp_path, {"core/p.py": TAINT_BAD}, rule_id="flow-unordered-flow"
     )
 
 
@@ -364,14 +152,8 @@ def test_taint_flows_through_helper_return(tmp_path):
 
 
 def test_taint_laundered_by_sorted(tmp_path):
-    src = """\
-        def pick(extents):
-            candidates = {e for e in extents}
-            ranked = sorted(candidates)
-            return max(ranked)
-    """
     assert not deep(
-        tmp_path, {"core/p.py": src}, rule_id="flow-unordered-flow"
+        tmp_path, {"core/p.py": TAINT_GOOD}, rule_id="flow-unordered-flow"
     )
 
 
@@ -405,7 +187,7 @@ def test_taint_does_not_double_report_shallow_lines(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Engine: suppression, baseline, rule selection, dedup
+# Engine: suppression, rule selection, function anchor
 # ----------------------------------------------------------------------
 
 
@@ -425,66 +207,24 @@ def test_suppression_comment_covers_deep_rules(tmp_path):
     )
 
 
-def test_baseline_accepts_and_tracks_stale(tmp_path):
-    root = make_tree(tmp_path, {"vmm/s.py": SCAN_BAD})
-    report, _index = deep_lint_paths([root], include_shallow=False)
-    assert len(report.findings) == 1
-    baseline = Baseline.from_findings(report.findings, justification="ok")
-    baseline.entries.append(
-        BaselineEntry(
-            rule="flow-dim-mix", path="gone.py", function="f", message="m"
-        )
-    )
-    filtered, _index = deep_lint_paths(
-        [root], include_shallow=False, baseline=baseline
-    )
-    assert not filtered.findings
-    stale = baseline.stale_entries()
-    assert len(stale) == 1 and stale[0].path == "gone.py"
-
-
-def test_baseline_round_trips_through_json(tmp_path):
-    baseline = Baseline(
-        entries=[
-            BaselineEntry(
-                rule="flow-protocol-scan",
-                path="src/repro/vmm/s.py",
-                function="vmm.s.Scanner.scan",
-                message="msg",
-                justification="because",
-            )
-        ]
-    )
-    target = tmp_path / "base.json"
-    baseline.save(target)
-    loaded = Baseline.load(target)
-    assert loaded.entries == baseline.entries
-    with pytest.raises(LintError):
-        Baseline.load(tmp_path / "missing.json")
-
-
 def test_rule_ids_select_only_named_deep_rules(tmp_path):
-    files = {"core/t.py": MIX_BAD, "vmm/s.py": SCAN_BAD}
-    only_scan = deep(tmp_path, files, rule_ids=["flow-protocol-scan"])
-    assert {f.rule_id for f in only_scan} == {"flow-protocol-scan"}
+    files = {"core/p.py": TAINT_BAD, **SHARED_WRITE}
+    assert {f.rule_id for f in deep(tmp_path, files)} == {
+        "flow-unordered-flow", "effect-shared-write",
+    }
+    only_taint = deep(tmp_path, files, rule_ids=["flow-unordered-flow"])
+    assert {f.rule_id for f in only_taint} == {"flow-unordered-flow"}
 
 
 def test_unknown_rule_id_is_an_error(tmp_path):
     with pytest.raises(LintError):
-        deep(tmp_path, {"core/t.py": MIX_BAD}, rule_ids=["flow-bogus"])
+        deep(tmp_path, {"core/p.py": TAINT_BAD}, rule_ids=["flow-bogus"])
 
 
 def test_deep_findings_carry_function_anchor(tmp_path):
-    hits = deep(tmp_path, {"core/t.py": MIX_BAD})
+    hits = deep(tmp_path, {"core/p.py": TAINT_BAD})
     assert hits and all(f.function for f in hits)
-    assert hits[0].function == "core.t.total"
-
-
-def test_deep_rule_metadata_covers_all_protocols():
-    metadata = deep_rule_metadata()
-    for spec in CORE_PROTOCOLS:
-        assert spec.protocol_id in metadata
-    assert all(rule.startswith("flow-") for rule in metadata)
+    assert hits[0].function == "core.p.pick"
 
 
 # ----------------------------------------------------------------------
@@ -493,9 +233,12 @@ def test_deep_rule_metadata_covers_all_protocols():
 
 
 def test_cache_round_trip_preserves_findings(tmp_path):
-    root = make_tree(tmp_path, {"core/t.py": MIX_BAD, "vmm/s.py": SCAN_BAD})
+    root = make_tree(tmp_path, {"core/p.py": TAINT_BAD, **SHARED_WRITE})
     cache_dir = tmp_path / "cache"
     cold, _ = deep_lint_paths([root], cache_dir=cache_dir)
+    assert {f.rule_id for f in cold.findings} >= {
+        "flow-unordered-flow", "effect-shared-write",
+    }
     assert (
         len(list(cache_dir.glob("heteroflow-ast-*.pickle"))) == 1
     )
@@ -505,12 +248,12 @@ def test_cache_round_trip_preserves_findings(tmp_path):
 
 
 def test_cache_invalidated_by_source_change(tmp_path):
-    root = make_tree(tmp_path, {"core/t.py": MIX_BAD})
+    root = make_tree(tmp_path, {"core/p.py": TAINT_BAD})
     cache_dir = tmp_path / "cache"
     first, _ = deep_lint_paths([root], cache_dir=cache_dir)
     assert first.findings
-    (root / "core" / "t.py").write_text(
-        textwrap.dedent(MIX_GOOD), encoding="utf-8"
+    (root / "core" / "p.py").write_text(
+        textwrap.dedent(TAINT_GOOD), encoding="utf-8"
     )
     second, _ = deep_lint_paths([root], cache_dir=cache_dir)
     assert not second.findings
@@ -524,7 +267,7 @@ def test_cache_rejects_other_interpreters_payload(tmp_path):
 
     from repro.devtools.flow.cache import _cache_path, load_contexts
 
-    root = make_tree(tmp_path, {"core/t.py": MIX_BAD})
+    root = make_tree(tmp_path, {"core/p.py": TAINT_BAD})
     cache_dir = tmp_path / "cache"
     deep_lint_paths([root], cache_dir=cache_dir)
     cache_file = _cache_path(cache_dir)
@@ -541,7 +284,7 @@ def test_cache_rejects_other_interpreters_payload(tmp_path):
 
 
 def test_corrupt_cache_degrades_gracefully(tmp_path):
-    root = make_tree(tmp_path, {"core/t.py": MIX_BAD})
+    root = make_tree(tmp_path, {"core/p.py": TAINT_BAD})
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
     for tag in cache_dir.glob("*"):
@@ -654,7 +397,7 @@ def _validate_sarif(payload):
 
 def test_sarif_output_validates_and_splits_tools(tmp_path):
     files = {
-        "core/t.py": MIX_BAD,  # deep finding -> heteroflow run
+        "core/p.py": TAINT_BAD,  # deep finding -> heteroflow run
         "core/magic.py": "x = 4096\n",  # shallow finding -> heterolint run
     }
     report, _index = deep_lint_paths(
@@ -676,28 +419,12 @@ def test_sarif_four_tool_runs_with_stable_namespaces(tmp_path):
     # One run object per tool when shallow lint, deep flow, effect, and
     # sanitizer findings land in the same report.
     files = {
-        "core/t.py": MIX_BAD,  # flow- -> heteroflow
+        "core/p.py": TAINT_BAD,  # flow- -> heteroflow
         "core/magic.py": "x = 4096\n",  # bare id -> heterolint
-        "sim/parallel.py": """\
-            from repro.sim.stats import record
-
-            WORKER_ENTRY_POINTS = ("run_spec",)
-
-            def run_spec(spec):
-                return record(spec)
-        """,
-        "sim/stats.py": """\
-            _MEMO = {}
-
-            def record(spec):
-                _MEMO[spec] = 1
-                return _MEMO
-        """,  # effect- -> heteroeffect
+        **SHARED_WRITE,  # effect- -> heteroeffect
     }
     report, _index = deep_lint_paths(
-        [make_tree(tmp_path, files)],
-        include_shallow=True,
-        include_effects=True,
+        [make_tree(tmp_path, files)], include_shallow=True
     )
     report.findings.append(
         Finding(
@@ -752,11 +479,10 @@ def test_sarif_clean_report_is_still_valid(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_cli_deep_lint_and_sarif(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no repo baseline auto-load
-    root = make_tree(tmp_path, {"vmm/s.py": SCAN_BAD})
+def test_cli_deep_lint_and_sarif(tmp_path, capsys):
+    root = make_tree(tmp_path, {"core/p.py": TAINT_BAD})
     assert main(["lint", "--deep", str(root)]) == 1
-    assert "flow-protocol-scan" in capsys.readouterr().out
+    assert "flow-unordered-flow" in capsys.readouterr().out
 
     assert main(["lint", "--deep", "--format", "sarif", str(root)]) == 1
     payload = json.loads(capsys.readouterr().out)
@@ -764,28 +490,13 @@ def test_cli_deep_lint_and_sarif(tmp_path, capsys, monkeypatch):
     assert payload["runs"]
 
 
-def test_cli_write_baseline_then_clean(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    root = make_tree(tmp_path, {"vmm/s.py": SCAN_BAD})
-    target = tmp_path / "base.json"
-    assert (
-        main(
-            [
-                "lint", "--deep", "--write-baseline",
-                "--baseline", str(target), str(root),
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    assert target.exists()
-    assert (
-        main(["lint", "--deep", "--baseline", str(target), str(root)]) == 0
-    )
-
-
 def test_cli_list_rules_includes_deep(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
+    # The one deep pass: the determinism taint and the effect rules.
+    assert set(deep_rule_metadata()) == {
+        "flow-unordered-flow", *effect_rule_metadata(),
+    }
     for rule_id in deep_rule_metadata():
-        assert rule_id in out
+        assert f"{rule_id} [deep]" in out
+    assert "flow-dim-" not in out and "flow-protocol-" not in out

@@ -1,6 +1,7 @@
-"""Meta-tests: the shipped tree passes ``repro lint --effects`` clean,
-and the committed ``heteroeffect-ledger.json`` matches a fresh
-certification run — including the phases it claims are certified.
+"""Meta-tests: the shipped tree has no ``effect-*`` finding under
+``repro lint --deep``, and the committed ``heteroeffect-ledger.json``
+matches a fresh certification run — including the phases it claims are
+certified.
 
 The last test is the CI contract in miniature: it copies the package,
 impurifies a certified phase (an RNG draw plus an undeclared attribute
@@ -23,6 +24,7 @@ from repro.devtools.effect import (
     EffectAnalysis,
     compute_ledger,
     diff_ledgers,
+    effect_rule_metadata,
     ledger_json,
 )
 from repro.devtools.flow import ProjectIndex, deep_lint_paths
@@ -40,9 +42,8 @@ def _fresh_ledger(package_dir=PACKAGE_DIR):
 def test_shipped_tree_has_zero_effect_findings():
     report, index = deep_lint_paths(
         [PACKAGE_DIR],
+        rule_ids=effect_rule_metadata(),
         include_shallow=False,
-        include_deep=False,
-        include_effects=True,
     )
     assert index.files_indexed >= 80
     assert report.findings == [], "\n" + report.format_human()

@@ -1,10 +1,10 @@
 """Meta-test: the shipped tree must pass ``repro lint --deep`` clean.
 
-Any new heteroflow finding is either a real bug (fix it), a
+The one deep pass is the determinism taint plus the heteroeffect
+rules.  Any new finding is either a real bug (fix it) or a
 line-suppressible false positive (``# heterolint: disable-next-line=``
-works for deep rules too), or an intentional cross-module exception —
-which belongs in ``heteroflow-baseline.json`` with a one-line
-justification.  See docs/devtools.md.
+works for deep rules too, with a comment saying why).  See
+docs/devtools.md.
 """
 
 from __future__ import annotations
@@ -12,19 +12,13 @@ from __future__ import annotations
 import pathlib
 
 import repro
-from repro.devtools.flow import DEFAULT_BASELINE, Baseline, deep_lint_paths
+from repro.devtools.flow import deep_lint_paths
 
 PACKAGE_DIR = pathlib.Path(repro.__file__).parent
-REPO_ROOT = PACKAGE_DIR.parent.parent
-BASELINE_PATH = REPO_ROOT / DEFAULT_BASELINE
 
 
 def test_shipped_tree_has_zero_unbaselined_deep_findings():
-    baseline = Baseline.load(BASELINE_PATH)
-    report, index = deep_lint_paths([PACKAGE_DIR], baseline=baseline)
+    report, index = deep_lint_paths([PACKAGE_DIR])
     assert report.files_checked >= 80
     assert index.files_indexed >= 80
     assert report.findings == [], "\n" + report.format_human()
-    # The baseline must not rot: every entry still matches a finding.
-    stale = baseline.stale_entries()
-    assert stale == [], f"stale baseline entries: {stale}"

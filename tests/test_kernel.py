@@ -121,6 +121,11 @@ def test_free_region_returns_pages(kernel):
     assert not kernel.has_region("r")
     with pytest.raises(AllocationError):
         kernel.free_region("r")
+    # Its frames are back in the buddy: touching it is a use-after-free.
+    with pytest.raises(AllocationError):
+        kernel.touch_region("r", 1.0)
+    with pytest.raises(AllocationError):
+        kernel.touch_region("never-allocated", 1.0)
 
 
 def test_free_dirty_io_region_writes_back_first(kernel):

@@ -1,8 +1,8 @@
 """``repro lint --changed``: git-scoped runs for pre-commit latency.
 
 The shallow pass lints only the files git reports as modified or
-untracked; the deep passes still analyze the whole tree (they are
-whole-program) but report only findings inside the changed files'
+untracked; the deep pass still analyzes the whole tree (it is
+whole-program) but reports only findings inside the changed files'
 reverse call-graph closure, so a finding anchored in an *unchanged
 caller* of changed code still surfaces while the rest of the tree's
 noise does not.
@@ -92,14 +92,6 @@ def test_cli_changed_clean_when_nothing_changed(
     assert "no changed Python files" in capsys.readouterr().out
 
 
-def test_cli_changed_rejects_write_baseline(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert (
-        main(["lint", "--changed", "--deep", "--write-baseline", "."]) == 2
-    )
-    assert "conflict" in capsys.readouterr().err
-
-
 def test_scope_to_changed_keeps_reverse_caller_closure(tmp_path):
     # vmm/scan.py changes; core/driver.py (unchanged) calls into it, and
     # core/bystander.py does not.  Deep findings survive scoping in the
@@ -125,7 +117,7 @@ def test_scope_to_changed_keeps_reverse_caller_closure(tmp_path):
         target = root / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(body), encoding="utf-8")
-    report, index = deep_lint_paths([root], include_deep=True)
+    report, index = deep_lint_paths([root])
     # Synthesize one finding per file so scoping is observable even on
     # a clean toy tree.
     from repro.devtools.lint import Finding
@@ -133,7 +125,7 @@ def test_scope_to_changed_keeps_reverse_caller_closure(tmp_path):
     for name in ("vmm/scan.py", "core/driver.py", "core/bystander.py"):
         report.findings.append(
             Finding(
-                rule_id="flow-dim-mix",
+                rule_id="flow-unordered-flow",
                 path=str(root / name),
                 line=1,
                 col=0,
@@ -157,7 +149,7 @@ def test_cli_changed_deep_runs(tmp_path, monkeypatch, capsys):
     assert (
         main(
             [
-                "lint", "--changed", "--deep", "--effects",
+                "lint", "--changed", "--deep",
                 str(root / "src" / "repro"),
             ]
         )

@@ -161,6 +161,43 @@ def test_swapped_and_same_node_extents_skipped():
     assert report.cost_ns == 0.0
 
 
+def test_pass_calls_out_of_order_raise():
+    engine = MigrationEngine()
+    with pytest.raises(MigrationError):
+        engine.commit_pass()
+    with pytest.raises(MigrationError):
+        engine.abort_pass()
+    engine.begin_pass()
+    with pytest.raises(MigrationError):
+        engine.begin_pass()
+    engine.commit_pass()
+    with pytest.raises(MigrationError):
+        engine.commit_pass()
+    with pytest.raises(MigrationError):
+        engine.abort_pass()
+
+
+def test_open_pass_reaches_total_only_when_committed():
+    kernel = make_kernel()
+    engine = MigrationEngine()
+    first, second = (
+        kernel.allocate_region(name, PageType.HEAP, 64, [1])[0]
+        for name in ("a", "b")
+    )
+    engine.begin_pass()
+    assert engine.migrate([first], 0, kernel).pages_moved == 64
+    assert engine.total.pages_moved == 0  # in flight, not yet counted
+    engine.commit_pass()
+    assert engine.total.pages_moved == 64
+
+    engine.begin_pass()
+    assert engine.migrate([second], 0, kernel).pages_moved == 64
+    aborted = engine.abort_pass()
+    assert aborted.pages_moved == 64
+    assert engine.total.pages_moved == 64  # the aborted pass never lands
+    assert engine.in_flight is None
+
+
 def test_failed_move_of_foreign_frames_leaks_nothing():
     """A source that rejects the frames it is asked to free (here frames
     another node owns) is allocator misuse, not a full target: the
