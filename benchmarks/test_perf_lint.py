@@ -48,11 +48,13 @@ def _timed_effects_only(cache_dir):
     persisted summaries are supposed to remove on warm runs."""
     from repro.devtools.effect import cached_effect_analysis
     from repro.devtools.flow import ProjectIndex, _parse_all
+    from repro.devtools.flow.cache import AstCache
 
     start = time.perf_counter()
-    _files, contexts = _parse_all([PACKAGE_DIR], cache_dir)
+    cache = AstCache(cache_dir)
+    _files, contexts = _parse_all([PACKAGE_DIR], cache)
     index = ProjectIndex.build([PACKAGE_DIR], contexts=contexts)
-    cached_effect_analysis(index, cache_dir)
+    cached_effect_analysis(index, cache)
     return time.perf_counter() - start
 
 

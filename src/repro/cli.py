@@ -232,16 +232,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
         ledger_json,
     )
     from repro.devtools.flow import ProjectIndex, _parse_all
+    from repro.devtools.flow.cache import AstCache
     from repro.errors import LintError
 
     import json as json_module
 
-    files, contexts = _parse_all(args.paths, args.cache_dir)
+    cache = AstCache(args.cache_dir) if args.cache_dir is not None else None
+    files, contexts = _parse_all(args.paths, cache)
     index = ProjectIndex.build(args.paths, contexts=contexts)
     try:
-        ledger = compute_ledger(
-            index, cached_effect_analysis(index, args.cache_dir)
-        )
+        ledger = compute_ledger(index, cached_effect_analysis(index, cache))
     except LintError as exc:
         print(f"repro certify: {exc}", file=sys.stderr)
         return 2

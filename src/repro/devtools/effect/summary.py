@@ -788,27 +788,21 @@ def analysis_cache_key(index: ProjectIndex, max_rounds: int = 12) -> str:
 
 def cached_effect_analysis(
     index: ProjectIndex,
-    cache_dir=None,
+    cache=None,
     max_rounds: int = 12,
 ) -> EffectAnalysis:
-    """An :class:`EffectAnalysis`, restored from the AST cache when the
-    persisted call-graph key matches (warm runs skip the fixpoint
-    entirely) and recomputed + persisted otherwise."""
-    if cache_dir is None:
+    """An :class:`EffectAnalysis`, restored from ``cache`` (an open
+    :class:`~repro.devtools.flow.cache.AstCache`) when the persisted
+    call-graph key matches (warm runs skip the fixpoint entirely) and
+    recomputed + persisted otherwise."""
+    if cache is None:
         return EffectAnalysis(index, max_rounds)
-    from repro.devtools.flow.cache import (
-        load_effect_summaries,
-        store_effect_summaries,
-    )
-
     key = analysis_cache_key(index, max_rounds)
-    restored = load_effect_summaries(cache_dir, key)
+    restored = cache.load_effect_summaries(key)
     if restored is not None:
         return EffectAnalysis(index, max_rounds, _restored=restored)
     analysis = EffectAnalysis(index, max_rounds)
-    store_effect_summaries(
-        cache_dir,
-        key,
-        (analysis.summaries, analysis.direct, analysis.reach_edges),
+    cache.store_effect_summaries(
+        key, (analysis.summaries, analysis.direct, analysis.reach_edges)
     )
     return analysis

@@ -23,7 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.flow.cache import load_contexts, store_contexts
+from repro.devtools.flow.cache import AstCache
 from repro.devtools.flow.graph import ProjectIndex
 from repro.devtools.flow.sarif import report_to_sarif, sarif_json
 from repro.devtools.flow.taint import TaintAnalysis
@@ -150,12 +150,12 @@ def scope_to_changed(
 
 def _parse_all(
     paths: "Iterable[str | Path]",
-    cache_dir: "str | Path | None",
+    cache: "AstCache | None",
 ) -> "tuple[list[Path], dict[str, FileContext]]":
     files = iter_python_files(paths)
     contexts: "dict[str, FileContext]" = {}
-    if cache_dir is not None:
-        contexts = load_contexts(cache_dir, files)
+    if cache is not None:
+        contexts = cache.load_contexts(files)
     for path in files:
         relpath = str(path)
         if relpath in contexts:
@@ -166,8 +166,8 @@ def _parse_all(
             )
         except SyntaxError:
             continue
-    if cache_dir is not None:
-        store_contexts(cache_dir, contexts)
+    if cache is not None:
+        cache.store_contexts(contexts)
     return files, contexts
 
 
@@ -194,7 +194,8 @@ def deep_lint_paths(
         unknown = sorted(wanted - known)
         if unknown:
             raise LintError(f"unknown rule(s): {', '.join(unknown)}")
-    files, contexts = _parse_all(paths, cache_dir)
+    cache = AstCache(cache_dir) if cache_dir is not None else None
+    files, contexts = _parse_all(paths, cache)
     report = LintReport(files_checked=len(files))
     index = ProjectIndex.build(paths, contexts=contexts)
 
@@ -219,7 +220,7 @@ def deep_lint_paths(
                         report.findings.append(finding)
 
     deep_pairs = list(TaintAnalysis(index).check())
-    analysis = cached_effect_analysis(index, cache_dir)
+    analysis = cached_effect_analysis(index, cache)
     deep_pairs.extend(EffectRules(analysis).check())
 
     seen: "set[tuple]" = set()

@@ -10,6 +10,9 @@ also carries the heteroeffect fixpoint output (summaries, direct
 sites, reach edges) keyed on a call-graph hash — a digest over every
 indexed module's source — so a warm ``repro lint --deep`` or
 ``repro certify`` run skips the fixpoint as well, not just the parse.
+A pass opens the file once (:class:`AstCache`): the payload, ~5 MB
+for ``src/repro``, is unpickled once and rewritten only when it
+changes.
 
 Pickled AST nodes keep their parent links, but Python object ids do not
 survive a round-trip — the ``TYPE_CHECKING`` node-id set is rebuilt on
@@ -32,12 +35,7 @@ from pathlib import Path
 
 from repro.devtools.lint import FileContext, _is_type_checking_test
 
-__all__ = [
-    "load_contexts",
-    "load_effect_summaries",
-    "store_contexts",
-    "store_effect_summaries",
-]
+__all__ = ["AstCache"]
 
 _FORMAT_VERSION = 3
 
@@ -85,43 +83,50 @@ def _load_payload(cache_dir: "str | Path") -> "dict | None":
     return payload
 
 
-def load_contexts(
-    cache_dir: "str | Path", files: "list[Path]"
-) -> "dict[str, FileContext]":
-    """relpath -> parsed FileContext for every cached, unchanged file.
-    Corrupt or stale caches degrade to an empty dict, never an error."""
-    payload = _load_payload(cache_dir)
-    if payload is None:
-        return {}
-    cached = payload.get("files", {})
-    contexts: "dict[str, FileContext]" = {}
-    for file_path in files:
-        relpath = str(file_path)
-        entry = cached.get(relpath)
-        if entry is None:
-            continue
-        digest, ctx = entry
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except OSError:
-            continue
-        if _digest(source) != digest:
-            continue
-        contexts[relpath] = _rebind(ctx)
-    return contexts
+class AstCache:
+    """One pass's view of the cache file in ``cache_dir``.
 
-
-def store_contexts(
-    cache_dir: "str | Path", contexts: "dict[str, FileContext]"
-) -> None:
-    """Persist parsed contexts; best-effort (failure is not an error).
-
-    A valid effect-summary slot already on disk is carried over — its
-    own call-graph key decides whether it is still usable on load.
+    The payload is read once, when the cache is opened; the parse and
+    the effect stage then take their slots from it.  The file is
+    rewritten only when its content changes: when a file was parsed
+    from source or the set of cached files differs, or when the effect
+    slot is stored anew.  Corrupt or stale payloads read as empty.
     """
-    directory = Path(cache_dir)
-    try:
-        existing = _load_payload(directory)
+
+    def __init__(self, cache_dir: "str | Path") -> None:
+        self.directory = Path(cache_dir)
+        self._payload = _load_payload(self.directory)
+        self._restored: "set[str]" = set()
+
+    def load_contexts(self, files: "list[Path]") -> "dict[str, FileContext]":
+        """relpath -> parsed FileContext for every cached, unchanged
+        file."""
+        cached = self._payload.get("files", {}) if self._payload else {}
+        contexts: "dict[str, FileContext]" = {}
+        for file_path in files:
+            relpath = str(file_path)
+            entry = cached.get(relpath)
+            if entry is None:
+                continue
+            digest, ctx = entry
+            try:
+                source = file_path.read_text(encoding="utf-8")
+            except OSError:
+                continue
+            if _digest(source) != digest:
+                continue
+            contexts[relpath] = _rebind(ctx)
+        self._restored = set(contexts)
+        return contexts
+
+    def store_contexts(self, contexts: "dict[str, FileContext]") -> None:
+        """Persist the pass's parsed contexts, unless every one was
+        restored and the cached file set is unchanged; the effect slot
+        is carried over (its own call-graph key decides whether it is
+        still usable)."""
+        existing = self._payload or {}
+        if set(contexts) == self._restored == set(existing.get("files", ())):
+            return
         payload = {
             "version": _FORMAT_VERSION,
             "python": _python_tag(),
@@ -130,57 +135,51 @@ def store_contexts(
                 for relpath, ctx in contexts.items()
             },
         }
-        if existing is not None and "effects" in existing:
+        if "effects" in existing:
             payload["effects"] = existing["effects"]
-        directory.mkdir(parents=True, exist_ok=True)
-        with open(_cache_path(directory), "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    except (OSError, pickle.PicklingError):
-        pass
+        self._write(payload)
 
+    def load_effect_summaries(self, key: str):
+        """The persisted heteroeffect fixpoint output
+        ``(summaries, direct, reach_edges)`` when the stored call-graph
+        key matches ``key``; None on any miss or mismatch."""
+        effects = self._payload.get("effects") if self._payload else None
+        if not isinstance(effects, dict) or effects.get("key") != key:
+            return None
+        try:
+            return (
+                effects["summaries"],
+                effects["direct"],
+                effects["reach_edges"],
+            )
+        except KeyError:
+            return None
 
-def load_effect_summaries(cache_dir: "str | Path", key: str):
-    """The persisted heteroeffect fixpoint output
-    ``(summaries, direct, reach_edges)`` when the stored call-graph key
-    matches ``key``; None on any miss, mismatch, or corruption."""
-    payload = _load_payload(cache_dir)
-    if payload is None:
-        return None
-    effects = payload.get("effects")
-    if not isinstance(effects, dict) or effects.get("key") != key:
-        return None
-    try:
-        return (
-            effects["summaries"],
-            effects["direct"],
-            effects["reach_edges"],
-        )
-    except KeyError:
-        return None
-
-
-def store_effect_summaries(
-    cache_dir: "str | Path", key: str, triple
-) -> None:
-    """Attach the fixpoint output to the cache payload; best-effort."""
-    directory = Path(cache_dir)
-    try:
-        payload = _load_payload(directory)
-        if payload is None:
-            payload = {
-                "version": _FORMAT_VERSION,
-                "python": _python_tag(),
-                "files": {},
-            }
-        summaries, direct, reach_edges = triple
-        payload["effects"] = {
-            "key": key,
-            "summaries": summaries,
-            "direct": direct,
-            "reach_edges": reach_edges,
+    def store_effect_summaries(self, key: str, triple) -> None:
+        """Attach the fixpoint output to the payload and persist it."""
+        payload = self._payload or {
+            "version": _FORMAT_VERSION,
+            "python": _python_tag(),
+            "files": {},
         }
-        directory.mkdir(parents=True, exist_ok=True)
-        with open(_cache_path(directory), "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    except (OSError, pickle.PicklingError):
-        pass
+        summaries, direct, reach_edges = triple
+        self._write({
+            **payload,
+            "effects": {
+                "key": key,
+                "summaries": summaries,
+                "direct": direct,
+                "reach_edges": reach_edges,
+            },
+        })
+
+    def _write(self, payload: dict) -> None:
+        """Keep ``payload`` as this pass's view and write it;
+        best-effort (failure is not an error)."""
+        self._payload = payload
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            with open(_cache_path(self.directory), "wb") as handle:
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        except (OSError, pickle.PicklingError):
+            pass

@@ -67,7 +67,7 @@ STEP_PHASES = {
     },
     "cache": {
         "roots": ["SimulationEngine._memory_demands"],
-        "writes": [],
+        "writes": ["SimulationEngine._demand_memo"],
         "assume": {},
     },
     "policy": {
@@ -237,6 +237,11 @@ class SimulationEngine:
         self._slowest_device = min(
             self._node_devices.values(), key=lambda d: d.bandwidth_gbps
         )
+        #: The last epoch's demand accounting, ``(rows, demands,
+        #: llc_misses, wear increments)``, which the next epoch reuses
+        #: when its rows are equal (:mod:`repro.sim.fast`); ``None``
+        #: until an epoch stores one.
+        self._demand_memo = None
         if self._sampling:
             assert telemetry is not None
             hypervisor.migration_engine.observer = telemetry.migration_event
@@ -533,11 +538,15 @@ class SimulationEngine:
 
     def _apply_allocs(self, demand: EpochDemand) -> None:
         kernel = self.kernel
-        fast_nodes = kernel._fast_node_set
         for region_id, spec in demand.allocs:
             preference = self.policy.node_preference(spec.page_type)
+            # A grant adds its FastMem pages to this counter, and an
+            # attempt that raises adds nothing, so the counter's delta
+            # is the region's FastMem share.
+            type_stats = kernel.epoch_stats[spec.page_type]
+            fast_before = type_stats.fast_granted_pages
             try:
-                extents = kernel.allocate_region(
+                kernel.allocate_region(
                     region_id, spec.page_type, spec.pages, preference
                 )
             except OutOfMemoryError:
@@ -547,11 +556,10 @@ class SimulationEngine:
                 if extents is None:
                     self.stats.dropped_allocation_pages += spec.pages
                     continue
-            fast_pages = 0
-            for extent in extents:
-                if extent.node_id in fast_nodes:
-                    fast_pages += extent.pages
-            self.policy.on_allocated(spec.page_type, spec.pages, fast_pages)
+            self.policy.on_allocated(
+                spec.page_type, spec.pages,
+                type_stats.fast_granted_pages - fast_before,
+            )
             self.region_specs[region_id] = spec
 
     def _allocate_under_pressure(

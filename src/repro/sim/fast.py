@@ -4,19 +4,46 @@ Each epoch :meth:`SimulationEngine._memory_demands
 <repro.sim.engine.SimulationEngine._memory_demands>` calls
 :func:`fast_memory_demands`, which feeds the epoch's region accesses
 through the LLC model, splits each region's misses across devices by
-extent placement, and records device wear.  It rebuilds nothing that
-outlives an epoch, and builds little within one:
+extent placement, and records device wear.  It builds little within an
+epoch:
 
 * node devices are canonicalised once per engine
   (``SimulationEngine._node_devices``), so per-device state is keyed by
   identity instead of the field-walking dataclass hash;
-* each accessed region is one tuple row, which :func:`_fast_apportion`
-  — a twin of ``LastLevelCache.apportion`` with the same float
-  expressions in the same order — ranks and apportions in place of
+* each accessed region is one tuple row (footprint, reads, writes,
+  reuse, bytes per miss, and its placement as ``(device, fraction)``
+  pairs), which :func:`_fast_apportion` — a twin of
+  ``LastLevelCache.apportion`` with the same float expressions in the
+  same order — ranks and apportions in place of
   ``RegionAccess``/``RegionMisses`` objects;
 * misses accumulate in per-device columns, one per
   :data:`DEVICE_DEMAND_FIELDS` entry, and each device's
   ``DeviceDemand`` is built once per epoch from them.
+
+A steady-state epoch reuses the previous epoch's accounting.  The
+statistical workloads run at constant per-epoch intensity and a row
+names no region, so once every churn flow reaches its lifetime most
+epochs hand the LLC the rows of the epoch before (86% of a
+static-placement pass).  The engine keeps its last epoch's rows, demand
+map, LLC-miss total and wear increments (``SimulationEngine._demand_memo``);
+when an epoch's rows equal them, the increments are recorded again in
+their original order and the stored demands and total are returned
+without apportioning.  That gives the bits a recomputation would:
+
+* the key is the whole row list, because the apportionment ranks every
+  row against one LLC capacity, fixed per engine;
+* every device in a row is one of the engine's canonical instances, so
+  equal rows name the same devices, and the replay adds each device's
+  wear in the order the computation would;
+* equal values give equal results through every expression here (an
+  int and a float that compare equal do too, below 2**53), and a
+  float's bits follow from its value except for the sign of a zero.
+  ``0.0`` and ``-0.0`` compare equal.  The sign of a zero read, write
+  or bytes-per-miss value can reach a demand field that comes out
+  zero, so an epoch whose rows hold a negative zero there neither
+  reuses nor stores the memo.  Footprints are ints, fractions are
+  never ``-0.0``, and a zero reuse's sign changes no result.  A NaN
+  equals only itself, the same object, which gives the same NaN.
 
 Results are pinned **bit-identical** to the ``DeviceDemand``-merging
 reference kept in ``tests/`` — the same float addition order and the
@@ -28,6 +55,7 @@ policies, fault plans, and telemetry modes.  See
 
 from __future__ import annotations
 
+from math import copysign
 from typing import TYPE_CHECKING
 
 from repro.hw.timing import DeviceDemand
@@ -106,7 +134,13 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
     canonicalised devices; distinct-but-equal devices, which the
     reference dict would merge, are one instance there.  Float
     additions are left-associated in visit order, as a
-    ``DeviceDemand.merged`` chain would be.  Pinned by
+    ``DeviceDemand.merged`` chain would be.
+
+    When the epoch's rows equal the previous epoch's, the engine's
+    one-epoch memo (``SimulationEngine._demand_memo``) answers instead:
+    its wear increments are recorded again in their original order and
+    its demands and LLC-miss total are returned (see the module
+    docstring for why that is exact).  Pinned by
     tests/test_fast_equivalence.py.
     """
     kernel = engine.kernel
@@ -116,6 +150,7 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
     region_ids = kernel.regions
     extent_map = kernel.extents
     rows = []
+    negative_zero = False
     for region_id, (reads, writes) in demand.accesses.items():
         # Inlined kernel.has_region + kernel.region_extents (the maps
         # are plain dicts; the method round trips dominate at this
@@ -154,19 +189,35 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
                     fractions[id(device)] = [device, extent.pages / pages]
                 else:
                     entry[1] = entry[1] + (extent.pages / pages)
-            placement = fractions.values()
+            placement = tuple(map(tuple, fractions.values()))
+        bytes_per_miss = spec.bytes_per_miss
+        # -0.0 == 0.0, but its sign can reach a result: such rows must
+        # not match the memo (see the module docstring).
+        if not (reads and writes and bytes_per_miss) and (
+            copysign(1.0, reads) < 0 or copysign(1.0, writes) < 0
+            or copysign(1.0, bytes_per_miss) < 0
+        ):
+            negative_zero = True
         rows.append((
             pages * PAGE_SIZE,
             reads,
             writes,
             spec.reuse,
-            spec.bytes_per_miss,
+            bytes_per_miss,
             placement,
         ))
 
+    wear_record = engine.wear.record
+    memo = engine._demand_memo
+    if memo is not None and not negative_zero and memo[0] == rows:
+        _, demands, llc_misses, wear = memo
+        for device, write_bytes in wear:
+            wear_record(device, write_bytes)
+        return dict(demands), llc_misses
+
     # id(device) -> [device, *one value per DEVICE_DEMAND_FIELDS entry]
     columns = {}
-    wear_record = engine.wear.record
+    wear = []
     llc_misses = 0.0
     for row, (read_misses, write_misses, traffic_bytes, misses) in zip(
         rows, _fast_apportion(engine.cache, rows)
@@ -188,13 +239,16 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
                 column[3] += traffic_bytes * fraction
             # Endurance accounting: dirty-line writebacks are the
             # device's wear (2x per write miss: fill + writeback).
-            wear_record(
-                device,
-                write_misses * fraction * bytes_per_miss * 2.0,
-            )
+            write_bytes = write_misses * fraction * bytes_per_miss * 2.0
+            wear_record(device, write_bytes)
+            wear.append((device, write_bytes))
     # Positional, in DEVICE_DEMAND_FIELDS order, which a tier-1 test
     # pins to the dataclass's fields, names and order.
-    return {
+    demands = {
         column[0]: DeviceDemand(column[1], column[2], column[3])
         for column in columns.values()
-    }, llc_misses
+    }
+    engine._demand_memo = (
+        None if negative_zero else (rows, demands, llc_misses, wear)
+    )
+    return dict(demands), llc_misses

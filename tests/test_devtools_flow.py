@@ -265,7 +265,7 @@ def test_cache_rejects_other_interpreters_payload(tmp_path):
     # payload-embedded version tag must reject it on load.
     import pickle
 
-    from repro.devtools.flow.cache import _cache_path, load_contexts
+    from repro.devtools.flow.cache import AstCache, _cache_path
 
     root = make_tree(tmp_path, {"core/p.py": TAINT_BAD})
     cache_dir = tmp_path / "cache"
@@ -277,10 +277,72 @@ def test_cache_rejects_other_interpreters_payload(tmp_path):
     payload["python"] = (3, 999)
     cache_file.write_bytes(pickle.dumps(payload))
     files = sorted(root.rglob("*.py"))
-    assert load_contexts(cache_dir, files) == {}
+    assert AstCache(cache_dir).load_contexts(files) == {}
 
     report, _ = deep_lint_paths([root], cache_dir=cache_dir)
     assert report.findings  # re-parsed from source, analysis intact
+
+
+@pytest.mark.parametrize("damage", ["truncated", "version-skewed"])
+def test_damaged_cache_is_rejected_and_rewritten(tmp_path, damage):
+    import pickle
+
+    from repro.devtools.flow.cache import AstCache, _cache_path
+
+    root = make_tree(tmp_path, {"core/p.py": TAINT_BAD})
+    cache_dir = tmp_path / "cache"
+    cold, _ = deep_lint_paths([root], cache_dir=cache_dir)
+    cache_file = _cache_path(cache_dir)
+    good = cache_file.read_bytes()
+    if damage == "truncated":
+        cache_file.write_bytes(good[: len(good) // 2])
+    else:
+        payload = pickle.loads(good)
+        payload["version"] -= 1
+        cache_file.write_bytes(pickle.dumps(payload))
+    files = sorted(root.rglob("*.py"))
+    assert AstCache(cache_dir).load_contexts(files) == {}
+
+    report, _ = deep_lint_paths([root], cache_dir=cache_dir)
+    assert report.findings == cold.findings
+    assert len(AstCache(cache_dir).load_contexts(files)) == len(files)
+
+
+def test_warm_pass_reads_the_cache_once_and_writes_nothing(
+    tmp_path, monkeypatch
+):
+    """A warm pass unpickles the payload once and leaves the file as it
+    found it; a pass that parses a changed file rewrites it."""
+    import os
+    import pickle
+
+    from repro.devtools.flow.cache import _cache_path
+
+    root = make_tree(tmp_path, {"core/p.py": TAINT_BAD, **SHARED_WRITE})
+    cache_dir = tmp_path / "cache"
+    cold, _ = deep_lint_paths([root], cache_dir=cache_dir)
+    cache_file = _cache_path(cache_dir)
+    # An old mtime, so that any rewrite shows whatever the clock's grain.
+    os.utime(cache_file, ns=(10**18, 10**18))
+    written = cache_file.read_bytes()
+    loads = []
+    load = pickle.load
+    monkeypatch.setattr(
+        pickle, "load", lambda handle: loads.append(handle) or load(handle)
+    )
+
+    warm, _ = deep_lint_paths([root], cache_dir=cache_dir)
+    assert len(loads) == 1
+    assert cache_file.stat().st_mtime_ns == 10**18
+    assert cache_file.read_bytes() == written
+    assert warm.findings == cold.findings
+
+    (root / "core" / "p.py").write_text(
+        textwrap.dedent(TAINT_GOOD), encoding="utf-8"
+    )
+    deep_lint_paths([root], cache_dir=cache_dir)
+    assert len(loads) == 2
+    assert cache_file.stat().st_mtime_ns != 10**18
 
 
 def test_corrupt_cache_degrades_gracefully(tmp_path):

@@ -15,7 +15,11 @@ chose.
 The reference side is the oracle.  These tests sweep every registered
 policy, the fault/telemetry/sanitizer modes, multi-VM ballooning, and
 (via Hypothesis) the synthetic-workload generator, so any divergence
-fails here before it can skew a figure.  Each reference run also
+fails here before it can skew a figure.  The demand accounting reuses
+an epoch's result when the next epoch's rows are equal; the policy and
+mode runs are long enough to reuse it, most of them recompute after a
+reuse, and scripted runs change what a row holds between equal
+demands.  Each reference run also
 checks that its guests really were built from the reference
 structures, so the oracle can never compare production with itself.
 
@@ -49,11 +53,19 @@ from repro.core.policy import available_policies, make_policy
 from repro.faults import FaultPlan
 from repro.mem.extent import PageType
 from repro.obs.bus import Telemetry
+from repro.sim import fast
+from repro.sim.engine import SimulationEngine
 from repro.sim.multi_vm import MultiVmSimulation
 from repro.sim.runner import build_config, run_experiment
+from repro.units import MIB
 from repro.vmm.drf import WeightedDrf
 from repro.vmm.sharing import MaxMinSharing
-from repro.workloads.base import ChurnSpec
+from repro.workloads.base import (
+    ChurnSpec,
+    EpochDemand,
+    RegionSpec,
+    StatisticalWorkload,
+)
 from repro.workloads.synthetic import make_synthetic
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -89,8 +101,11 @@ def _run(app, policy_name, reference, *, epochs, slow_gib=2.0, faults=None,
 
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_every_policy_is_bit_identical(policy_name):
-    reference = _run("redis", policy_name, True, epochs=3)
-    production = _run("redis", policy_name, False, epochs=3)
+    # Long enough that every policy reuses the previous epoch's demand
+    # accounting, and most recompute it after a reuse (random on 18 of
+    # the 24 epochs, vmm-exclusive on 5).
+    reference = _run("redis", policy_name, True, epochs=24)
+    production = _run("redis", policy_name, False, epochs=24)
     assert production == reference
 
 
@@ -105,9 +120,107 @@ def test_every_policy_is_bit_identical(policy_name):
     ],
 )
 def test_modes_are_bit_identical(label, kwargs):
-    reference = _run("redis", "hetero-lru", True, epochs=4, **kwargs)
-    production = _run("redis", "hetero-lru", False, epochs=4, **kwargs)
+    reference = _run("redis", "hetero-lru", True, epochs=24, **kwargs)
+    production = _run("redis", "hetero-lru", False, epochs=24, **kwargs)
     assert production == reference, label
+
+
+def _scripted(reference, epochs):
+    """Regions r0–r2 (256 heap pages each, all on FastMem) allocated in
+    epoch 0 of a heap-od engine with telemetry, then stepped through
+    ``epochs``, a list of ``(before, accesses)``: ``before(kernel)``,
+    when given, runs ahead of the epoch.  Returns the result with its
+    timeline as the ``repr`` of its ``dataclasses.asdict``, which tells
+    ``-0.0`` from ``0.0``, and the final :func:`placement`."""
+    specs = [
+        (f"r{i}", RegionSpec(f"r{i}", PageType.HEAP, 256, reuse=0.6,
+                             access_share=1.0))
+        for i in range(3)
+    ]
+    config = SimConfig(fast_capacity_bytes=16 * MIB,
+                       slow_capacity_bytes=64 * MIB)
+    workload = StatisticalWorkload("scripted", 4.0, 1e6, 0.0, [])
+    with reference_guest() if reference else production_guest() as log:
+        engine = SimulationEngine(config, workload, make_policy("heap-od"),
+                                  telemetry=Telemetry())
+        for epoch, (before, accesses) in enumerate(epochs):
+            if before is not None:
+                before(engine.kernel)
+            engine.step(EpochDemand(epoch, 1e6,
+                                    allocs=specs if epoch == 0 else [],
+                                    accesses=dict(accesses)))
+        result = engine.result()
+        engine.close()
+    if reference:
+        log.assert_reference(engine)
+    return repr(dataclasses.asdict(result)), placement(engine)
+
+
+def _counted_apportionments(monkeypatch):
+    """The row count of every LLC apportionment run from here on."""
+    calls = []
+    apportion = fast._fast_apportion
+    monkeypatch.setattr(fast, "_fast_apportion",
+                        lambda cache, rows: calls.append(len(rows))
+                        or apportion(cache, rows))
+    return calls
+
+
+def _move_to_slowmem(region_id):
+    def move(kernel):
+        slow_node, = kernel.slow_node_ids
+        extent, = kernel.region_extents(region_id)
+        assert kernel.move_extent(extent, slow_node) == 256
+    return move
+
+
+def test_a_placement_change_between_equal_demands_is_recomputed(
+    monkeypatch,
+):
+    """Equal demand rows let an epoch reuse the previous epoch's
+    accounting, and a row records where its region's pages are: after
+    an extent moves and another is swapped out under the same demand,
+    the third epoch recomputes, and the result matches the reference
+    guest's, timeline included.  A memo keyed without the placement
+    fails here."""
+    def move_and_swap(kernel):
+        _move_to_slowmem("r0")(kernel)
+        fast_node, = kernel.fast_node_ids
+        kernel.shrink_node(fast_node, kernel.nodes[fast_node].free_pages
+                           + 256)
+        assert [kernel.region_extents(region_id)[0].swapped
+                for region_id in ("r1", "r2")].count(True) == 1
+
+    accesses = {f"r{i}": (4000.0 * (i + 1), 1000.0) for i in range(3)}
+    epochs = [(None, accesses), (None, accesses), (move_and_swap, accesses)]
+    calls = _counted_apportionments(monkeypatch)
+    reference = _scripted(True, epochs)
+    assert calls == []
+    production = _scripted(False, epochs)
+    assert calls == [3, 3]
+    assert production == reference
+
+
+def test_a_negative_zero_count_is_told_apart(monkeypatch):
+    """``-0.0`` compares equal to ``0.0``, and a region alone on a
+    device with no accesses passes the sign of its zero counts to that
+    device's stall in the timeline.  Rows holding ``-0.0`` neither
+    reuse the previous epoch's accounting nor leave theirs for the
+    next epoch, so each such epoch recomputes and the result matches
+    the reference guest's, signs included."""
+    def accesses(zero):
+        return {"r0": (zero, zero), "r1": (4000.0, 1000.0),
+                "r2": (8000.0, 1000.0)}
+
+    epochs = [(None, accesses(0.0)), (_move_to_slowmem("r0"), accesses(0.0)),
+              (None, accesses(0.0)), (None, accesses(-0.0)),
+              (None, accesses(-0.0))]
+    calls = _counted_apportionments(monkeypatch)
+    reference = _scripted(True, epochs)
+    assert "'slowmem': -0.0" in reference[0]
+    production = _scripted(False, epochs)
+    assert calls == [3, 3, 3, 3]
+    assert production == reference
 
 
 def _churning_neighbour_vms():

@@ -11,6 +11,7 @@ from repro.core import make_policy
 from repro.errors import ConfigurationError
 from repro.hw.throttle import ThrottleConfig
 from repro.mem.extent import PageType
+from repro.sim import fast
 from repro.sim.engine import SimulationEngine, build_single_vm
 from repro.sim.runner import build_config, run_experiment
 from repro.sim.stats import RunResult, RunStats, gain_percent, slowdown_factor
@@ -272,3 +273,34 @@ def test_unprofiled_epochs_call_no_enum_hash_or_contextlib():
     )
     assert engine.stats.epochs == 12
     assert not offenders
+
+
+#: How many of 40 epochs run the LLC apportionment in each cell; every
+#: other epoch's demand rows equal the previous epoch's, and it reuses
+#: that epoch's accounting.  Rows compare as equal floats, so the counts
+#: repeat exactly on every Python version and hash seed; a change that
+#: lowers them records the new counts here.
+APPORTION_CENSUS = {
+    ("graphchi", "heap-io-slab-od", 1 / 4): 2,
+    ("graphchi", "hetero-lru", 1 / 8): 11,
+}
+
+
+@pytest.mark.parametrize("app, policy_name, ratio", list(APPORTION_CENSUS))
+def test_steady_epochs_stay_within_their_committed_apportionments(
+    monkeypatch, app, policy_name, ratio
+):
+    """A cost gate without timing: a change that makes epochs with
+    unchanged demand recompute the LLC apportionment fails here."""
+    calls = []
+    apportion = fast._fast_apportion
+    monkeypatch.setattr(fast, "_fast_apportion",
+                        lambda cache, rows: calls.append(len(rows))
+                        or apportion(cache, rows))
+    policy = make_policy(policy_name)
+    config = build_config(
+        fast_ratio=ratio, unlimited_fast=policy.requires_unlimited_fast
+    )
+    result = run_experiment(app, policy, epochs=40, config=config)
+    assert result.stats.epochs == 40
+    assert 0 < len(calls) <= APPORTION_CENSUS[app, policy_name, ratio]
