@@ -224,69 +224,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    from repro.devtools.effect import (
-        cached_effect_analysis,
-        compute_ledger,
-        diff_ledgers,
-        ledger_json,
-    )
-    from repro.devtools.flow import ProjectIndex, _parse_all
-    from repro.devtools.flow.cache import AstCache
-    from repro.errors import LintError
-
-    import json as json_module
-
-    cache = AstCache(args.cache_dir) if args.cache_dir is not None else None
-    files, contexts = _parse_all(args.paths, cache)
-    index = ProjectIndex.build(args.paths, contexts=contexts)
-    try:
-        ledger = compute_ledger(index, cached_effect_analysis(index, cache))
-    except LintError as exc:
-        print(f"repro certify: {exc}", file=sys.stderr)
-        return 2
-    if args.check:
-        try:
-            with open(args.out, "r", encoding="utf-8") as handle:
-                committed = json_module.load(handle)
-        except (OSError, ValueError) as exc:
-            print(
-                f"repro certify: cannot read committed ledger "
-                f"{args.out}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        problems = diff_ledgers(committed, ledger)
-        certified = sorted(
-            name
-            for name, phase in ledger["phases"].items()
-            if phase["certified"]
-        )
-        if problems:
-            print(f"repro certify: {args.out} is stale:")
-            for problem in problems:
-                print(f"  {problem}")
-            print("re-run `repro certify` and review the diff")
-            return 1
-        print(
-            f"ledger {args.out} matches ({len(files)} files; certified "
-            f"phases: {', '.join(certified) or 'none'})"
-        )
-        return 0
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(ledger_json(ledger))
-    for name in sorted(ledger["phases"]):
-        phase = ledger["phases"][name]
-        status = (
-            "certified"
-            if phase["certified"]
-            else f"{len(phase['violations'])} violation(s)"
-        )
-        print(f"{name:<8} {status}")
-    print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_sanitize_check(args: argparse.Namespace) -> int:
     import json as json_module
 
@@ -749,31 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
         "closure (pre-commit mode)",
     )
     lint_parser.set_defaults(func=cmd_lint)
-
-    certify_parser = sub.add_parser(
-        "certify",
-        help="certify SimulationEngine.step phases as free of "
-        "cross-phase hidden state (writes heteroeffect-ledger.json)",
-    )
-    certify_parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="source tree to analyze (default: src/repro)",
-    )
-    certify_parser.add_argument(
-        "--out", default="heteroeffect-ledger.json",
-        help="ledger path (default: heteroeffect-ledger.json)",
-    )
-    certify_parser.add_argument(
-        "--check", action="store_true",
-        help="diff the committed ledger against a fresh run; exit 1 "
-        "when a certified phase gained an uncertified effect",
-    )
-    certify_parser.add_argument(
-        "--cache-dir", default=None,
-        help="directory for the parsed-AST cache (shared with "
-        "`repro lint --deep`)",
-    )
-    certify_parser.set_defaults(func=cmd_certify)
 
     sanitize_parser = sub.add_parser(
         "sanitize-check",

@@ -10,8 +10,8 @@ Four parts, sharing one rule-ID namespace (see docs/devtools.md):
   and the one whole-program pass, ``repro lint --deep``: determinism
   taint (``flow-`` rule ids) plus heteroeffect's rules.
 * :mod:`repro.devtools.effect` — **heteroeffect**, effect, race and
-  observation-purity analysis (part of ``repro lint --deep``) plus
-  phase certification (``repro certify``).  ``effect-`` rule ids.
+  observation-purity analysis (part of ``repro lint --deep``).
+  ``effect-`` rule ids.
 * :mod:`repro.devtools.sanitizer` — **FrameSanitizer**, an ASan-style
   shadow-state checker for frame ownership (double-free, leak,
   use-after-free, migration ownership races), enabled with

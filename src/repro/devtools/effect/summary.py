@@ -1,19 +1,19 @@
 """Interprocedural effect summaries.
 
-Every heteroeffect client — the race rules and the phase certifier —
-reads the same per-function :class:`EffectSummary`: which module
-globals and object attributes a function (transitively) writes, which
-RNG streams it draws from, where it iterates an unordered container
-while doing either, and which calls escape the analysis (opaque or
-polymorphic dispatch).  Summaries are computed by a bounded fixpoint
-over heteroflow's :class:`~repro.devtools.flow.graph.ProjectIndex`
-call graph, the same shape as the determinism-taint pass: direct
-effects are extracted once per function, then callee summaries are
-folded in until nothing changes.
+The heteroeffect rules read one per-function :class:`EffectSummary`:
+which module globals and object attributes a function (transitively)
+writes, which RNG streams it draws from, and whether it forks.  The
+sites behind them, with order-dependent loops and uses of module-global
+OS handles, stay per function in :attr:`EffectAnalysis.direct`.
+Summaries are computed by a bounded fixpoint over heteroflow's
+:class:`~repro.devtools.flow.graph.ProjectIndex` call graph, the same
+shape as the determinism-taint pass: direct effects are extracted once
+per function, then callee summaries are folded in until nothing
+changes.
 
 Every transitive entry keeps a ``via`` provenance chain (the callee
-path that introduced it), so findings and ledger violations can show
-*how* an effect reaches a function, not just that it does.
+path that introduced it), so findings can show *how* an effect reaches
+a function, not just that it does.
 
 Deliberate blind spots, documented here once: calls into non-indexed
 (stdlib/third-party) modules are assumed effect-free on simulator
@@ -71,33 +71,6 @@ _MUTATING_METHODS = frozenset(
     }
 )
 
-#: Builtins (and builtin-like names) that cannot touch simulator state
-#: beyond their arguments' own methods.
-_PURE_BUILTINS = frozenset(
-    {
-        "abs", "all", "any", "bool", "bytes", "callable", "dict",
-        "divmod", "enumerate", "filter", "float", "format", "frozenset",
-        "getattr", "hasattr", "hash", "id", "int", "isinstance",
-        "issubclass", "iter", "len", "list", "map", "max", "min",
-        "next", "object", "ord", "pow", "print", "range", "repr",
-        "reversed", "round", "set", "sorted", "str", "sum", "tuple",
-        "type", "vars", "zip",
-    }
-)
-
-#: Read-only container/str methods never worth an opaque-call entry.
-_PURE_METHODS = frozenset(
-    {
-        "get", "items", "keys", "values", "copy", "index", "count",
-        "split", "rsplit", "join", "startswith", "endswith", "format",
-        "strip", "lstrip", "rstrip", "encode", "decode", "lower",
-        "upper", "replace", "most_common", "union", "intersection",
-        "difference", "mean", "total_seconds", "as_posix", "resolve",
-        "exists", "is_dir", "is_file", "relative_to", "with_suffix",
-        "hexdigest", "digest", "dumps", "loads", "isoformat",
-    }
-)
-
 #: Module-level calls whose result is an OS handle shared across fork.
 _HANDLE_FACTORIES = frozenset({"open", "socket", "Popen", "popen"})
 
@@ -138,8 +111,8 @@ def _looks_like_rng(text: "str | None") -> bool:
 class EffectSite:
     """One direct effect at one source location."""
 
-    kind: str  # global-write | attr-write | rng | order-dep | opaque-call
-    #        | poly-call | fork | handle-use
+    kind: str  # global-write | attr-write | rng | fork | order-dep
+    #        | handle-use
     ident: str
     line: int
     col: int
@@ -154,22 +127,13 @@ class EffectSummary:
     global_writes: "dict[str, str]" = field(default_factory=dict)
     attr_writes: "dict[str, str]" = field(default_factory=dict)
     rng_streams: "dict[str, str]" = field(default_factory=dict)
-    order_dep: "dict[str, str]" = field(default_factory=dict)
-    opaque_calls: "dict[str, str]" = field(default_factory=dict)
-    poly_calls: "dict[str, str]" = field(default_factory=dict)
     forks: "dict[str, str]" = field(default_factory=dict)
-    handle_uses: "dict[str, str]" = field(default_factory=dict)
 
     def _maps(self) -> "tuple[dict[str, str], ...]":
         return (
             self.global_writes, self.attr_writes, self.rng_streams,
-            self.order_dep, self.opaque_calls, self.poly_calls,
-            self.forks, self.handle_uses,
+            self.forks,
         )
-
-    @property
-    def size(self) -> int:
-        return sum(len(table) for table in self._maps())
 
 
 def _chain(callee_qualname: str, via: str, limit: int = 4) -> str:
@@ -375,34 +339,16 @@ class EffectAnalysis:
         self, info: FunctionInfo, call: ast.Call, local: "set[str]",
         facts: _ModuleFacts,
     ) -> "Iterable[EffectSite]":
-        """Effects of one call site, excluding callee propagation."""
+        """Effects of one call site, excluding callee propagation: a
+        fork, an RNG draw, or an in-place mutation of a global or an
+        attribute receiver."""
         func = call.func
-        line, col = call.lineno, call.col_offset
-        module = self.index.modules.get(info.module)
-        if isinstance(func, ast.Name):
-            if func.id in _PURE_BUILTINS:
-                return
-            if (
-                self.index.resolve_call(info, call) is not None
-                or self.index.resolve_constructor(info, call) is not None
-            ):
-                return
-            if func.id in local:
-                # A callable bound locally (callback parameter, closure):
-                # nothing is known about it.
-                yield EffectSite("opaque-call", f"?:{func.id}", line, col)
-                return
-            if module is not None and func.id in module.imports:
-                # From-import of a non-indexed (stdlib) function: assumed
-                # effect-free on simulator state (see module docstring).
-                return
-            yield EffectSite("opaque-call", f"?:{func.id}", line, col)
-            return
         if not isinstance(func, ast.Attribute):
             return
+        line, col = call.lineno, call.col_offset
+        module = self.index.modules.get(info.module)
         attr = func.attr
         receiver = func.value
-        dotted = _dotted_text(receiver)
         # Stdlib-module-qualified calls: os.fork / random draws are
         # effects; everything else is assumed pure on simulator state.
         if isinstance(receiver, ast.Name) and module is not None:
@@ -420,7 +366,7 @@ class EffectAnalysis:
                 return
         # RNG draws by method name (+ receiver heuristics).
         if attr in _DRAW_ALWAYS or (
-            attr in _DRAW_NAMED and _looks_like_rng(dotted)
+            attr in _DRAW_NAMED and _looks_like_rng(_dotted_text(receiver))
         ):
             yield EffectSite(
                 "rng", self._stream_id(info, receiver), line, col,
@@ -428,47 +374,19 @@ class EffectAnalysis:
             )
             return
         # In-place mutation of a global / attribute receiver.
-        if attr in _MUTATING_METHODS:
-            if isinstance(receiver, ast.Name):
-                if receiver.id not in local and receiver.id in facts.globals:
-                    yield EffectSite(
-                        "global-write", f"{info.module}:{receiver.id}",
-                        line, col, detail=f".{attr}()",
-                    )
-                return
-            if isinstance(receiver, ast.Attribute):
+        if attr not in _MUTATING_METHODS:
+            return
+        if isinstance(receiver, ast.Name):
+            if receiver.id not in local and receiver.id in facts.globals:
                 yield EffectSite(
-                    "attr-write", self._attr_ident(info, receiver),
+                    "global-write", f"{info.module}:{receiver.id}",
                     line, col, detail=f".{attr}()",
                 )
-                return
-            return
-        if attr in _PURE_METHODS or attr.startswith("__"):
-            return
-        callee = self.index.resolve_call(info, call)
-        if callee is not None:
-            # Dynamic dispatch: the resolved method has project
-            # overrides, so the static summary is a lower bound.
-            owner = self.index.classes.get(
-                callee.qualname.rsplit(".", 1)[0]
-            )
-            if owner is not None and any(
-                attr in sub.methods
-                for sub in self.index.subclasses_of(owner)
-            ):
-                yield EffectSite(
-                    "poly-call", f"{owner.name}.{attr}", line, col
-                )
-            return
-        if self.index.resolve_constructor(info, call) is not None:
-            return
-        receiver_class = self.index._receiver_class(info, receiver)
-        if receiver_class is not None:
+        elif isinstance(receiver, ast.Attribute):
             yield EffectSite(
-                "opaque-call", f"{receiver_class.name}.{attr}", line, col
+                "attr-write", self._attr_ident(info, receiver),
+                line, col, detail=f".{attr}()",
             )
-            return
-        yield EffectSite("opaque-call", f"?.{attr}", line, col)
 
     def _body_effects_reach(
         self, info: FunctionInfo, body: "list[ast.stmt]",
@@ -610,14 +528,13 @@ class EffectAnalysis:
             "global-write": summary.global_writes,
             "attr-write": summary.attr_writes,
             "rng": summary.rng_streams,
-            "order-dep": summary.order_dep,
-            "opaque-call": summary.opaque_calls,
-            "poly-call": summary.poly_calls,
             "fork": summary.forks,
-            "handle-use": summary.handle_uses,
         }
+        # A handle use stays a direct site: the rules read it there.
         for site in self.direct[qualname]:
-            tables[site.kind].setdefault(site.ident, "")
+            table = tables.get(site.kind)
+            if table is not None:
+                table.setdefault(site.ident, "")
 
     def _map_callee_stream(
         self, info: FunctionInfo, call: ast.Call,
@@ -727,36 +644,12 @@ class EffectAnalysis:
                         changed = True
             if not changed:
                 break
-        # Order-dependence needs converged callee summaries, then one
-        # more propagation round so callers inherit the sites.
+        # Order-dependence needs converged callee summaries; its sites
+        # stay direct, where the rule reads them.
         for qualname in sorted(self.index.functions):
-            info = self.index.functions[qualname]
-            extra = self._order_dep_sites(info)
-            if extra:
-                self.direct[qualname].extend(extra)
-                for site in extra:
-                    self.summaries[qualname].order_dep.setdefault(
-                        site.ident, ""
-                    )
-        for _ in range(max_rounds):
-            changed = False
-            for qualname in sorted(self.index.functions):
-                info = self.index.functions[qualname]
-                summary = self.summaries[qualname]
-                for call, callee_qualname, _constructed in call_targets[
-                    qualname
-                ]:
-                    callee_summary = self.summaries.get(callee_qualname)
-                    if callee_summary is None:
-                        continue
-                    for ident, via in callee_summary.order_dep.items():
-                        if ident not in summary.order_dep:
-                            summary.order_dep[ident] = _chain(
-                                callee_qualname, via
-                            )
-                            changed = True
-            if not changed:
-                break
+            self.direct[qualname].extend(
+                self._order_dep_sites(self.index.functions[qualname])
+            )
 
 
 # ----------------------------------------------------------------------
@@ -766,7 +659,7 @@ class EffectAnalysis:
 #: Bumped whenever summary extraction or the fixpoint change meaning,
 #: so persisted summaries from an older analysis never satisfy a newer
 #: one even over identical sources.
-EFFECT_CACHE_VERSION = 1
+EFFECT_CACHE_VERSION = 2
 
 
 def analysis_cache_key(index: ProjectIndex, max_rounds: int = 12) -> str:

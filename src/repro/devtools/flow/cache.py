@@ -8,8 +8,8 @@ what changed and a CI cache hit (``actions/cache`` on the cache
 directory) skips the parse entirely.  Since payload v3 the same file
 also carries the heteroeffect fixpoint output (summaries, direct
 sites, reach edges) keyed on a call-graph hash — a digest over every
-indexed module's source — so a warm ``repro lint --deep`` or
-``repro certify`` run skips the fixpoint as well, not just the parse.
+indexed module's source — so a warm ``repro lint --deep`` run skips
+the fixpoint as well, not just the parse.
 A pass opens the file once (:class:`AstCache`): the payload, ~5 MB
 for ``src/repro``, is unpickled once and rewritten only when it
 changes.

@@ -29,10 +29,7 @@ _TOOL_INFO = {
     "lint": ("heterolint", "simulator-specific single-file AST rules"),
     "flow": ("heteroflow", "whole-program determinism taint analysis"),
     "san": ("framesan", "runtime frame-ownership sanitizer"),
-    "effect": (
-        "heteroeffect",
-        "interprocedural effect/race analysis and phase certification",
-    ),
+    "effect": ("heteroeffect", "interprocedural effect/race analysis"),
 }
 
 

@@ -48,56 +48,15 @@ from repro.workloads.base import EpochDemand, RegionSpec, Workload
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.devtools.sanitizer import FrameSanitizer
 
-#: Effect contract for every ``SimulationEngine.step`` phase, consumed
-#: statically by the heteroeffect certifier (``repro certify``) — it is
-#: read with ``ast.literal_eval``, never imported, so it must stay a
-#: pure literal.  Per phase: ``roots`` are the methods the phase
-#: executes; ``writes`` are the attribute locations the phase owns and
-#: may mutate (trailing ``*`` is a wildcard); ``assume`` accepts
-#: opaque/polymorphic call patterns on trust, each with its
-#: justification.  Phases whose ledger entry lists violations (demand,
-#: cache, policy) are impure by design — they mutate kernel, wear and
-#: policy state, partly through dynamic dispatch.  The certified phases
-#: (timing, sample) must stay certified.
+#: ``SimulationEngine.step``'s phases, each name mapped to the engine
+#: method that runs it.  An engine built with a ``PhaseProfiler`` times
+#: each method under its phase's name (``_profile_phases``).
 STEP_PHASES = {
-    "demand": {
-        "roots": ["SimulationEngine._demand_phase"],
-        "writes": ["SimulationEngine.region_specs"],
-        "assume": {},
-    },
-    "cache": {
-        "roots": ["SimulationEngine._memory_demands"],
-        "writes": ["SimulationEngine._demand_memo"],
-        "assume": {},
-    },
-    "policy": {
-        "roots": ["SimulationEngine._policy_phase"],
-        "writes": [],
-        "assume": {},
-    },
-    "timing": {
-        "roots": ["SimulationEngine._timing_phase"],
-        "writes": ["RunStats.stall_ns_by_device"],
-        "assume": {},
-    },
-    "sample": {
-        "roots": ["SimulationEngine._sample_epoch"],
-        "writes": [
-            "SimulationEngine._prev_*",
-            "SimulationEngine._run_opened",
-            "Telemetry._pending_events",
-        ],
-        "assume": {
-            "?.on_start": (
-                "sink fan-out; sinks only observe (no-perturbation "
-                "contract, pinned by the obs test suite)"
-            ),
-            "?.on_sample": (
-                "sink fan-out; sinks only observe (no-perturbation "
-                "contract, pinned by the obs test suite)"
-            ),
-        },
-    },
+    "demand": "_demand_phase",
+    "cache": "_memory_demands",
+    "policy": "_policy_phase",
+    "timing": "_timing_phase",
+    "sample": "_sample_epoch",
 }
 
 
@@ -270,16 +229,14 @@ class SimulationEngine:
 
     def _profile_phases(self, profiler) -> None:
         """Time each ``STEP_PHASES`` phase under its name: the phase's
-        root method is wrapped, on this instance only, in
+        method is wrapped, on this instance only, in
         ``profiler.phase(name)``.  An engine built without a profiler
         keeps the plain class methods, so ``step`` pays nothing for the
         bracket."""
-        for name, phase in STEP_PHASES.items():
-            for root in phase["roots"]:
-                attribute = root.split(".")[1]
-                setattr(self, attribute, _profiled(
-                    profiler, name, getattr(self, attribute)
-                ))
+        for name, method in STEP_PHASES.items():
+            setattr(self, method, _profiled(
+                profiler, name, getattr(self, method)
+            ))
 
     def step(self, demand: EpochDemand) -> None:
         """Advance one epoch."""
@@ -356,7 +313,7 @@ class SimulationEngine:
             )
 
     # ------------------------------------------------------------------
-    # Phase bodies (the units STEP_PHASES certifies)
+    # Phase bodies
     # ------------------------------------------------------------------
 
     def _demand_phase(self, demand: EpochDemand) -> None:
@@ -368,8 +325,7 @@ class SimulationEngine:
 
     def _policy_phase(self, epoch: int) -> float:
         """Policy epoch-end hook (LRU demotions, hotness scans,
-        migrations); dynamic dispatch into the bound policy, so this
-        phase is impure by design and never certified."""
+        migrations)."""
         return self.policy.on_epoch_end(epoch)
 
     def _timing_phase(
@@ -380,9 +336,9 @@ class SimulationEngine:
     ) -> tuple[float, float, dict[str, float]]:
         """Charge this epoch's CPU time and per-device stalls.
 
-        Pure but for the declared ``RunStats.stall_ns_by_device``
-        accumulation — certified in the heteroeffect ledger, which
-        makes it the first candidate for the vectorized fast path.
+        Of the state reachable from the engine, only
+        ``RunStats.stall_ns_by_device`` changes
+        (``tests/test_sim_engine.py`` pins this write set).
         """
         cpu_ns = self.timing.cpu.cpu_ns(demand.instructions)
         # Deterministic topology order (fastest first) so per-device
@@ -437,7 +393,10 @@ class SimulationEngine:
         ``RunStats`` accumulators, so re-summing a timeline in epoch
         order reproduces the final aggregates bit-for-bit.  Cumulative
         policy/TLB/swap counters are sampled as deltas against the
-        previous epoch's snapshot.
+        previous epoch's snapshot.  Of the state reachable from the
+        engine, only those ``_prev_*`` snapshots, ``_run_opened`` and
+        objects of ``repro.obs`` classes change
+        (``tests/test_sim_engine.py`` pins this write set).
         """
         telemetry = self.telemetry
         assert telemetry is not None

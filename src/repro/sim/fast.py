@@ -38,12 +38,13 @@ without apportioning.  That gives the bits a recomputation would:
 * equal values give equal results through every expression here (an
   int and a float that compare equal do too, below 2**53), and a
   float's bits follow from its value except for the sign of a zero.
-  ``0.0`` and ``-0.0`` compare equal.  The sign of a zero read, write
-  or bytes-per-miss value can reach a demand field that comes out
-  zero, so an epoch whose rows hold a negative zero there neither
-  reuses nor stores the memo.  Footprints are ints, fractions are
-  never ``-0.0``, and a zero reuse's sign changes no result.  A NaN
-  equals only itself, the same object, which gives the same NaN.
+  ``0.0`` and ``-0.0`` compare equal.  The sign of a zero read or
+  write count can reach a demand field that comes out zero, so an
+  epoch whose rows hold a negative zero there neither reuses nor
+  stores the memo.  Footprints are ints, fractions are never ``-0.0``,
+  bytes per miss are positive (``RegionSpec`` rejects anything else),
+  and a zero reuse's sign changes no result.  A NaN equals only
+  itself, the same object, which gives the same NaN.
 
 Results are pinned **bit-identical** to the ``DeviceDemand``-merging
 reference kept in ``tests/`` — the same float addition order and the
@@ -190,12 +191,10 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
                 else:
                     entry[1] = entry[1] + (extent.pages / pages)
             placement = tuple(map(tuple, fractions.values()))
-        bytes_per_miss = spec.bytes_per_miss
         # -0.0 == 0.0, but its sign can reach a result: such rows must
         # not match the memo (see the module docstring).
-        if not (reads and writes and bytes_per_miss) and (
+        if not (reads and writes) and (
             copysign(1.0, reads) < 0 or copysign(1.0, writes) < 0
-            or copysign(1.0, bytes_per_miss) < 0
         ):
             negative_zero = True
         rows.append((
@@ -203,7 +202,7 @@ def fast_memory_demands(engine: "SimulationEngine", demand: "EpochDemand"):
             reads,
             writes,
             spec.reuse,
-            bytes_per_miss,
+            spec.bytes_per_miss,
             placement,
         ))
 

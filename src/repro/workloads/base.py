@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -58,6 +59,21 @@ class RegionSpec:
             raise WorkloadError(
                 f"region {self.label!r}: write fraction not in [0,1]"
             )
+        if not 0.0 < self.bytes_per_miss < math.inf:
+            raise WorkloadError(
+                f"region {self.label!r}: bytes per miss must be positive "
+                f"and finite, got {self.bytes_per_miss!r}"
+            )
+        if not self.access_period >= 1:
+            raise WorkloadError(
+                f"region {self.label!r}: access period must be >= 1, "
+                f"got {self.access_period!r}"
+            )
+        if not self.alloc_epoch >= 0:
+            raise WorkloadError(
+                f"region {self.label!r}: alloc epoch must be >= 0, "
+                f"got {self.alloc_epoch!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -82,6 +98,11 @@ class ChurnSpec:
             raise WorkloadError(
                 f"churn {self.label!r}: active_epochs must be in "
                 f"[1, lifetime]"
+            )
+        if not 0.0 < self.bytes_per_miss < math.inf:
+            raise WorkloadError(
+                f"churn {self.label!r}: bytes per miss must be positive "
+                f"and finite, got {self.bytes_per_miss!r}"
             )
 
     def region_spec(self) -> RegionSpec:

@@ -1,13 +1,27 @@
-"""Shared test fixtures and builders."""
+"""Shared test fixtures and builders, and the Hypothesis profiles."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.guestos.kernel import GuestKernel
 from repro.guestos.numa import MemoryNode, NodeTier, build_node
 from repro.hw.memdevice import DRAM, NVM_PCM
 from repro.units import MIB, pages_of_bytes
+
+# Every ``@given`` test draws the same examples on every run, so a red
+# run repeats.  ``pytest --hypothesis-profile explore`` draws fresh ones
+# with each test's own ``max_examples`` (a separate CI step).  Both start
+# from Hypothesis's built-in profile, so a run here and one in CI (where
+# Hypothesis would otherwise pick its own ``ci`` profile) agree.
+settings.register_profile(
+    "deterministic", settings.get_profile("default"), derandomize=True
+)
+settings.register_profile(
+    "explore", settings.get_profile("default"), derandomize=False
+)
+settings.load_profile("deterministic")
 
 
 def make_nodes(

@@ -1,6 +1,6 @@
 """heteroeffect: per-rule bad+good fixtures with interprocedural
-(callee-summary / reachability-chain) evidence, phase certification,
-ledger diffing, and the ``repro certify`` CLI.
+(callee-summary / reachability-chain) evidence, the summaries the rules
+read, and the effect slot of the AST cache.
 
 Fixture trees follow tests/test_devtools_flow.py: a ``repro``-named
 root so module names normalize the same way as the real package
@@ -10,7 +10,6 @@ module the race rules anchor reachability on).
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 import pytest
@@ -18,14 +17,14 @@ import pytest
 from repro.cli import main
 from repro.devtools.effect import (
     EffectAnalysis,
-    compute_ledger,
-    diff_ledgers,
+    analysis_cache_key,
+    cached_effect_analysis,
     effect_rule_metadata,
-    ledger_json,
     worker_entry_points,
 )
+from repro.devtools.effect import summary as summary_module
 from repro.devtools.flow import ProjectIndex, deep_lint_paths
-from repro.errors import LintError
+from repro.devtools.flow.cache import AstCache
 
 
 def make_tree(tmp_path, files):
@@ -426,167 +425,16 @@ def test_suppression_comment_applies_to_effect_findings(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Phase certification
+# Summaries
 # ----------------------------------------------------------------------
 
-ENGINE_CLEAN = {
-    "sim/engine.py": """\
-        STEP_PHASES = {
-            "timing": {
-                "roots": ["Engine._timing_phase"],
-                "writes": ["Stats.stall_ns"],
-            },
-        }
 
-        class Stats:
-            def __init__(self):
-                self.stall_ns = 0.0
-
-        class Engine:
-            def __init__(self, stats: Stats):
-                self.stats = stats
-
-            def _timing_phase(self, demand):
-                self.stats.stall_ns = demand * 2.0
-                return self.stats.stall_ns
-    """,
-}
-
-
-def certify(tmp_path, files):
-    index = build_index(tmp_path, files)
-    return compute_ledger(index, EffectAnalysis(index))
-
-
-def test_certify_clean_phase(tmp_path):
-    ledger = certify(tmp_path, ENGINE_CLEAN)
-    phase = ledger["phases"]["timing"]
-    assert phase["certified"]
-    assert phase["observed_writes"] == ["Stats.stall_ns"]
-    assert phase["violations"] == []
-
-
-def test_certify_flags_rng_and_undeclared_write(tmp_path):
-    files = {
-        "sim/engine.py": """\
-            STEP_PHASES = {
-                "timing": {
-                    "roots": ["Engine._timing_phase"],
-                    "writes": ["Stats.stall_ns"],
-                },
-            }
-
-            class Stats:
-                def __init__(self):
-                    self.stall_ns = 0.0
-
-            class Engine:
-                def __init__(self, stats: Stats, rng):
-                    self.stats = stats
-                    self.rng = rng
-
-                def _timing_phase(self, demand):
-                    self.stats.stall_ns = demand * self.rng.random()
-                    self.last_demand = demand
-                    return self.stats.stall_ns
-        """,
-    }
-    phase = certify(tmp_path, files)["phases"]["timing"]
-    assert not phase["certified"]
-    kinds = {v.split(" ", 1)[0] for v in phase["violations"]}
-    assert kinds == {"rng-draw", "undeclared-write"}
-
-
-def test_certify_flags_transitive_effect_with_provenance(tmp_path):
-    files = {
-        "sim/engine.py": """\
-            from repro.sim.faults import fires
-
-            STEP_PHASES = {
-                "demand": {"roots": ["Engine._demand_phase"], "writes": []},
-            }
-
-            class Engine:
-                def _demand_phase(self, rng):
-                    return fires(rng)
-        """,
-        "sim/faults.py": """\
-            def fires(rng):
-                return rng.random() < 0.1
-        """,
-    }
-    phase = certify(tmp_path, files)["phases"]["demand"]
-    assert not phase["certified"]
-    assert any(
-        v.startswith("rng-draw") and "via sim.faults.fires" in v
-        for v in phase["violations"]
-    )
-
-
-def test_certify_assume_patterns_and_wildcards(tmp_path):
-    files = {
-        "sim/engine.py": """\
-            STEP_PHASES = {
-                "sample": {
-                    "roots": ["Engine._sample_phase"],
-                    "writes": ["Engine._prev_*"],
-                    "assume": {
-                        "?.on_sample": "sinks never feed back into state",
-                    },
-                },
-            }
-
-            class Engine:
-                def _sample_phase(self, sinks, pages):
-                    self._prev_pages = pages
-                    self._prev_epoch = pages // 4096
-                    for sink in sinks:
-                        sink.on_sample(pages)
-        """,
-    }
-    phase = certify(tmp_path, files)["phases"]["sample"]
-    assert phase["certified"]
-    assert phase["observed_writes"] == [
-        "Engine._prev_epoch", "Engine._prev_pages",
-    ]
-    assert phase["assumed"] == {
-        "?.on_sample": "sinks never feed back into state",
-    }
-
-
-def test_certify_unassumed_opaque_call_blocks(tmp_path):
-    files = {
-        "sim/engine.py": """\
-            STEP_PHASES = {
-                "policy": {"roots": ["Engine._policy_phase"], "writes": []},
-            }
-
-            class Engine:
-                def _policy_phase(self, epoch):
-                    return self.hook(epoch)
-        """,
-    }
-    phase = certify(tmp_path, files)["phases"]["policy"]
-    assert not phase["certified"]
-    assert any(
-        v.startswith("unknown-call Engine.hook")
-        for v in phase["violations"]
-    )
-
-
-def test_certify_resolves_class_qualified_calls(tmp_path):
+def test_summary_follows_class_qualified_calls(tmp_path):
     """``Record.build(...)`` is that class's method, though another class
-    defines a ``build`` too: the call is followed, not left opaque, and
-    the other ``build``'s write is not charged to the phase."""
+    defines a ``build`` too: the call is followed, and the other
+    ``build``'s write is not charged to the caller."""
     files = {
         "sim/engine.py": """\
-            STEP_PHASES = {
-                "policy": {
-                    "roots": ["Engine._policy_phase"],
-                    "writes": ["Engine.built"],
-                },
-            }
-
             class Other:
                 def build(self, epoch):
                     self.count = epoch
@@ -601,97 +449,66 @@ def test_certify_resolves_class_qualified_calls(tmp_path):
                     self.built = Record.build(epoch)
         """,
     }
-    phase = certify(tmp_path, files)["phases"]["policy"]
-    assert phase["violations"] == []
-    assert phase["certified"]
-    assert phase["observed_writes"] == ["Engine.built"]
+    analysis = EffectAnalysis(build_index(tmp_path, files))
+    caller = "sim.engine.Engine._policy_phase"
+    assert analysis.reach_edges[caller] == {"sim.engine.Record.build"}
+    assert analysis.summaries[caller].attr_writes == {"Engine.built": ""}
 
 
-def test_certify_missing_root_is_a_violation(tmp_path):
+def test_summary_keeps_a_callee_draw_with_its_provenance(tmp_path):
     files = {
         "sim/engine.py": """\
-            STEP_PHASES = {
-                "timing": {"roots": ["Engine._gone"], "writes": []},
-            }
+            from repro.sim.faults import fires
 
             class Engine:
-                pass
+                def _demand_phase(self, rng):
+                    return fires(rng)
+        """,
+        "sim/faults.py": """\
+            def fires(rng):
+                return rng.random() < 0.1
         """,
     }
-    phase = certify(tmp_path, files)["phases"]["timing"]
-    assert not phase["certified"]
-    assert phase["violations"] == ["missing-root sim.engine.Engine._gone"]
-
-
-def test_certify_without_marker_raises(tmp_path):
-    files = {"sim/engine.py": "class Engine:\n    pass\n"}
-    index = build_index(tmp_path, files)
-    with pytest.raises(LintError):
-        compute_ledger(index, EffectAnalysis(index))
-
-
-def test_ledger_json_is_deterministic(tmp_path):
-    first = ledger_json(certify(tmp_path, ENGINE_CLEAN))
-    second = ledger_json(certify(tmp_path, ENGINE_CLEAN))
-    assert first == second
-    assert first.endswith("\n")
-    json.loads(first)  # valid JSON
-
-
-# ----------------------------------------------------------------------
-# Ledger diffing
-# ----------------------------------------------------------------------
-
-
-def _phase(certified=True, violations=()):
-    return {
-        "certified": certified,
-        "roots": ["Engine._timing_phase"],
-        "declared_writes": [],
-        "observed_writes": [],
-        "assumed": {},
-        "violations": sorted(violations),
+    summaries = EffectAnalysis(build_index(tmp_path, files)).summaries
+    assert summaries["sim.faults.fires"].rng_streams == {"param:rng": ""}
+    # The callee's parameter maps to the caller's, via the callee.
+    assert summaries["sim.engine.Engine._demand_phase"].rng_streams == {
+        "param:rng": "sim.faults.fires",
     }
 
 
-def test_diff_ledgers_equal_is_empty():
-    ledger = {"version": 1, "phases": {"timing": _phase()}}
-    assert diff_ledgers(ledger, ledger) == []
+def test_effect_slot_of_another_analysis_version_is_recomputed(
+    tmp_path, monkeypatch
+):
+    index = build_index(tmp_path, RNG_SPLIT_BAD)
+    cache_dir = tmp_path / "cache"
+    fixpoints = []
+    fixpoint = EffectAnalysis._fixpoint
 
+    def counted_fixpoint(analysis, max_rounds):
+        fixpoints.append(max_rounds)
+        fixpoint(analysis, max_rounds)
 
-def test_diff_ledgers_reports_decertification_with_new_effects():
-    committed = {"version": 1, "phases": {"timing": _phase()}}
-    fresh = {
-        "version": 1,
-        "phases": {
-            "timing": _phase(
-                certified=False,
-                violations=["rng-draw Engine.rng"],
-            )
-        },
-    }
-    problems = diff_ledgers(committed, fresh)
-    assert len(problems) == 1
-    assert "DECERTIFIED" in problems[0]
-    assert "rng-draw Engine.rng" in problems[0]
+    monkeypatch.setattr(EffectAnalysis, "_fixpoint", counted_fixpoint)
+    fresh = cached_effect_analysis(index, AstCache(cache_dir))
+    warm = cached_effect_analysis(index, AstCache(cache_dir))
+    assert len(fixpoints) == 1
+    assert warm.summaries == fresh.summaries
+    assert warm.direct == fresh.direct
 
-
-def test_diff_ledgers_reports_new_and_gone_phases():
-    committed = {"version": 1, "phases": {"timing": _phase()}}
-    fresh = {"version": 1, "phases": {"sample": _phase()}}
-    problems = diff_ledgers(committed, fresh)
-    assert any("new (not in committed ledger)" in p for p in problems)
-    assert any("gone from the fresh run" in p for p in problems)
-
-
-def test_diff_ledgers_reports_changed_fields():
-    committed = {"version": 1, "phases": {"timing": _phase()}}
-    changed = _phase()
-    changed["observed_writes"] = ["Stats.stall_ns"]
-    fresh = {"version": 1, "phases": {"timing": changed}}
-    problems = diff_ledgers(committed, fresh)
-    assert len(problems) == 1
-    assert "observed_writes changed" in problems[0]
+    key = analysis_cache_key(index)
+    monkeypatch.setattr(
+        summary_module, "EFFECT_CACHE_VERSION",
+        summary_module.EFFECT_CACHE_VERSION + 1,
+    )
+    assert analysis_cache_key(index) != key
+    recomputed = cached_effect_analysis(index, AstCache(cache_dir))
+    assert len(fixpoints) == 2
+    assert recomputed.summaries == fresh.summaries
+    # The slot now carries the new key, so the next pass is warm again.
+    cache = AstCache(cache_dir)
+    assert cache.load_effect_summaries(key) is None
+    assert cache.load_effect_summaries(analysis_cache_key(index)) is not None
 
 
 # ----------------------------------------------------------------------
@@ -699,49 +516,13 @@ def test_diff_ledgers_reports_changed_fields():
 # ----------------------------------------------------------------------
 
 
-def test_cli_certify_write_then_check(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    root = make_tree(tmp_path, ENGINE_CLEAN)
-    ledger_path = tmp_path / "ledger.json"
-    assert main(["certify", str(root), "--out", str(ledger_path)]) == 0
-    out = capsys.readouterr().out
-    assert "timing" in out and "certified" in out
-    assert ledger_path.exists()
-
-    assert (
-        main(["certify", str(root), "--out", str(ledger_path), "--check"])
-        == 0
-    )
-    assert "matches" in capsys.readouterr().out
-
-
-def test_cli_certify_check_fails_on_impurified_phase(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    root = make_tree(tmp_path, ENGINE_CLEAN)
-    ledger_path = tmp_path / "ledger.json"
-    assert main(["certify", str(root), "--out", str(ledger_path)]) == 0
-    capsys.readouterr()
-
-    engine = root / "sim" / "engine.py"
-    source = engine.read_text(encoding="utf-8")
-    assert "demand * 2.0" in source
-    engine.write_text(
-        source.replace("demand * 2.0", "demand * self.rng.random()"),
-        encoding="utf-8",
-    )
-    assert (
-        main(["certify", str(root), "--out", str(ledger_path), "--check"])
-        == 1
-    )
-    out = capsys.readouterr().out
-    assert "DECERTIFIED" in out
-    assert "rng-draw" in out
-
-
-def test_cli_certify_without_marker_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    root = make_tree(tmp_path, {"sim/engine.py": "x = 1\n"})
-    assert main(["certify", str(root)]) == 2
+def test_cli_certify_exits_2(capsys):
+    # The phase certifier and its ledger are gone; the engine's phase
+    # write sets are a runtime test in tests/test_sim_engine.py.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["certify", "src/repro"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'certify'" in capsys.readouterr().err
 
 
 def test_cli_lint_effects_flag(tmp_path, capsys):

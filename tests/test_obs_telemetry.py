@@ -373,13 +373,9 @@ def test_profiler_lands_in_jsonl_summary(tmp_path):
     assert summary["profile"]["demand"]["calls"] == EPOCHS
 
 
-#: The engine methods ``STEP_PHASES`` names as phase roots, which a
-#: profiled engine wraps on its instance.
-PHASE_METHODS = {
-    root.split(".")[1]
-    for phase in STEP_PHASES.values()
-    for root in phase["roots"]
-}
+#: The engine methods ``STEP_PHASES`` names, which a profiled engine
+#: wraps on its instance.
+PHASE_METHODS = set(STEP_PHASES.values())
 
 
 def _engine(telemetry):

@@ -1,16 +1,24 @@
 """Simulation engine, config, stats, and runner."""
 
+import array
+import collections
 import cProfile
+import enum
+import mmap
 import os
 import pstats
+import random
+import types
 
 import pytest
 
 from repro.config import SimConfig
 from repro.core import make_policy
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, FaultSpec
 from repro.hw.throttle import ThrottleConfig
 from repro.mem.extent import PageType
+from repro.obs import Telemetry, TimelineSink
 from repro.sim import fast
 from repro.sim.engine import SimulationEngine, build_single_vm
 from repro.sim.runner import build_config, run_experiment
@@ -304,3 +312,164 @@ def test_steady_epochs_stay_within_their_committed_apportionments(
     result = run_experiment(app, policy, epochs=40, config=config)
     assert result.stats.epochs == 40
     assert 0 < len(calls) <= APPORTION_CENSUS[app, policy_name, ratio]
+
+
+# ----------------------------------------------------------------------
+# Phase write sets
+# ----------------------------------------------------------------------
+
+#: Compared by identity and never walked: no phase changes a class, a
+#: function, a module or an enum member.
+_SHARED = (
+    type, types.FunctionType, types.BuiltinFunctionType, types.MethodType,
+    types.ModuleType, enum.Enum,
+)
+_ATOMS = (type(None), bool, int, str, bytes)
+
+
+def _snapshot(root):
+    """Every object reachable from ``root``, by id: ``(object, owner,
+    contents, attributes)``.
+
+    A breadth-first walk: atoms compare by type and value (floats by
+    ``float.hex``, which tells ``-0.0`` from ``0.0``), every other
+    reference by identity, and ``owner`` is the ``(class, attribute)``
+    through which the walk first reached an object.  The snapshot holds
+    every object it saw, so no id is reused while it lives.
+    """
+    objects = {}
+    queue = collections.deque([(root, None)])
+    while queue:
+        obj, owner = queue.popleft()
+        if id(obj) in objects:
+            continue
+
+        def ref(value, via=owner):
+            if type(value) in _ATOMS:
+                return type(value), value
+            if type(value) is float:
+                return float, value.hex()
+            if not isinstance(value, _SHARED):
+                queue.append((value, via))
+            return id(value)
+
+        if isinstance(obj, random.Random):
+            contents = obj.getstate()
+        elif isinstance(obj, (array.array, bytearray)):
+            contents = bytes(obj)
+        elif isinstance(obj, mmap.mmap):
+            contents = None if obj.closed else obj[:]
+        elif isinstance(obj, dict):
+            contents = [(ref(key), ref(value)) for key, value in obj.items()]
+        elif isinstance(obj, (list, tuple, collections.deque)):
+            contents = [ref(value) for value in obj]
+        elif isinstance(obj, (set, frozenset)):
+            contents = frozenset(ref(value) for value in obj)
+        else:
+            contents = None
+        attributes = {
+            name: ref(value, (type(obj), name))
+            for name, value in getattr(obj, "__dict__", {}).items()
+        }
+        for cls in type(obj).__mro__:
+            for name in cls.__dict__.get("__slots__", ()):
+                if not name.startswith("__") and hasattr(obj, name):
+                    attributes[name] = ref(getattr(obj, name), (type(obj), name))
+        if contents is None and not attributes:
+            contents = repr(obj)  # an opaque iterator, such as itertools.count
+        objects[id(obj)] = (obj, owner, contents, attributes)
+    return objects
+
+
+def _changes(before, after):
+    """The ``(class, attribute)`` of every state change between two
+    snapshots of one graph: an instance attribute set, added or
+    deleted, or the contents of a container that attribute owns."""
+    changed = set()
+    for key, (obj, owner, contents, attributes) in before.items():
+        if key not in after:
+            continue  # out of reach now, so whatever held it changed
+        _, _, new_contents, new_attributes = after[key]
+        if new_contents != contents:
+            changed.add(owner)
+        for name in attributes.keys() | new_attributes.keys():
+            if attributes.get(name) != new_attributes.get(name):
+                changed.add((type(obj), name))
+    return changed
+
+
+def _timing_may_change(cls, name):
+    return cls is RunStats and name == "stall_ns_by_device"
+
+
+def _sample_may_change(cls, name):
+    return cls.__module__.startswith("repro.obs.") or (
+        cls is SimulationEngine
+        and (name.startswith("_prev_") or name == "_run_opened")
+    )
+
+
+#: Engine method -> whether it may change ``(class, attribute)``.
+PHASE_WRITE_SETS = {
+    "_timing_phase": _timing_may_change,
+    "_sample_epoch": _sample_may_change,
+}
+
+
+def test_timing_and_sample_phases_change_only_their_own_state(monkeypatch):
+    """The timing phase changes only ``RunStats.stall_ns_by_device``; the
+    sample phase only the engine's ``_prev_*`` baselines and
+    ``_run_opened``, and objects of ``repro.obs`` classes.  Checked
+    around every call, on everything reachable from the engine, in three
+    cells: two guest policies (one under a device-derate fault plan)
+    and a VMM-only one."""
+    changes = collections.defaultdict(set)
+    calls = collections.Counter()
+    for method in PHASE_WRITE_SETS:
+        phase = getattr(SimulationEngine, method)
+
+        def checked(engine, *args, _phase=phase, _method=method, **kwargs):
+            before = _snapshot(engine)
+            result = _phase(engine, *args, **kwargs)
+            changes[_method] |= _changes(before, _snapshot(engine))
+            calls[_method] += 1
+            return result
+
+        monkeypatch.setattr(SimulationEngine, method, checked)
+    derate = FaultPlan(seed=5, faults=(
+        FaultSpec("device-derate", probability=0.5, latency_factor=2.0,
+                  bandwidth_factor=1.5),
+    ))
+    for app, policy_name, faults in (
+        ("redis", "hetero-lru", None),
+        ("graphchi", "hetero-coordinated", derate),
+        ("metis", "vmm-exclusive", None),
+    ):
+        changes.clear()
+        calls.clear()
+        policy = make_policy(policy_name)
+        config = build_config(unlimited_fast=policy.requires_unlimited_fast)
+        config.fault_plan = faults
+        engine = SimulationEngine(
+            config, make_workload(app), policy,
+            telemetry=Telemetry(sinks=[TimelineSink()]),
+        )
+        try:
+            engine.run(12)
+        finally:
+            engine.close()
+        cell = f"{app} x {policy_name}"
+        assert calls == {method: 12 for method in PHASE_WRITE_SETS}, cell
+        for method, may_change in PHASE_WRITE_SETS.items():
+            stray = sorted(
+                f"{cls.__qualname__}.{name}"
+                for cls, name in changes[method]
+                if not may_change(cls, name)
+            )
+            assert not stray, f"{cell}: {method} changed {stray}"
+        assert changes["_timing_phase"] == {(RunStats, "stall_ns_by_device")}
+        assert {(SimulationEngine, "_run_opened"), (TimelineSink, "samples")} <= (
+            changes["_sample_epoch"]
+        ), cell
+        if faults is not None:
+            assert engine.faults.counts["device-derate"] > 0, cell

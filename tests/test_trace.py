@@ -1,5 +1,7 @@
 """Trace capture and replay."""
 
+import re
+
 import pytest
 
 from repro.core import make_policy
@@ -72,3 +74,11 @@ def test_trace_version_check():
 def test_empty_trace_rejected():
     with pytest.raises(WorkloadError):
         TraceWorkload("t", 4.0, "seconds", 0.0, [])
+
+
+def test_trace_with_a_malformed_region_is_rejected_by_name():
+    trace = record_trace(make_workload("nginx"), epochs=1)
+    _, spec = trace["epochs"][0]["allocs"][0]
+    spec["bytes_per_miss"] = -64.0
+    with pytest.raises(WorkloadError, match=re.escape(repr(spec["label"]))):
+        TraceWorkload.from_dict(trace)

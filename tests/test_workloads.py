@@ -55,6 +55,11 @@ def simple_workload(**overrides) -> StatisticalWorkload:
 # Spec validation
 # ----------------------------------------------------------------------
 
+#: Zero of either sign, negative, NaN and infinite: a miss moves a
+#: positive, finite number of bytes.
+BAD_BYTES_PER_MISS = (0.0, -0.0, -64.0, float("nan"), float("inf"))
+
+
 def test_region_spec_validation():
     with pytest.raises(WorkloadError):
         RegionSpec("r", PageType.HEAP, 0, 0.5, 1.0)
@@ -64,6 +69,16 @@ def test_region_spec_validation():
         RegionSpec("r", PageType.HEAP, 10, 0.5, -1.0)
     with pytest.raises(WorkloadError):
         RegionSpec("r", PageType.HEAP, 10, 0.5, 1.0, write_fraction=2.0)
+    for bytes_per_miss in BAD_BYTES_PER_MISS:
+        with pytest.raises(WorkloadError, match="region 'r'"):
+            RegionSpec("r", PageType.HEAP, 10, 0.5, 1.0,
+                       bytes_per_miss=bytes_per_miss)
+    for access_period in (0, -3, float("nan")):
+        with pytest.raises(WorkloadError, match="region 'r'"):
+            RegionSpec("r", PageType.HEAP, 10, 0.5, 1.0,
+                       access_period=access_period)
+    with pytest.raises(WorkloadError, match="region 'r'"):
+        RegionSpec("r", PageType.HEAP, 10, 0.5, 1.0, alloc_epoch=-1)
 
 
 def test_churn_spec_validation():
@@ -71,6 +86,10 @@ def test_churn_spec_validation():
         ChurnSpec("c", PageType.HEAP, 0, 1, 0.5, 1.0)
     with pytest.raises(WorkloadError):
         ChurnSpec("c", PageType.HEAP, 10, 2, 0.5, 1.0, active_epochs=3)
+    for bytes_per_miss in BAD_BYTES_PER_MISS:
+        with pytest.raises(WorkloadError, match="churn 'c'"):
+            ChurnSpec("c", PageType.HEAP, 10, 2, 0.5, 1.0,
+                      bytes_per_miss=bytes_per_miss)
 
 
 def test_workload_validation():
