@@ -2,10 +2,11 @@
 
 Section 4.1's design, on top of HeteroOS-LRU:
 
-* **What to track** — the guest publishes a tracking list (heap regions,
-  extracted from the VMA structure) and an exception list (short-lived
-  I/O cache, page-table, DMA pages) over the shared-memory channel; the
-  VMM scans only the tracked extents, slashing Observation 4's costs.
+* **What to track** — the guest publishes a tracking list (its live heap
+  regions, where the paper walks the VMA structure) and an exception
+  list (short-lived I/O cache, page-table, DMA pages) over the
+  shared-memory channel; the VMM scans only the tracked extents,
+  slashing Observation 4's costs.
 * **When to track** — the scan/migrate interval adapts to the LLC-miss
   counters the VMM exports, Equation 1:
 

@@ -47,9 +47,7 @@ class NativeCoordinatedPolicy(HeteroLruPolicy):
         self.scan_batch_pages = scan_batch_pages
         self.promote_budget_pages = promote_budget_pages
         self.counters = PerfCounters()
-        self.tracker = HotnessTracker(
-            hotness_config or HotnessConfig(), has_rmap=True
-        )
+        self.tracker = HotnessTracker(hotness_config or HotnessConfig())
         self._elapsed_ms = 0.0
         self._epoch_ms = 100.0
         self.pages_migrated = 0
@@ -62,7 +60,7 @@ class NativeCoordinatedPolicy(HeteroLruPolicy):
 
     def on_llc_sample(self, llc_misses: float, instructions: float) -> None:
         """The engine feeds the OS's own performance counters."""
-        self.counters.record_epoch(llc_misses, instructions)
+        self.counters.record_epoch(llc_misses)
 
     def on_epoch_end(self, epoch: int) -> float:
         overhead = super().on_epoch_end(epoch)

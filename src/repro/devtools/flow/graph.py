@@ -638,7 +638,7 @@ class ProjectIndex:
             method = self.method_on(receiver, func.attr)
             if method is not None:
                 return method
-        # Class-qualified call: ``Vma.unchecked(...)``.
+        # Class-qualified call: ``TraceWorkload.from_dict(...)``.
         if isinstance(func.value, ast.Name) and module is not None:
             owner = self.resolve_class_name(func.value.id, module)
             if owner is not None:

@@ -3,10 +3,12 @@
 A functional model of the Linux memory-management machinery HeteroOS
 extends: NUMA nodes with a memory-type flag, zones (single unified zone on
 FastMem nodes), a buddy allocator, multi-dimensional per-CPU free lists,
-slab caches, the I/O page cache, VMAs, the split active/inactive LRU,
-swap, and the on-demand balloon front-end.  :class:`repro.guestos.kernel.
+slab caches, the I/O page cache, the split active/inactive LRU, swap,
+and the on-demand balloon front-end.  :class:`repro.guestos.kernel.
 GuestKernel` ties them together and keeps the per-subsystem allocation
-statistics Section 3.2's demand-based prioritization consumes.
+statistics Section 3.2's demand-based prioritization consumes.  A
+kernel region (``GuestKernel.regions``) stands in for a VMA: no
+virtual address space is simulated.
 """
 
 from repro.guestos.numa import MemoryNode, NodeTier
@@ -15,7 +17,6 @@ from repro.guestos.buddy import BuddyAllocator
 from repro.guestos.percpu import PerCpuFreeLists
 from repro.guestos.slab import SlabAllocator, SlabCache
 from repro.guestos.pagecache import PageCache
-from repro.guestos.vma import AddressSpace, Vma
 from repro.guestos.lru import SplitLru
 from repro.guestos.swap import SwapDevice
 from repro.guestos.balloon import BalloonFrontend
@@ -31,8 +32,6 @@ __all__ = [
     "SlabAllocator",
     "SlabCache",
     "PageCache",
-    "AddressSpace",
-    "Vma",
     "SplitLru",
     "SwapDevice",
     "BalloonFrontend",

@@ -19,7 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import AllocationError, OutOfMemoryError, SwapWriteError
+from repro.errors import (
+    AllocationError,
+    OutOfMemoryError,
+    ReproError,
+    SwapWriteError,
+)
 from repro.guestos.balloon import BalloonFrontend
 from repro.guestos.lru import SplitLru
 from repro.guestos.numa import MemoryNode, NodeTier
@@ -27,7 +32,6 @@ from repro.guestos.pagecache import PageCache
 from repro.guestos.percpu import PerCpuFreeLists
 from repro.guestos.slab import SlabAllocator
 from repro.guestos.swap import SwapDevice
-from repro.guestos.vma import AddressSpace
 from repro.mem.extent import PAGE_TYPES, ExtentState, PageExtent, PageType
 from repro.mem.frames import FrameRange
 from repro.units import GIB, Ns, Pages, pages_of_bytes
@@ -121,7 +125,6 @@ class GuestKernel:
         }
         self.page_cache = PageCache()
         self.slab = SlabAllocator(self._slab_page_source, self._slab_page_release)
-        self.address_space = AddressSpace()
         self.extents: dict[int, PageExtent] = {}
         self.regions: dict[str, list[int]] = {}
         self.epoch = 0
@@ -200,7 +203,8 @@ class GuestKernel:
         preferred nodes cannot cover the request the balloon (if present)
         is asked for more of the first-choice tier; any remaining
         shortfall falls back to whichever node has room.  Raises
-        :class:`OutOfMemoryError` when the guest truly has no pages.
+        :class:`OutOfMemoryError` when the guest truly has no pages.  A
+        call that raises returns every page it took first.
         """
         if pages <= 0:
             raise AllocationError(f"region {region_id!r}: zero-page request")
@@ -209,7 +213,6 @@ class GuestKernel:
         if not node_preference:
             raise AllocationError("empty node preference")
 
-        self.address_space.mmap(region_id, pages, page_type)
         extents: list[PageExtent] = []
         remaining = pages
         try:
@@ -250,10 +253,9 @@ class GuestKernel:
                     f"region {region_id!r}: {remaining} of {pages} pages "
                     "unsatisfiable on any node"
                 )
-        except OutOfMemoryError:
+        except ReproError:
             for extent in extents:
                 self._destroy_extent(extent)
-            self.address_space.munmap(region_id)
             raise
 
         self.regions[region_id] = [extent.extent_id for extent in extents]
@@ -274,14 +276,12 @@ class GuestKernel:
     def free_region(self, region_id: str) -> Pages:
         """Release a region entirely; returns pages freed.
 
-        Unmaps the region and writes back any dirty I/O pages before
-        their frames return to the allocator — the page-state validity
-        checks of Section 4.1.
+        Writes back any dirty I/O pages before their frames return to
+        the allocator — the page-state validity checks of Section 4.1.
         """
         extent_ids = self.regions.pop(region_id, None)
         if extent_ids is None:
             raise AllocationError(f"free of unknown region {region_id!r}")
-        self.address_space.munmap(region_id)
         extents = self.extents
         page_cache = self.page_cache
         freed = 0
@@ -517,7 +517,8 @@ class GuestKernel:
 
         Checks: buddy allocators self-consistent; every live extent's
         frames lie inside its node and don't overlap any other extent's;
-        region indexes reference live extents; resident (non-swapped)
+        region indexes reference live extents, and every live extent is
+        listed by exactly one region; resident (non-swapped)
         extents are exactly the LRU population; per-node page accounting
         adds up (free + extents + hidden + per-CPU cached == total).
         """
@@ -581,6 +582,9 @@ class GuestKernel:
                         f"extent {extent_id} in two regions"
                     )
                 referenced.add(extent_id)
+        if len(referenced) != len(self.extents):
+            unlisted = min(self.extents.keys() - referenced)
+            raise AllocationError(f"extent {unlisted} in no region")
         # LRU population == resident extents per node.
         for node_id, lru in self.lru.items():
             lru_pages = lru.active_pages + lru.inactive_pages

@@ -21,7 +21,7 @@ from repro.hw.tlb import Tlb, TlbConfig
 from repro.hw.timing import CpuConfig, MemoryTimingModel
 from repro.hw.counters import PerfCounters
 from repro.hw.endurance import WearTracker, estimated_lifetime_years
-from repro.hw.topology import NumaTopology, Socket, remote_dram
+from repro.hw.topology import remote_dram
 
 __all__ = [
     "MemoryDevice",
@@ -44,7 +44,5 @@ __all__ = [
     "PerfCounters",
     "WearTracker",
     "estimated_lifetime_years",
-    "NumaTopology",
-    "Socket",
     "remote_dram",
 ]

@@ -6,102 +6,25 @@ epoch and dynamically varies the hotness-tracking and migration interval"
 engine records each epoch's LLC misses, and the coordinated policy reads
 the latest delta.
 
-The counter file follows perf(1) semantics: :meth:`PerfCounters.read`
-returns a monotonic cumulative :class:`CounterSnapshot`, and
-``later.delta(earlier)`` yields the per-interval contribution.  Totals
-accumulate in Python floats/ints, so unlike real 32/48-bit MSRs there is
-no wraparound to correct for — a property the unit tests pin down.
+Only the per-epoch miss history is kept, because Equation 1 reads
+nothing else: no cumulative perf(1)-style totals, instruction counts or
+snapshots are simulated.  Whole-run MPKI is a result field
+(:attr:`repro.sim.stats.RunResult.mpki`), not a counter read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class CounterSnapshot:
-    """Point-in-time cumulative counter values (perf-style ``read()``).
-
-    Snapshots are immutable and totally ordered in time by ``epochs``;
-    subtracting an earlier snapshot from a later one (:meth:`delta`)
-    gives the interval's contribution.
-    """
-
-    epochs: int
-    llc_misses: float
-    instructions: float
-
-    def delta(self, since: "CounterSnapshot") -> "CounterSnapshot":
-        """Per-interval counts between ``since`` and this snapshot.
-
-        Raises :class:`~repro.errors.ConfigurationError` if ``since`` is
-        not actually earlier (cumulative counters are monotonic; a
-        negative delta means the caller mixed up snapshot order or
-        crossed a :meth:`PerfCounters.reset`).
-        """
-        if (
-            self.epochs < since.epochs
-            or self.llc_misses < since.llc_misses
-            or self.instructions < since.instructions
-        ):
-            raise ConfigurationError(
-                "counter snapshot delta would be negative: "
-                f"{since} is not earlier than {self}"
-            )
-        return CounterSnapshot(
-            epochs=self.epochs - since.epochs,
-            llc_misses=self.llc_misses - since.llc_misses,
-            instructions=self.instructions - since.instructions,
-        )
-
-    @property
-    def mpki(self) -> float:
-        """Misses per kilo-instruction over this snapshot's span."""
-        if self.instructions <= 0:
-            return 0.0
-        return self.llc_misses / (self.instructions / 1000.0)
-
-
-#: The zero point every counter file starts from.
-ZERO_SNAPSHOT = CounterSnapshot(epochs=0, llc_misses=0.0, instructions=0.0)
-
 
 @dataclass
 class PerfCounters:
-    """Per-epoch LLC miss history plus running totals."""
+    """Per-epoch LLC miss history."""
 
     llc_miss_history: list[float] = field(default_factory=list)
-    total_instructions: float = 0.0
-    total_llc_misses: float = 0.0
 
-    def record_epoch(self, llc_misses: float, instructions: float) -> None:
+    def record_epoch(self, llc_misses: float) -> None:
         self.llc_miss_history.append(llc_misses)
-        self.total_llc_misses += llc_misses
-        self.total_instructions += instructions
-
-    def read(self) -> CounterSnapshot:
-        """Monotonic cumulative snapshot (perf-style counter read)."""
-        return CounterSnapshot(
-            epochs=len(self.llc_miss_history),
-            llc_misses=self.total_llc_misses,
-            instructions=self.total_instructions,
-        )
-
-    def reset(self) -> None:
-        """Zero the counter file (new run on a reused domain).
-
-        Snapshots taken before a reset must not be delta'd against
-        later ones; :meth:`CounterSnapshot.delta` rejects the mismatch.
-        """
-        self.llc_miss_history.clear()
-        self.total_llc_misses = 0.0
-        self.total_instructions = 0.0
-
-    @property
-    def last_llc_misses(self) -> float:
-        return self.llc_miss_history[-1] if self.llc_miss_history else 0.0
 
     def llc_miss_delta(self) -> float:
         """Relative change in LLC misses between the last two epochs.
@@ -116,10 +39,3 @@ class PerfCounters:
         if previous <= 0:
             return 0.0
         return (self.llc_miss_history[-1] - previous) / previous
-
-    @property
-    def mpki(self) -> float:
-        """Whole-run misses per kilo-instruction (Table 4 metric)."""
-        if self.total_instructions <= 0:
-            return 0.0
-        return self.total_llc_misses / (self.total_instructions / 1000.0)

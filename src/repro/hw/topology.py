@@ -1,4 +1,4 @@
-"""Socket/NUMA topology, including the remote-NUMA comparison device.
+"""The remote-NUMA comparison device.
 
 Figure 1's rightmost bars place all data on FastMem in a *remote* NUMA
 socket: the paper's point (Observation 2) is that mis-placement across
@@ -11,9 +11,7 @@ device using typical QPI-era inter-socket penalties (~1.6x latency,
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
 from repro.hw.memdevice import DRAM, MemoryDevice
 
 #: Inter-socket access penalties (QPI-generation hardware).
@@ -30,53 +28,3 @@ def remote_dram(base: MemoryDevice = DRAM) -> MemoryDevice:
         store_latency_ns=base.store_latency_ns * REMOTE_LATENCY_FACTOR,
         bandwidth_gbps=base.bandwidth_gbps * REMOTE_BANDWIDTH_FACTOR,
     )
-
-
-@dataclass(frozen=True)
-class Socket:
-    """One CPU socket and the memory devices attached to it."""
-
-    socket_id: int
-    cores: int
-    devices: tuple[MemoryDevice, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ConfigurationError("a socket needs at least one core")
-
-
-@dataclass(frozen=True)
-class NumaTopology:
-    """The machine's sockets; device distance is local (1) or remote (2)."""
-
-    sockets: tuple[Socket, ...] = field(
-        default_factory=lambda: (
-            Socket(socket_id=0, cores=8, devices=(DRAM,)),
-            Socket(socket_id=1, cores=8, devices=(DRAM.with_name("dram-1"),)),
-        )
-    )
-
-    def __post_init__(self) -> None:
-        if not self.sockets:
-            raise ConfigurationError("topology needs at least one socket")
-        ids = [s.socket_id for s in self.sockets]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("duplicate socket ids")
-
-    @property
-    def total_cores(self) -> int:
-        return sum(s.cores for s in self.sockets)
-
-    def device_for(self, socket_id: int, from_socket: int) -> MemoryDevice:
-        """The memory device of ``socket_id`` as seen by ``from_socket``."""
-        for socket in self.sockets:
-            if socket.socket_id == socket_id:
-                if not socket.devices:
-                    raise ConfigurationError(
-                        f"socket {socket_id} has no memory device"
-                    )
-                device = socket.devices[0]
-                if socket_id == from_socket:
-                    return device
-                return remote_dram(device)
-        raise ConfigurationError(f"unknown socket id {socket_id}")

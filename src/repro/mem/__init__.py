@@ -1,9 +1,12 @@
-"""Machine memory mechanics: frames, extents, page tables, reverse map."""
+"""Machine memory mechanics: frames and extents.
+
+No page table or reverse map is simulated: an extent's accessed and
+dirty bits stand in for its PTEs' bits, and PTE scans and walks are
+charged per page (``repro.vmm.hotness``, ``repro.vmm.migration``).
+"""
 
 from repro.mem.frames import FramePool, FrameRange
 from repro.mem.extent import ExtentState, PageExtent, PageType
-from repro.mem.pagetable import PageTable, PageTableEntry
-from repro.mem.rmap import ReverseMap
 
 __all__ = [
     "FramePool",
@@ -11,7 +14,4 @@ __all__ = [
     "PageExtent",
     "PageType",
     "ExtentState",
-    "PageTable",
-    "PageTableEntry",
-    "ReverseMap",
 ]

@@ -254,7 +254,7 @@ class SimulationEngine:
         self._demand_phase(demand)
         device_demands, llc_misses = self._memory_demands(demand)
         channel = self.hypervisor.channel(self.domain.domain_id)
-        channel.vmm_record_epoch(llc_misses, demand.instructions)
+        channel.vmm_record_epoch(llc_misses)
         self.policy.on_llc_sample(llc_misses, demand.instructions)
 
         overhead_ns += self._policy_phase(epoch)

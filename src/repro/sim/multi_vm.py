@@ -14,7 +14,6 @@ conservative model for co-located cache contention.
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass, field
 
 from repro.config import SimConfig
@@ -92,7 +91,6 @@ class MultiVmSimulation:
                 kernel=kernel,
             )
         self._vms = list(vms)
-        self.rng = random.Random(self.config.seed)
 
     def run(self, epochs: int | None = None) -> dict[str, RunResult]:
         """Advance all guests in lock-step; returns per-VM results."""

@@ -37,9 +37,18 @@ def _spec_to_dict(spec: RegionSpec) -> dict:
 
 
 def _spec_from_dict(data: dict) -> RegionSpec:
-    fields = dict(data)
-    fields["page_type"] = PageType(fields["page_type"])
-    return RegionSpec(**fields)
+    """A trace's region fields as a spec; a malformed one raises
+    :class:`WorkloadError` naming the region's label."""
+    try:
+        fields = dict(data)
+        fields["page_type"] = PageType(fields["page_type"])
+        return RegionSpec(**fields)
+    except (KeyError, TypeError, ValueError) as exc:
+        label = data.get("label") if isinstance(data, dict) else None
+        raise WorkloadError(
+            f"trace region {label!r} is malformed "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def demand_to_dict(demand: EpochDemand) -> dict:

@@ -35,8 +35,6 @@ class CoordinationChannel:
     #: engine when a fault plan is active); ``None`` keeps the exact
     #: fault-free code path.
     faults: object = None
-    _tracking_version: int = 0
-    _report_version: int = 0
 
     # Guest side ---------------------------------------------------------
 
@@ -50,7 +48,6 @@ class CoordinationChannel:
             if forbidden:
                 raise ChannelError(f"unknown page types: {forbidden}")
             self.exception_types = set(exception_types)
-        self._tracking_version += 1
 
     def guest_read_hot_report(self) -> list[int]:
         """Consume the VMM's latest hot-extent report."""
@@ -78,7 +75,6 @@ class CoordinationChannel:
             elif report and self.faults.fires("channel-duplicate") is not None:
                 report = report + report
         self.hot_report = report
-        self._report_version += 1
 
-    def vmm_record_epoch(self, llc_misses: float, instructions: float) -> None:
-        self.counters.record_epoch(llc_misses, instructions)
+    def vmm_record_epoch(self, llc_misses: float) -> None:
+        self.counters.record_epoch(llc_misses)

@@ -30,8 +30,10 @@ class HotnessConfig:
     """Scan cost and classification parameters.
 
     ``per_pte_scan_ns`` covers the virtualized PTE read+clear including
-    the amortised page-table traversal; with a registered reverse map the
-    walk shortcut discounts it by ``rmap_discount``.
+    the amortised page-table traversal; HeteroVisor's VMM-level reverse
+    map (Section 2.3) shortens that walk, so every scan charges it
+    discounted by ``rmap_discount``.  No reverse map is simulated: the
+    discount is the whole of its effect.
     """
 
     scan_batch_pages: int = 32 * 1024  # HeteroVisor's batch (Section 5.2)
@@ -76,18 +78,14 @@ class HotnessTracker:
     """Periodic access-bit scanner with per-extent hotness estimates."""
 
     def __init__(
-        self, config: HotnessConfig | None = None, tlb: Tlb | None = None,
-        has_rmap: bool = True,
+        self, config: HotnessConfig | None = None, tlb: Tlb | None = None
     ) -> None:
         self.config = config or HotnessConfig()
         self.tlb = tlb or Tlb()
-        self.has_rmap = has_rmap
         #: extent id -> scan-side per-page density estimate.
         self._estimates: dict[int, float] = {}
         #: extent id -> number of scans that observed it accessed.
         self._seen: dict[int, int] = {}
-        self.total_pages_scanned = 0
-        self.total_cost_ns = 0.0
         #: Duck-typed :class:`repro.faults.FaultInjector`; ``None`` (the
         #: default) keeps the exact fault-free code path.
         self.faults: object = None
@@ -129,8 +127,8 @@ class HotnessTracker:
                 )
         budget = max_pages if max_pages is not None else self.config.scan_batch_pages
         report = ScanReport()
-        per_pte = self.config.per_pte_scan_ns * (
-            self.config.rmap_discount if self.has_rmap else 1.0
+        per_pte = (
+            self.config.per_pte_scan_ns * self.config.rmap_discount
         )
         window = max(256, budget // self.config.min_coverage_extents)
         for extent in extents:
@@ -176,8 +174,6 @@ class HotnessTracker:
         report.hot_extents.sort(
             key=lambda e: self._estimates.get(e.extent_id, 0.0), reverse=True
         )
-        self.total_pages_scanned += report.pages_scanned
-        self.total_cost_ns += report.cost_ns
         if self.faults is not None:
             self._last_report = ScanReport(
                 pages_scanned=report.pages_scanned,

@@ -1,8 +1,8 @@
 """The hypervisor facade.
 
 Owns the machine memory, guest domains, the balloon back-end with its
-sharing policy, the hotness tracker, the migration engine, the reverse
-map, and one coordination channel per domain.  The simulation engines
+sharing policy, the hotness tracker, the migration engine, and one
+coordination channel per domain.  The simulation engines
 (:mod:`repro.sim.engine`, :mod:`repro.sim.multi_vm`) and the placement
 policies interact with the VMM exclusively through this class.
 """
@@ -17,7 +17,6 @@ from repro.guestos.balloon import BalloonFrontend, TierReservation
 from repro.guestos.numa import MemoryNode, NodeTier, build_node
 from repro.hw.memdevice import MemoryDevice
 from repro.hw.tlb import Tlb
-from repro.mem.rmap import ReverseMap
 from repro.units import bytes_of_pages
 from repro.vmm.balloon_backend import BalloonBackend
 from repro.vmm.channel import CoordinationChannel
@@ -45,7 +44,6 @@ class Hypervisor:
         self.balloon_backend = BalloonBackend(self.machine, self.sharing_policy)
         self.tlb = Tlb()
         self.migration_engine = MigrationEngine(tlb=self.tlb)
-        self.rmap = ReverseMap()
         self.channels: dict[int, CoordinationChannel] = {}
         self.trackers: dict[int, HotnessTracker] = {}
         self._hotness_config = hotness_config or HotnessConfig()

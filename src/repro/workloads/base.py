@@ -53,8 +53,11 @@ class RegionSpec:
             raise WorkloadError(f"region {self.label!r}: pages must be > 0")
         if not 0.0 <= self.reuse <= 1.0:
             raise WorkloadError(f"region {self.label!r}: reuse not in [0,1]")
-        if self.access_share < 0:
-            raise WorkloadError(f"region {self.label!r}: negative share")
+        if not 0.0 <= self.access_share < math.inf:
+            raise WorkloadError(
+                f"region {self.label!r}: access share must be non-negative "
+                f"and finite, got {self.access_share!r}"
+            )
         if not 0.0 <= self.write_fraction <= 1.0:
             raise WorkloadError(
                 f"region {self.label!r}: write fraction not in [0,1]"

@@ -40,8 +40,8 @@ def test_hot_report_consumed_once():
 
 def test_llc_delta_through_channel():
     channel = CoordinationChannel(domain_id=1)
-    channel.vmm_record_epoch(100.0, 1e6)
-    channel.vmm_record_epoch(200.0, 1e6)
+    channel.vmm_record_epoch(100.0)
+    channel.vmm_record_epoch(200.0)
     assert channel.guest_read_llc_delta() == pytest.approx(1.0)
 
 

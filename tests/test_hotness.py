@@ -75,7 +75,7 @@ def test_scan_budget_strict_and_covering():
 
 def test_scan_cost_proportional_to_pages_examined():
     config = HotnessConfig(per_pte_scan_ns=1000.0, rmap_discount=1.0)
-    tracker = HotnessTracker(config, has_rmap=False)
+    tracker = HotnessTracker(config)
     extent = hot_extent(pages=100)
     report = tracker.scan([extent], max_pages=10**9)
     assert report.cost_ns >= 100 * 1000.0  # pages * per-PTE
@@ -83,9 +83,8 @@ def test_scan_cost_proportional_to_pages_examined():
 
 
 def test_rmap_discount_lowers_cost():
-    config = HotnessConfig()
-    with_rmap = HotnessTracker(config, has_rmap=True)
-    without = HotnessTracker(config, has_rmap=False)
+    with_rmap = HotnessTracker(HotnessConfig())
+    without = HotnessTracker(HotnessConfig(rmap_discount=1.0))
     a, b = hot_extent(), hot_extent()
     assert (
         with_rmap.scan([a], max_pages=10**9).cost_ns

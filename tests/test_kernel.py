@@ -30,10 +30,9 @@ def test_allocation_spills_to_next_preference(kernel):
 
 
 def test_allocation_registers_vma_lru_and_cache(kernel):
+    # The region registry is the guest's VMA list.
     (extent,) = kernel.allocate_region("io", PageType.PAGE_CACHE, 64, [1])
-    assert kernel.address_space.find(
-        kernel.address_space.vmas["io"].start_vpn
-    )
+    assert kernel.regions["io"] == [extent.extent_id]
     assert kernel.lru[1].contains(extent)
     assert kernel.page_cache.is_resident(extent)
 
@@ -49,14 +48,44 @@ def test_duplicate_region_rejected(kernel):
         kernel.allocate_region("r", PageType.HEAP, 10, [0])
 
 
+def test_empty_region_requests_rejected(kernel):
+    with pytest.raises(AllocationError, match="zero-page request"):
+        kernel.allocate_region("r", PageType.HEAP, 0, [0])
+    with pytest.raises(AllocationError, match="empty node preference"):
+        kernel.allocate_region("r", PageType.HEAP, 10, [])
+    assert not kernel.regions and not kernel.extents
+
+
 def test_oom_rolls_back_cleanly(kernel):
     total = sum(node.free_pages for node in kernel.nodes.values())
     with pytest.raises(OutOfMemoryError):
         kernel.allocate_region("huge", PageType.HEAP, total + 1000, [0, 1])
-    # Nothing leaked: the region and its VMA are gone, memory restored.
+    # Nothing leaked: the region is gone, memory restored.
     assert not kernel.has_region("huge")
-    assert "huge" not in kernel.address_space.vmas
     assert kernel.allocate_region("ok", PageType.HEAP, 100, [0])
+
+
+def test_any_failed_allocation_returns_its_partial_grant(kernel):
+    """Node 0 grants all its free pages before node 99 turns out
+    unknown: the rollback must return that grant too, not only an
+    out-of-memory one's."""
+    def state():
+        return (
+            {nid: node.free_pages for nid, node in kernel.nodes.items()},
+            {
+                nid: lru.active_pages + lru.inactive_pages
+                for nid, lru in kernel.lru.items()
+            },
+            dict(kernel.extents),
+        )
+
+    before = state()
+    free0 = kernel.nodes[0].free_pages
+    with pytest.raises(AllocationError, match="unknown node 99"):
+        kernel.allocate_region("r", PageType.HEAP, free0 + 100, [0, 99])
+    assert state() == before
+    kernel.check_invariants()
+    assert kernel.allocate_region("r", PageType.HEAP, 100, [0])
 
 
 def test_last_resort_uses_any_node(kernel):

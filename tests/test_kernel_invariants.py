@@ -76,6 +76,17 @@ def test_invariants_catch_frames_outside_the_node():
         kernel.check_invariants()
 
 
+def test_invariants_catch_an_extent_no_region_lists():
+    kernel = make_kernel(fast_mib=8, slow_mib=32)
+    kernel.begin_epoch(0)
+    (extent,) = kernel.allocate_region("a", PageType.HEAP, 1024, [0])
+    del kernel.regions["a"]
+    with pytest.raises(
+        AllocationError, match=f"extent {extent.extent_id} in no region"
+    ):
+        kernel.check_invariants()
+
+
 @pytest.mark.parametrize(
     "app, fast_ratio, epochs, policy",
     [

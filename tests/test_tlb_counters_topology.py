@@ -1,16 +1,14 @@
-"""TLB cost meter, perf counters, NUMA topology."""
+"""TLB cost meter, perf counters, the remote-NUMA device."""
 
 import dataclasses
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.counters import PerfCounters, ZERO_SNAPSHOT
+from repro.hw.counters import PerfCounters
 from repro.hw.memdevice import DRAM, NVM_PCM, topology_sort_key
 from repro.hw.tlb import Tlb, TlbConfig
 from repro.hw.topology import (
-    NumaTopology,
-    Socket,
     REMOTE_BANDWIDTH_FACTOR,
     REMOTE_LATENCY_FACTOR,
     remote_dram,
@@ -44,112 +42,6 @@ def test_tlb_config_validation():
         TlbConfig(entries=0)
 
 
-# ----------------------------------------------------------------------
-# Perf counters (Equation 1 input)
-# ----------------------------------------------------------------------
-
-def test_llc_delta_needs_two_epochs():
-    counters = PerfCounters()
-    assert counters.llc_miss_delta() == 0.0
-    counters.record_epoch(100.0, 1e6)
-    assert counters.llc_miss_delta() == 0.0
-
-
-def test_llc_delta_relative_change():
-    counters = PerfCounters()
-    counters.record_epoch(100.0, 1e6)
-    counters.record_epoch(150.0, 1e6)
-    assert counters.llc_miss_delta() == pytest.approx(0.5)
-    counters.record_epoch(75.0, 1e6)
-    assert counters.llc_miss_delta() == pytest.approx(-0.5)
-
-
-def test_llc_delta_zero_previous_is_safe():
-    counters = PerfCounters()
-    counters.record_epoch(0.0, 1e6)
-    counters.record_epoch(50.0, 1e6)
-    assert counters.llc_miss_delta() == 0.0
-
-
-def test_counters_mpki():
-    counters = PerfCounters()
-    counters.record_epoch(1000.0, 1_000_000)
-    assert counters.mpki == pytest.approx(1.0)
-    assert counters.last_llc_misses == 1000.0
-
-
-# ----------------------------------------------------------------------
-# Counter snapshots (perf-style read/delta/reset)
-# ----------------------------------------------------------------------
-
-def test_snapshot_read_is_cumulative():
-    counters = PerfCounters()
-    assert counters.read() == ZERO_SNAPSHOT
-    counters.record_epoch(100.0, 1e6)
-    counters.record_epoch(50.0, 2e6)
-    snap = counters.read()
-    assert snap.epochs == 2
-    assert snap.llc_misses == pytest.approx(150.0)
-    assert snap.instructions == pytest.approx(3e6)
-
-
-def test_snapshot_delta_gives_interval_contribution():
-    counters = PerfCounters()
-    counters.record_epoch(100.0, 1e6)
-    first = counters.read()
-    counters.record_epoch(40.0, 5e5)
-    counters.record_epoch(60.0, 5e5)
-    interval = counters.read().delta(first)
-    assert interval.epochs == 2
-    assert interval.llc_misses == pytest.approx(100.0)
-    assert interval.instructions == pytest.approx(1e6)
-    assert interval.mpki == pytest.approx(0.1)
-
-
-def test_snapshot_totals_are_wraparound_free():
-    # Unlike 32/48-bit MSRs, totals accumulate in Python numbers: values
-    # far past any hardware counter width still delta exactly.
-    counters = PerfCounters()
-    counters.record_epoch(2.0**48, 2.0**53)
-    before = counters.read()
-    counters.record_epoch(2.0**48, 2.0**53)
-    interval = counters.read().delta(before)
-    assert interval.llc_misses == 2.0**48
-    assert interval.instructions == 2.0**53
-    assert counters.read().llc_misses == 2.0**49
-
-
-def test_snapshot_delta_rejects_reversed_order():
-    counters = PerfCounters()
-    counters.record_epoch(100.0, 1e6)
-    earlier = counters.read()
-    counters.record_epoch(100.0, 1e6)
-    later = counters.read()
-    with pytest.raises(ConfigurationError):
-        earlier.delta(later)
-
-
-def test_snapshot_delta_rejects_crossing_a_reset():
-    counters = PerfCounters()
-    counters.record_epoch(100.0, 1e6)
-    before_reset = counters.read()
-    counters.reset()
-    assert counters.read() == ZERO_SNAPSHOT
-    counters.record_epoch(10.0, 1e5)
-    with pytest.raises(ConfigurationError):
-        counters.read().delta(before_reset)
-
-
-def test_reset_clears_history_and_totals():
-    counters = PerfCounters()
-    counters.record_epoch(100.0, 1e6)
-    counters.record_epoch(150.0, 1e6)
-    counters.reset()
-    assert counters.llc_miss_delta() == 0.0
-    assert counters.last_llc_misses == 0.0
-    assert counters.mpki == 0.0
-
-
 def test_tlb_snapshot_delta():
     tlb = Tlb()
     tlb.flush()
@@ -159,6 +51,33 @@ def test_tlb_snapshot_delta():
     interval = tlb.snapshot().delta(before)
     assert interval.flushes == 1
     assert interval.shootdowns == 1
+
+
+# ----------------------------------------------------------------------
+# Perf counters (Equation 1 input)
+# ----------------------------------------------------------------------
+
+def test_llc_delta_needs_two_epochs():
+    counters = PerfCounters()
+    assert counters.llc_miss_delta() == 0.0
+    counters.record_epoch(100.0)
+    assert counters.llc_miss_delta() == 0.0
+
+
+def test_llc_delta_relative_change():
+    counters = PerfCounters()
+    counters.record_epoch(100.0)
+    counters.record_epoch(150.0)
+    assert counters.llc_miss_delta() == pytest.approx(0.5)
+    counters.record_epoch(75.0)
+    assert counters.llc_miss_delta() == pytest.approx(-0.5)
+
+
+def test_llc_delta_zero_previous_is_safe():
+    counters = PerfCounters()
+    counters.record_epoch(0.0)
+    counters.record_epoch(50.0)
+    assert counters.llc_miss_delta() == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +100,7 @@ def test_topology_sort_key_breaks_latency_ties_by_bandwidth():
 
 
 # ----------------------------------------------------------------------
-# Topology / remote NUMA
+# Remote NUMA
 # ----------------------------------------------------------------------
 
 def test_remote_dram_penalties():
@@ -194,31 +113,3 @@ def test_remote_dram_penalties():
     )
     # Observation 2: the remote penalty is a fraction of heterogeneity's.
     assert remote.load_latency_ns < 2 * DRAM.load_latency_ns
-
-
-def test_default_topology_two_sockets():
-    topology = NumaTopology()
-    assert topology.total_cores == 16
-    local = topology.device_for(0, from_socket=0)
-    remote = topology.device_for(1, from_socket=0)
-    assert local.load_latency_ns < remote.load_latency_ns
-
-
-def test_duplicate_socket_ids_rejected():
-    with pytest.raises(ConfigurationError):
-        NumaTopology(
-            sockets=(
-                Socket(socket_id=0, cores=4, devices=(DRAM,)),
-                Socket(socket_id=0, cores=4, devices=(DRAM,)),
-            )
-        )
-
-
-def test_unknown_socket_rejected():
-    with pytest.raises(ConfigurationError):
-        NumaTopology().device_for(9, from_socket=0)
-
-
-def test_socket_needs_cores():
-    with pytest.raises(ConfigurationError):
-        Socket(socket_id=0, cores=0)

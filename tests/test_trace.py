@@ -80,5 +80,24 @@ def test_trace_with_a_malformed_region_is_rejected_by_name():
     trace = record_trace(make_workload("nginx"), epochs=1)
     _, spec = trace["epochs"][0]["allocs"][0]
     spec["bytes_per_miss"] = -64.0
-    with pytest.raises(WorkloadError, match=re.escape(repr(spec["label"]))):
+    with pytest.raises(
+        WorkloadError, match=re.escape(repr(spec["label"]))
+    ) as raised:
         TraceWorkload.from_dict(trace)
+    assert raised.value.__cause__ is None  # RegionSpec's own error
+    # A mistyped value, an unknown key or page type, a missing field:
+    # each is chained from the error it raised first.
+    for mangle, cause in [
+        (lambda spec: spec.update(bytes_per_miss="64"), TypeError),
+        (lambda spec: spec.update(colour="red"), TypeError),
+        (lambda spec: spec.update(page_type="nope"), ValueError),
+        (lambda spec: spec.pop("page_type"), KeyError),
+    ]:
+        trace = record_trace(make_workload("nginx"), epochs=1)
+        _, spec = trace["epochs"][0]["allocs"][0]
+        mangle(spec)
+        with pytest.raises(
+            WorkloadError, match=re.escape(repr(spec["label"]))
+        ) as raised:
+            TraceWorkload.from_dict(trace)
+        assert isinstance(raised.value.__cause__, cause)

@@ -1,78 +1,11 @@
-"""VMAs/address space, split LRU, and swap device."""
-
-import dataclasses
+"""Split LRU and swap device."""
 
 import pytest
 
 from repro.errors import AllocationError, ConfigurationError, OutOfMemoryError
 from repro.guestos.lru import SplitLru
 from repro.guestos.swap import SwapDevice
-from repro.guestos.vma import AddressSpace, Vma
 from repro.mem.extent import ExtentState, PageExtent, PageType
-
-
-# ----------------------------------------------------------------------
-# Address space / VMAs
-# ----------------------------------------------------------------------
-
-def test_mmap_assigns_disjoint_ranges():
-    mm = AddressSpace()
-    a = mm.mmap("a", 100, PageType.HEAP)
-    b = mm.mmap("b", 50, PageType.PAGE_CACHE)
-    assert a.end_vpn <= b.start_vpn
-    assert mm.mapped_pages == 150
-
-
-def test_mmap_builds_the_same_vma_as_the_dataclass_init():
-    """mmap skips the frozen ``__init__`` (Vma.unchecked); the VMA it
-    returns must still equal, hash and stay frozen like one built the
-    ordinary way, with every field set."""
-    mm = AddressSpace()
-    first = mm.mmap("first", 7, PageType.SLAB)
-    vma = mm.mmap("heap", 100, PageType.HEAP)
-    built = Vma(
-        start_vpn=first.end_vpn, pages=100, page_type=PageType.HEAP,
-        region_id="heap",
-    )
-    assert vma == built
-    assert hash(vma) == hash(built)
-    assert vars(vma) == vars(built)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        vma.pages = 1
-
-
-def test_mmap_duplicate_region_rejected():
-    mm = AddressSpace()
-    mm.mmap("a", 10, PageType.HEAP)
-    with pytest.raises(AllocationError):
-        mm.mmap("a", 10, PageType.HEAP)
-    with pytest.raises(AllocationError):
-        mm.mmap("b", 0, PageType.HEAP)
-
-
-def test_munmap_returns_the_vma_once():
-    mm = AddressSpace()
-    vma = mm.mmap("a", 10, PageType.HEAP)
-    assert mm.munmap("a") == vma
-    with pytest.raises(AllocationError):
-        mm.munmap("a")
-
-
-def test_find_by_vpn():
-    mm = AddressSpace()
-    vma = mm.mmap("a", 10, PageType.HEAP)
-    assert mm.find(vma.start_vpn + 5) == vma
-    assert mm.find(vma.end_vpn) is None
-
-
-def test_tracking_list_contains_only_heap_vmas():
-    """Section 4.1: the tracking list is heap ranges; I/O regions go on
-    the exception list instead."""
-    mm = AddressSpace()
-    heap = mm.mmap("heap", 100, PageType.HEAP)
-    mm.mmap("cache", 50, PageType.PAGE_CACHE)
-    mm.mmap("skb", 10, PageType.NETWORK_BUFFER)
-    assert mm.tracking_list() == [(heap.start_vpn, 100)]
 
 
 # ----------------------------------------------------------------------

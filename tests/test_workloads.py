@@ -65,8 +65,9 @@ def test_region_spec_validation():
         RegionSpec("r", PageType.HEAP, 0, 0.5, 1.0)
     with pytest.raises(WorkloadError):
         RegionSpec("r", PageType.HEAP, 10, 1.5, 1.0)
-    with pytest.raises(WorkloadError):
-        RegionSpec("r", PageType.HEAP, 10, 0.5, -1.0)
+    for access_share in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(WorkloadError, match="region 'r'"):
+            RegionSpec("r", PageType.HEAP, 10, 0.5, access_share)
     with pytest.raises(WorkloadError):
         RegionSpec("r", PageType.HEAP, 10, 0.5, 1.0, write_fraction=2.0)
     for bytes_per_miss in BAD_BYTES_PER_MISS:
