@@ -7,11 +7,14 @@ the buddy block recursively.
 Two entry points matter to callers:
 
 * :meth:`allocate_pages` — decompose an arbitrary page count into buddy
-  blocks, largest first.  Each block comes from the smallest free order
-  that holds it, splitting a larger block when its own order's list is
-  empty, as Linux's ``__rmqueue_smallest`` does; only when nothing that
-  large is free does it fall back to smaller orders.  A request that
-  cannot be satisfied leaves the allocator unchanged.
+  blocks, largest first.  Each need is served as Linux's
+  ``__rmqueue_smallest`` serves it: by its own order's list when that
+  holds a block; else by the lowest block of the smallest larger free
+  order, which keeps the whole rest of the request at its low end as
+  one range and returns only the unused tail to the lists, as
+  ``alloc_pages_exact`` does; only when nothing that large is free does
+  it fall back to smaller orders.  A request that cannot be satisfied
+  leaves the allocator unchanged.
 * :meth:`free_span` — return *any* previously-allocated range, including
   fragments produced by the per-CPU free lists.  A byte-per-frame free
   map makes double frees and frees of never-allocated frames hard
@@ -29,15 +32,18 @@ one slice write per run.  A grant lists each such run as one
 :class:`FrameRange`, and freeing a range of whole, aligned top-order
 blocks is again one write per map: top-order blocks never coalesce, so
 a run is allocated and freed whole.  Every lower order is a plain
-``set``; those lists stay a few blocks long (at most 29 in all of them
+``set``; those lists stay a few blocks long (at most 33 in all of them
 at any grant of a static-placement pass), so ``min(set)`` is cheap, a
 one-block list is popped and a list a request covers is taken whole.
 What a lower block costs is the interpreter work around it, so the
-per-block paths are kept short, and splitting before scattering keeps
-their number down: while a top-order block stays free, a grant of r
-pages takes exactly one lower block per set bit of r mod 2**max_order,
-where taking smaller free blocks first would gather each need from
-several.  Blocks are handed out
+per-block paths are kept short, and the grant's shape keeps their
+number down: while a top-order block stays free, a grant of r pages
+takes one lower block per set bit of r mod 2**max_order until a need
+finds its own list empty, and one carved range holds the rest, where
+splitting the block down and taking the pieces one by one would list
+one range per remaining set bit.  A carve is freed in one step while
+its tail is still free: the tail's blocks leave their lists and the
+whole block coalesces upward.  Blocks are handed out
 lowest-start-first; the differential oracle in
 ``tests/`` pins every allocation against a plain set-and-bitmask
 reference allocator.
@@ -155,14 +161,20 @@ class BuddyAllocator:
         """Allocate one block of exactly ``2**order`` frames."""
         if not 0 <= order <= self.max_order:
             raise AllocationError(f"order {order} out of range")
-        return self._take_block(order)
+        return self._carve(1 << order)
 
-    def _take_block(self, order: int) -> FrameRange:
-        """Take the lowest free block of ``order``, splitting the lowest
-        block of the smallest larger order when none is free."""
+    def _carve(self, pages: int) -> FrameRange:
+        """Take ``pages`` frames (at most ``2**max_order``) as one range
+        at the low end of the lowest block of the smallest free order
+        that holds them, as Linux's ``__rmqueue_smallest`` picks it, and
+        return the block's unused tail to the lists as aligned blocks,
+        as ``make_alloc_exact`` does.  A power-of-two ``pages`` is one
+        block of its order, split down from a larger one when its own
+        list is empty.  No tail block coalesces: each one's buddy
+        overlaps the range."""
         lists = self._free_lists
         max_order = self.max_order
-        source = order
+        source = need = (pages - 1).bit_length()
         while source < max_order and not lists[source]:
             source += 1
         if source < max_order:
@@ -179,20 +191,21 @@ class BuddyAllocator:
             start = self.base + (index << max_order)
         else:
             raise OutOfMemoryError(
-                f"no free block of order >= {order} "
+                f"no free block of order >= {need} "
                 f"({self._free_frames} frames free)"
             )
-        # Split down to the requested order, freeing the upper halves.
-        while source > order:
-            source -= 1
-            lists[source].add(start + (1 << source))
-        count = 1 << order
-        self._free_frames -= count
+        # The tail, lowest first, each block the largest its start's
+        # alignment allows: the set bits of 2**source - pages, ascending.
+        cursor = pages
+        size = 1 << source
+        while cursor < size:
+            low = cursor & -cursor
+            lists[low.bit_length() - 1].add(start + cursor)
+            cursor += low
+        self._free_frames -= pages
         offset = start - self.base
-        self._mask[offset:offset + count] = (
-            _ONE_RUN[order] if order <= MAX_ORDER else b"\x01" * count
-        )
-        return _unchecked((start, count))
+        self._mask[offset:offset + pages] = b"\x01" * pages
+        return _unchecked((start, pages))
 
     def _take_top_runs(self, blocks: int, append) -> int:
         """Take the ``blocks`` lowest free top-order blocks (at most as
@@ -229,17 +242,18 @@ class BuddyAllocator:
         """Allocate ``pages`` frames as buddy blocks (largest-first).
 
         The grant lists each run of contiguous top-order blocks as one
-        range of ``k << max_order`` frames, so its ranges are not all
-        power-of-two blocks; every lower-order block is its own range.
-        The top-order runs come first, then the lower blocks in the
-        order they were taken.  Each lower need, the largest power of
-        two in what is left (capped below the top order), is served as
-        Linux's ``__rmqueue_smallest`` serves it: by the lowest block of
-        the smallest free order that holds it, split down when that
-        order is larger.  Only when no block that large is free does the
-        grant fall back to the largest smaller order, taking its lowest
-        blocks.  On failure the partial allocation is rolled back and
-        the allocator is unchanged.
+        range of ``k << max_order`` frames, then the lower-order ranges
+        in the order they were taken.  Each lower need, the largest
+        power of two in what is left (capped below the top order), is
+        served as Linux's ``__rmqueue_smallest`` serves it.  When its
+        own list holds a block, the lowest one is taken.  When that list
+        is empty, the lowest block of the smallest larger free order is
+        taken, and the whole rest of the request is kept at its low end
+        as one range; only its unused tail goes back to the lists (see
+        :meth:`_carve`), and the grant is complete.  Only when no block
+        that large is free does the grant fall back to the largest
+        smaller order, taking its lowest blocks.  On failure the partial
+        allocation is rolled back and the allocator is unchanged.
         """
         if pages <= 0:
             raise AllocationError(f"page count must be positive: {pages}")
@@ -258,7 +272,6 @@ class BuddyAllocator:
         # the implementation (the wrapper's range check is vacuous for
         # internally computed orders).
         wrapper = self.__dict__.get("allocate_block")
-        take = wrapper if wrapper is not None else self._take_block
         try:
             # Top-order blocks first: largest-first takes every one the
             # request can use before any lower block, and no lower take
@@ -288,16 +301,29 @@ class BuddyAllocator:
             base = self.base
             while remaining:
                 # The need's order, below the top order (which is
-                # exhausted for whatever top-sized need is left).  As
-                # Linux's __rmqueue_smallest does, the block comes from
-                # the smallest free order that holds the need: its own
-                # list, or else one _take_block split of the lowest
-                # block of the smallest larger order.
+                # exhausted for whatever top-sized need is left).
                 order = remaining.bit_length() - 1
                 if order >= max_order:
                     order = max_order - 1
                 live = lists[order]
-                if not live and not (self._top_free or any(lists[order + 1:])):
+                if not live:
+                    if self._top_free or any(lists[order + 1:]):
+                        # A split: carve the rest, below 2**(order + 1)
+                        # frames, from the smallest larger free block.
+                        if wrapper is None:
+                            append(self._carve(remaining))
+                        else:
+                            # Sanitized: one wrapped block that holds
+                            # the rest, its tail freed through the
+                            # wrapped free_span, so the sanitizer sees
+                            # every take and free and the grant and the
+                            # lists end as the carve leaves them.
+                            block = wrapper((remaining - 1).bit_length())
+                            if block.count > remaining:
+                                self.free_span(block.start + remaining,
+                                               block.count - remaining)
+                            append(_unchecked((block.start, remaining)))
+                        break
                     # Nothing that large is free: fall back to the
                     # largest smaller order.  One exists, because a
                     # grant never takes more than it still needs, so
@@ -306,10 +332,10 @@ class BuddyAllocator:
                     while not lists[order]:
                         order -= 1
                     live = lists[order]
-                if not live or wrapper is not None:
-                    # The split, or any take while the sanitizer's
-                    # per-block wrapper is attached.
-                    block = take(order)
+                if wrapper is not None:
+                    # Any other take while the sanitizer's per-block
+                    # wrapper is attached.
+                    block = wrapper(order)
                     append(block)
                     remaining -= block.count
                     continue
@@ -390,13 +416,16 @@ class BuddyAllocator:
 
         The per-range validation and the two dominant shapes are inlined
         (identical state transitions and identical error points; the
-        general shape falls through to :meth:`_insert_span`): a run of
+        general shape falls through to :meth:`_insert_span`).  A run of
         whole, aligned top-order blocks, which never coalesce, costs one
-        mask write and one top-map write whatever its length; a single
-        aligned lower-order block clears its mask run and coalesces
-        upward.  Stopping rather than raising at a foreign start lets a
-        NUMA node hand the rest of the batch to the zone that owns it,
-        or raise its own foreign-frame error."""
+        mask write and one top-map write whatever its length.  A range
+        that fills the low end of an aligned block whose high end is
+        still free, as the lists hold it (a whole block, or a carve
+        whose tail no later grant took), frees that block in one step:
+        its tail blocks leave their lists, one mask write clears the
+        block, and it coalesces upward.  Stopping rather than raising at
+        a foreign start lets a NUMA node hand the rest of the batch to
+        the zone that owns it, or raise its own foreign-frame error."""
         base = self.base
         total = self.total_frames
         mask = self._mask
@@ -441,40 +470,61 @@ class BuddyAllocator:
                 self._top_free += blocks
                 freed += count
                 continue
-            order = count.bit_length() - 1
-            if count == 1 << order and not offset & (count - 1):
-                # One naturally aligned block, below the top order (a
-                # top-sized one is a run above): clear the mask run and
-                # coalesce upward, exactly as _insert_span would.
-                mask[offset:end] = (
-                    _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
-                )
-                freed += count
-                bucket = lists[order]
-                buddy = base + (offset ^ count)
-                if buddy not in bucket:
-                    # Most frees: the buddy is in use, nothing merges.
-                    bucket.add(start)
-                    continue
-                block = start
-                while True:
-                    bucket.remove(buddy)
-                    if buddy < block:
-                        block = buddy
-                    order += 1
-                    if order == max_order:
-                        top[(block - base) >> max_order] = 1
-                        self._top_free += 1
+            # The smallest block that holds the range.
+            order = (count - 1).bit_length()
+            size = 1 << order
+            cursor = 0
+            if order <= max_order and not offset & (size - 1):
+                # The range fills the block's low end.  Walk the high
+                # end as the blocks a carve's tail went back as.
+                cursor = count
+                while cursor < size:
+                    low = cursor & -cursor
+                    if start + cursor not in lists[low.bit_length() - 1]:
                         break
-                    bucket = lists[order]
-                    buddy = base + ((block - base) ^ (1 << order))
-                    if buddy not in bucket:
-                        bucket.add(block)
-                        break
-            else:
+                    cursor += low
+            if cursor != size:
+                # Misaligned, or part of the high end is in use.
                 self._free_frames += freed
                 freed = 0
                 self._insert_span(start, count)
+                continue
+            cursor = count
+            while cursor < size:
+                low = cursor & -cursor
+                lists[low.bit_length() - 1].remove(start + cursor)
+                cursor += low
+            # The high end is already zero in the mask, so the block's
+            # run clears it.
+            mask[offset:offset + size] = (
+                _ZERO_RUN[order] if order <= MAX_ORDER else bytes(size)
+            )
+            freed += count
+            if order == max_order:
+                top[offset >> max_order] = 1
+                self._top_free += 1
+                continue
+            bucket = lists[order]
+            buddy = base + (offset ^ size)
+            if buddy not in bucket:
+                # Most frees: the buddy is in use, nothing merges.
+                bucket.add(start)
+                continue
+            block = start
+            while True:
+                bucket.remove(buddy)
+                if buddy < block:
+                    block = buddy
+                order += 1
+                if order == max_order:
+                    top[(block - base) >> max_order] = 1
+                    self._top_free += 1
+                    break
+                bucket = lists[order]
+                buddy = base + ((block - base) ^ (1 << order))
+                if buddy not in bucket:
+                    bucket.add(block)
+                    break
         self._free_frames += freed
         return len(ranges)
 

@@ -19,6 +19,7 @@ library versions.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from dataclasses import asdict
 from typing import Iterator
@@ -69,20 +70,42 @@ def demand_to_dict(demand: EpochDemand) -> dict:
 
 
 def demand_from_dict(data: dict) -> EpochDemand:
-    return EpochDemand(
-        epoch=data["epoch"],
-        instructions=data["instructions"],
-        io_wait_ns=data.get("io_wait_ns", 0.0),
-        allocs=[
-            (region_id, _spec_from_dict(spec))
-            for region_id, spec in data["allocs"]
-        ],
-        frees=list(data["frees"]),
-        accesses={
-            region_id: (reads, writes)
-            for region_id, (reads, writes) in data["accesses"].items()
-        },
-    )
+    """A trace epoch as a demand; a malformed one, or one whose
+    ``instructions`` or ``io_wait_ns`` is not a finite number, raises
+    :class:`WorkloadError` naming the epoch."""
+    try:
+        demand = EpochDemand(
+            epoch=data["epoch"],
+            instructions=data["instructions"],
+            io_wait_ns=data.get("io_wait_ns", 0.0),
+            allocs=[
+                (region_id, _spec_from_dict(spec))
+                for region_id, spec in data["allocs"]
+            ],
+            frees=list(data["frees"]),
+            accesses={
+                region_id: (reads, writes)
+                for region_id, (reads, writes) in data["accesses"].items()
+            },
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        epoch = data.get("epoch") if isinstance(data, dict) else None
+        raise WorkloadError(
+            f"trace epoch {epoch!r} is malformed "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    for name in ("instructions", "io_wait_ns"):
+        value = getattr(demand, name)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            raise WorkloadError(
+                f"trace epoch {demand.epoch!r} is malformed "
+                f"({name} must be a finite number, not {value!r})"
+            )
+    return demand
 
 
 def record_trace(workload: Workload, epochs: int | None = None) -> dict:

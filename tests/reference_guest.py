@@ -11,7 +11,8 @@ module keeps the plain versions they must reproduce bit for bit:
 * :class:`ReferenceBuddy` — a set-per-order allocator with one
   Python big integer as its free mask, picking and freeing one block
   at a time (its grants list a run of contiguous top-order blocks as
-  one range, the shape the simulator grants);
+  one range, and a split block's carve as one range, the shape the
+  simulator grants);
 * :class:`ReferenceNode` — zone eligibility rebuilt on every call and
   one ``free_range`` per freed range;
 * :class:`ReferenceSplitLru` — active/inactive page counts summed over
@@ -55,9 +56,11 @@ class ReferenceBuddy:
     big-integer free mask and a ``min(set)`` scan per block.
 
     A grant picks each block on its own, largest need first, by
-    Linux's ``__rmqueue_smallest`` rule: the lowest block of the
-    smallest free order that holds the need, split down to it; only
-    when nothing that large is free, the lowest block of the largest
+    Linux's ``__rmqueue_smallest`` rule: the lowest block of the need's
+    own order when its list holds one; else the lowest block of the
+    smallest larger free order, which holds the whole rest of the
+    request at its low end and frees its unused tail; only when
+    nothing that large is free, the lowest block of the largest
     smaller order.
 
     Parameters
@@ -151,11 +154,13 @@ class ReferenceBuddy:
         """Allocate ``pages`` frames as buddy blocks (largest-first).
 
         Every block is picked on its own; the grant then lists each run
-        of consecutive, contiguous top-order blocks as one range, the
-        shape the simulator's allocator grants.  The kernel code both
-        sides share splits a range by position, so the shapes must agree
-        for the frames to.  On failure the partial allocation is rolled
-        back and the allocator is unchanged.
+        of consecutive, contiguous top-order blocks as one range, and a
+        need whose own list is empty ends the grant with one range
+        carved from a larger block: the shape the simulator's allocator
+        grants.  The kernel code both sides share splits a range by
+        position, so the shapes must agree for the frames to.  On
+        failure the partial allocation is rolled back and the allocator
+        is unchanged.
         """
         if pages <= 0:
             raise AllocationError(f"page count must be positive: {pages}")
@@ -168,20 +173,32 @@ class ReferenceBuddy:
         try:
             while remaining > 0:
                 want = min(self.max_order, remaining.bit_length() - 1)
-                # The need's own order, which allocate_block serves
-                # from the smallest free order that holds it; only when
-                # every free block is smaller, the largest free order.
                 free_orders = [
                     order
                     for order, starts in enumerate(self._free_lists)
                     if starts
                 ]
-                order = want
-                if free_orders and max(free_orders) < want:
-                    order = max(free_orders)
-                block = self.allocate_block(order)
-                granted.append(block)
-                remaining -= block.count
+                larger = [order for order in free_orders if order > want]
+                if self._free_lists[want] or not larger:
+                    # The need's own order when its list holds a block;
+                    # when nothing that large is free, the largest free
+                    # order.
+                    order = want
+                    if not self._free_lists[want] and free_orders:
+                        order = max(free_orders)
+                    block = self.allocate_block(order)
+                    granted.append(block)
+                    remaining -= block.count
+                else:
+                    # The need's own list is empty: the lowest block of
+                    # the smallest larger free order holds the whole
+                    # rest of the request at its low end, and its
+                    # unused tail is freed.
+                    block = self.allocate_block(min(larger))
+                    self.free_span(block.start + remaining,
+                                   block.count - remaining)
+                    granted.append(FrameRange(block.start, remaining))
+                    remaining = 0
         except OutOfMemoryError:
             for block in granted:
                 self.free_span(block.start, block.count)

@@ -420,26 +420,118 @@ def test_finished_runs_close_their_frame_maps(monkeypatch):
 
 def test_each_lower_need_is_one_block_while_a_top_block_is_free():
     """While a top-order block stays free, a grant of r pages lists its
-    top-order runs, then one block per set bit of r mod 2**max_order,
-    largest first, however earlier grants and frees left the lower
-    lists."""
+    top-order runs, then the lowest block of each need's own list for
+    each set bit of r mod 2**max_order, largest first, until a need
+    finds its list empty; one range carved from a larger block then
+    holds the rest.  So no grant scatters a need over smaller blocks,
+    however earlier grants and frees left the lower lists."""
     buddy = BuddyAllocator(0, 64 * TOP)
     rng = random.Random(26)
     held = []
+    carves = 0
     for _ in range(60):
         pages = rng.randrange(1, 3 * TOP)
+        lists = _lower_lists(buddy)
         grant = buddy.allocate_pages(pages)
         runs = [r.count for r in grant if r.count % TOP == 0]
-        lower = [r.count for r in grant[len(runs):]]
         assert sum(runs) == pages - pages % TOP
-        assert lower == [
-            1 << order for order in range(9, -1, -1) if pages >> order & 1
-        ]
+        rest = pages % TOP
+        for block in grant[len(runs):]:
+            assert rest
+            order = rest.bit_length() - 1
+            if lists[order]:
+                assert block == FrameRange(lists[order].pop(0), 1 << order)
+            else:
+                # The carve: the rest, at the low end of the lowest
+                # block of the smallest larger free order.
+                assert block.count == rest
+                larger = [blocks for blocks in lists[order + 1:] if blocks]
+                if larger:
+                    assert block.start == larger[0][0]
+                else:
+                    assert block.start % TOP == 0
+                carves += 1
+            rest -= block.count
+        assert rest == 0
         assert buddy._top_free
         held.append(grant)
         if rng.random() < 0.6:
             for block in held.pop(rng.randrange(len(held))):
                 buddy.free_range(block)
+    assert carves
+    buddy.check_invariants()
+
+
+def _buddy_state(buddy):
+    """Everything a free could leave different: the lists, the frame
+    map and the top-order map."""
+    return (
+        buddy.free_frames,
+        _lower_lists(buddy),
+        bytes(buddy._mask),
+        bytes(buddy._top),
+        buddy._top_free,
+    )
+
+
+def _general_frees(monkeypatch):
+    """The spans that go the general way (``_insert_span``) from here on."""
+    spans = []
+    insert_span = BuddyAllocator._insert_span
+
+    def recording_insert_span(self, start, count):
+        spans.append((start, count))
+        insert_span(self, start, count)
+
+    monkeypatch.setattr(BuddyAllocator, "_insert_span", recording_insert_span)
+    return spans
+
+
+def _carve_eleven(buddy):
+    """With one order-5 block free at 32 and orders 3 and 4 empty, an
+    11-page grant is one range carved from it, [32, 43); the unused
+    tail goes back as [43, 44), [44, 48) and [48, 64)."""
+    (carve,) = buddy.allocate_pages(11)
+    assert carve == FrameRange(32, 11)
+    lists = _lower_lists(buddy)
+    assert (lists[0], lists[2], lists[3], lists[4], lists[5]) == (
+        [43], [44], [], [48], [],
+    )
+    buddy.check_invariants()
+    return carve
+
+
+@FREE_PATHS
+def test_freeing_a_carve_whose_tail_is_free_restores_the_buddy(
+    monkeypatch, free
+):
+    buddy = BuddyAllocator(0, 2 * TOP)
+    buddy.allocate_block(5)  # frees one block per order from 5 to 9
+    before = _buddy_state(buddy)
+    carve = _carve_eleven(buddy)
+    general = _general_frees(monkeypatch)
+    free(buddy, carve)
+    assert _buddy_state(buddy) == before
+    # The batched free takes the carve, tail and all, in one step.
+    assert general == ([] if free is _free_spans_call else [(32, 11)])
+    buddy.check_invariants()
+
+
+def test_freeing_a_carve_whose_tail_was_taken_goes_the_general_way(
+    monkeypatch,
+):
+    buddy = BuddyAllocator(0, 2 * TOP)
+    buddy.allocate_block(5)
+    before = _buddy_state(buddy)
+    carve = _carve_eleven(buddy)
+    assert buddy.allocate_pages(4) == [FrameRange(44, 4)]  # from the tail
+    general = _general_frees(monkeypatch)
+    assert buddy._free_spans([carve], 0) == 1
+    assert general == [(32, 11)]
+    buddy.check_invariants()
+    assert _lower_lists(buddy)[:6] == [[], [], [40], [32], [48], []]
+    buddy.free_span(44, 4)
+    assert _buddy_state(buddy) == before
     buddy.check_invariants()
 
 
@@ -486,13 +578,13 @@ def test_nothing_large_enough_falls_back_to_the_largest_smaller_blocks():
     buddy.check_invariants()
 
 
-#: (lower-order blocks granted, ``_take_block`` splits) over 40 epochs
-#: of each cell.  The counts come from integer logic alone, so they
-#: repeat exactly on every Python version and hash seed; a change that
-#: lowers them records the new counts here.
+#: (lower-order ranges granted, splits or carves) over 40 epochs of
+#: each cell.  The counts come from integer logic alone, so they repeat
+#: exactly on every Python version and hash seed; a change that lowers
+#: them records the new counts here.
 BLOCK_CENSUS = {
-    ("graphchi", "heap-io-slab-od", 1 / 4): (701, 183),
-    ("graphchi", "hetero-lru", 1 / 8): (1116, 77),
+    ("graphchi", "heap-io-slab-od", 1 / 4): (252, 161),
+    ("graphchi", "hetero-lru", 1 / 8): (1016, 57),
 }
 
 
@@ -501,31 +593,37 @@ def test_block_census_stays_within_its_committed_counts(
     monkeypatch, app, policy_name, ratio
 ):
     """A cost gate without timing: a change that scatters grants over
-    more lower-order blocks, or splits more often, fails here."""
-    counts = {"lower blocks": 0, "splits": 0}
+    more lower-order ranges, or splits or carves more often, fails
+    here.  A carve that returns a tail to the lists (every range that
+    is not a power of two, or a block whose own list was empty) counts
+    once."""
+    counts = {"lower ranges": 0, "carves": 0}
     allocate_pages = BuddyAllocator.allocate_pages
-    take_block = BuddyAllocator._take_block
+    carve = BuddyAllocator._carve
 
     def counted_allocate_pages(self, pages):
         grant = allocate_pages(self, pages)
         top = 1 << self.max_order
-        counts["lower blocks"] += sum(1 for r in grant if r.count < top)
+        counts["lower ranges"] += sum(1 for r in grant if r.count < top)
         return grant
 
-    def counted_take_block(self, order):
-        if order < self.max_order and not self._free_lists[order]:
-            counts["splits"] += 1
-        return take_block(self, order)
+    def counted_carve(self, pages):
+        order = (pages - 1).bit_length()
+        if pages & (pages - 1) or (
+            order < self.max_order and not self._free_lists[order]
+        ):
+            counts["carves"] += 1
+        return carve(self, pages)
 
     monkeypatch.setattr(BuddyAllocator, "allocate_pages",
                         counted_allocate_pages)
-    monkeypatch.setattr(BuddyAllocator, "_take_block", counted_take_block)
+    monkeypatch.setattr(BuddyAllocator, "_carve", counted_carve)
     policy = make_policy(policy_name)
     config = build_config(
         fast_ratio=ratio, unlimited_fast=policy.requires_unlimited_fast
     )
     run_experiment(app, policy, epochs=40, config=config)
-    lower, splits = BLOCK_CENSUS[app, policy_name, ratio]
-    assert counts["lower blocks"] <= lower, counts
-    assert counts["splits"] <= splits, counts
-    assert counts["lower blocks"] and counts["splits"]
+    lower, carves = BLOCK_CENSUS[app, policy_name, ratio]
+    assert counts["lower ranges"] <= lower, counts
+    assert counts["carves"] <= carves, counts
+    assert counts["lower ranges"] and counts["carves"]

@@ -101,3 +101,36 @@ def test_trace_with_a_malformed_region_is_rejected_by_name():
         ) as raised:
             TraceWorkload.from_dict(trace)
         assert isinstance(raised.value.__cause__, cause)
+
+
+
+def _first_access_pair_one_element(epoch):
+    region_id = next(iter(epoch["accesses"]))
+    epoch["accesses"][region_id] = [1.0]
+
+
+@pytest.mark.parametrize(
+    "mangle, cause",
+    [
+        (lambda epoch: epoch.pop("frees"), KeyError),
+        (_first_access_pair_one_element, ValueError),
+        (lambda epoch: epoch.update(instructions="1e9"), None),
+        (lambda epoch: epoch.update(instructions=float("nan")), None),
+        (lambda epoch: epoch.update(io_wait_ns=float("inf")), None),
+        (lambda epoch: epoch.update(io_wait_ns=True), None),
+    ],
+    ids=["no-frees", "one-element-access-pair", "string-instructions",
+         "nan-instructions", "infinite-io-wait", "boolean-io-wait"],
+)
+def test_trace_with_a_malformed_epoch_is_rejected_by_epoch(mangle, cause):
+    """A missing field, a mistyped access pair and a non-numeric or
+    non-finite count each fail when the trace loads, naming the epoch,
+    not in the middle of a run."""
+    trace = record_trace(make_workload("nginx"), epochs=3)
+    mangle(trace["epochs"][1])
+    with pytest.raises(WorkloadError, match="trace epoch 1 ") as raised:
+        TraceWorkload.from_dict(trace)
+    if cause is None:
+        assert raised.value.__cause__ is None
+    else:
+        assert isinstance(raised.value.__cause__, cause)
